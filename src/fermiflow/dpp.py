@@ -5,10 +5,10 @@ gives an unordered random configuration whose law is determinantal: every
 m-point inclusion probability is the m x m minor of the kernel
 K(x, y) = sum_l conj(psi_l(x)) psi_l(y) times the point weights.
 
-This module provides both routes independently: brute-force enumeration
-of the measurement law over all ordered tuples, and kernel-side
-quantities (correlation minors, expected counts, count covariances),
-plus exact samplers for projection and mixed kernels.
+Exact laws are sums over unordered configurations by Cauchy-Binet, with
+brute-force enumeration over all ordered tuples kept as an independent
+oracle; kernel-side quantities (correlation minors, expected counts, count
+covariances) and exact samplers for projection and mixed kernels follow.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, RankCollapseError
 from .ground import OrthonormalFamily
-from .slater import ProjectionKernel, projection_kernel
+from .slater import ProjectionKernel, projection_kernel, slater_state_vector
 
 ENUMERATION_CAP = 1_000_000
 
@@ -177,19 +177,13 @@ def ordered_measurement_distribution(family: OrthonormalFamily,
     """All ordered n-tuples with their measurement probabilities.
 
     Returns (tuples, probs): probability of an ordered tuple is the squared
-    amplitude times the product of point weights. Exchangeable by
+    modulus of the `slater_state_vector` entry. Exchangeable by
     antisymmetry, and zero on tuples with repeats.
     """
-    m = family.space.n_points
     n = family.n
-    total = m ** n
-    if total > cap:
-        raise EnumerationCapError(total, cap)
-    fold = family.folded()
-    idx = np.indices((m,) * n).reshape(n, -1).T
-    dets = np.linalg.det(fold[idx, :])
-    probs = np.abs(dets) ** 2 / math.factorial(n)
-    return idx, probs
+    probs = np.abs(slater_state_vector(family, cap=cap)) ** 2
+    tuples = np.indices((family.space.n_points,) * n).reshape(n, -1).T
+    return tuples, probs
 
 
 def brute_force_configuration_distribution(family: OrthonormalFamily,
@@ -255,27 +249,37 @@ def sample_mixed_dpp(spec: MixedKernelSpec, rng: np.random.Generator) -> tuple:
 
 def exact_mixed_distribution(spec: MixedKernelSpec,
                              cap: int = ENUMERATION_CAP) -> ConfigurationDistribution:
-    """Exact law of the mixed process by enumerating Bernoulli index sets."""
-    m = spec.n_indices
-    acc: dict = {(): 0.0}
-    for bits in itertools.product((0, 1), repeat=m):
-        weight = 1.0
-        for lam, b in zip(spec.lambdas, bits):
-            weight *= lam if b else 1.0 - lam
-        if weight <= 0.0:
-            continue
-        keep = [i for i, b in enumerate(bits) if b]
-        if not keep:
-            acc[()] = acc.get((), 0.0) + weight
-            continue
-        sub = brute_force_configuration_distribution(spec.family.subset(keep), cap=cap)
-        for config, p in zip(sub.support, sub.probs):
-            acc[config] = acc.get(config, 0.0) + weight * float(p)
-    support = sorted(acc, key=lambda c: (len(c), c))
-    probs = np.array([acc[c] for c in support])
-    keep_mask = probs > 1e-14
-    support = [c for c, k in zip(support, keep_mask) if k]
-    probs = probs[keep_mask]
+    """Exact law of the mixed process, by Cauchy-Binet over configurations.
+
+    For |S| = r, P(S) = sum_{|I| = r} w(I) |det fold[S, I]|^2, w(I) the
+    probability that the thinning keeps exactly I; one batched determinant
+    per size. Skipping zero-weight I leaves C(m, n) minors for a projection,
+    C(m + n, n) for eigenvalues inside (0, 1); `cap` bounds them up front.
+    """
+    lam = spec.lambdas
+    m = spec.family.space.n_points
+    sure = np.flatnonzero(lam == 1.0)
+    free = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+    sizes = range(sure.size, sure.size + free.size + 1)
+    required = sum(math.comb(m, r) * math.comb(free.size, r - sure.size) for r in sizes)
+    if required > cap:
+        raise EnumerationCapError(required, cap, "minors")
+    fold = spec.family.folded()
+    support, mass = [], []
+    for r in sizes:
+        extras = list(itertools.combinations(free, r - sure.size))
+        index = np.array([(*sure, *extra) for extra in extras], dtype=int)
+        weights = np.array([math.prod(lam[i] if i in extra else 1.0 - lam[i] for i in free)
+                            for extra in extras])
+        configs = list(itertools.combinations(range(m), r))
+        rows = np.array(configs, dtype=int)
+        dets = np.linalg.det(fold[rows[:, None, :, None], index[None, :, None, :]])
+        support += configs
+        mass.append(np.abs(dets) ** 2 @ weights)
+    probs = np.concatenate(mass)
+    keep = probs > 1e-14  # discard cancellation dust, not genuine support
+    support = [c for c, k in zip(support, keep) if k]
+    probs = probs[keep]
     return ConfigurationDistribution(tuple(support), probs / probs.sum(), kind="exact")
 
 
@@ -295,8 +299,8 @@ def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
 
     Index sets are coupled through shared uniforms, so the sets agree with
     the maximal probability prod min(.., ..). When the index sets agree
-    and exact laws fit the cap, the two configurations are drawn from an
-    optimal total-variation coupling; otherwise they are independent.
+    and their C(m, |I|) minors fit the cap, the two configurations are drawn
+    from an optimal total-variation coupling; otherwise they are independent.
     Identical specs therefore return identical configurations.
     """
     if spec_a.n_indices != spec_b.n_indices:
@@ -312,8 +316,7 @@ def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
 
     if keep_a.size == 0:
         return (), ()
-    size = spec_a.family.space.n_points ** keep_a.size
-    if size > cap:
+    if math.comb(spec_a.family.space.n_points, keep_a.size) > cap:
         conf_a = sample_projection_dpp(spec_a.family.subset(keep_a), rng)
         conf_b = sample_projection_dpp(spec_b.family.subset(keep_a), rng)
         return conf_a, conf_b
@@ -322,8 +325,9 @@ def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
     if _cache is not None and key in _cache:
         pa, pb = _cache[key]
     else:
-        pa = brute_force_configuration_distribution(spec_a.family.subset(keep_a), cap=cap).as_dict()
-        pb = brute_force_configuration_distribution(spec_b.family.subset(keep_a), cap=cap).as_dict()
+        pa, pb = (exact_mixed_distribution(
+            MixedKernelSpec(np.ones(keep_a.size), spec.family.subset(keep_a)), cap=cap).as_dict()
+            for spec in (spec_a, spec_b))
         if _cache is not None:
             _cache[key] = (pa, pb)
     configs = sorted(set(pa) | set(pb), key=lambda c: (len(c), c))

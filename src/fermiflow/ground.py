@@ -70,13 +70,6 @@ class GroundSpace:
             doc["coords"] = self.coords.tolist()
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GroundSpace":
-        doc = json.loads(text)
-        coords = np.asarray(doc["coords"]) if "coords" in doc else None
-        pts = [tuple(p) if isinstance(p, list) else p for p in doc["points"]]
-        return cls(tuple(pts), np.asarray(doc["weights"]), coords)
-
 
 def _as_function(f, space: GroundSpace) -> np.ndarray:
     arr = np.asarray(f, dtype=complex)
@@ -155,14 +148,6 @@ class OrthonormalFamily:
             [[float(v.real), float(v.imag)] for v in row] for row in self.functions
         ]
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrthonormalFamily":
-        doc = json.loads(text)
-        space = GroundSpace.from_json(json.dumps(
-            {k: doc[k] for k in ("points", "weights", "coords") if k in doc}))
-        fns = np.array([[complex(re, im) for re, im in row] for row in doc["functions"]])
-        return cls(space, fns)
 
 
 def orthonormalize(functions, space: GroundSpace, tol: float = DEFAULT_TOL) -> OrthonormalFamily:

@@ -23,8 +23,8 @@ from .bounds import (count_covariance_exact, tv_bound_projection,
                      verify_instance, walsh_counterexample_report,
                      wsharp_bound_projection, wsharp_exact)
 from .dpp import (MixedKernelSpec, brute_force_configuration_distribution,
-                  correlation_function, ordered_measurement_distribution,
-                  sample_projection_dpp)
+                  correlation_function, exact_mixed_distribution,
+                  ordered_measurement_distribution, sample_projection_dpp)
 from .ground import random_orthonormal, walsh_family
 from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
                      overlap_matrix, projection_kernel, trace_distance_slater)
@@ -112,7 +112,7 @@ def check_sampler_statistics() -> CheckResult:
     start = time.perf_counter()
     draws = 50_000
     fam = random_orthonormal(6, 2, seed=33)
-    dist = brute_force_configuration_distribution(fam)
+    dist = exact_mixed_distribution(MixedKernelSpec(np.ones(2), fam))
     kern = projection_kernel(fam)
     rng = stream_generator(33, 3)
     counts = Counter(sample_projection_dpp(fam, rng) for _ in range(draws))
@@ -145,8 +145,8 @@ def check_bound_validity_sweep() -> CheckResult:
         n = 2 if i % 2 == 0 else 3
         fam_a = random_orthonormal(6, n, seed=40_000 + 2 * i)
         fam_b = random_orthonormal(6, n, seed=40_001 + 2 * i)
-        dist_a = brute_force_configuration_distribution(fam_a)
-        dist_b = brute_force_configuration_distribution(fam_b)
+        dist_a = exact_mixed_distribution(MixedKernelSpec(np.ones(n), fam_a))
+        dist_b = exact_mixed_distribution(MixedKernelSpec(np.ones(n), fam_b))
         m = overlap_matrix(fam_a, fam_b)
         tv_slack = tv_bound_projection(m) - total_variation(dist_a.as_dict(),
                                                             dist_b.as_dict())

@@ -60,12 +60,6 @@ class OverlapMatrix:
         ent = [[[float(v.real), float(v.imag)] for v in row] for row in self.entries]
         return json.dumps({"entries": ent}, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "OverlapMatrix":
-        doc = json.loads(text)
-        m = np.array([[complex(re, im) for re, im in row] for row in doc["entries"]])
-        return cls(m)
-
 
 def overlap_matrix(a: OrthonormalFamily, b: OrthonormalFamily) -> OverlapMatrix:
     """Pairwise overlaps of two equally sized families on the same space."""
@@ -194,12 +188,6 @@ class DensityOperator:
     def to_json(self) -> str:
         mat = [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix]
         return json.dumps({"dims": list(self.dims), "matrix": mat}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityOperator":
-        doc = json.loads(text)
-        m = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
-        return cls(tuple(doc["dims"]), m)
 
 
 def slater_state_vector(family: OrthonormalFamily, cap: int = 100_000) -> np.ndarray:

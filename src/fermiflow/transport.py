@@ -68,6 +68,23 @@ class CostMatrix:
         vals = np.array([[float(fn(r, c)) for c in cols] for r in rows])
         return cls(vals, rows, cols)
 
+    @classmethod
+    def symmetric_difference(cls, row_configs, col_configs) -> "CostMatrix":
+        """`symmetric_difference_cost` between configurations, without a call per cell.
+
+        With 0/1 memberships x, card(A delta B) = |A| + |B| - 2 x_A . x_B, a sum
+        of small integers, so the values are exact.
+        """
+        rows = tuple(row_configs)
+        cols = tuple(col_configs)
+        n_points = 1 + max((max(c) for c in rows + cols if c), default=-1)
+        xa, xb = np.zeros((len(rows), n_points)), np.zeros((len(cols), n_points))
+        for x, configs in ((xa, rows), (xb, cols)):
+            for i, config in enumerate(configs):
+                x[i, list(config)] = 1.0
+        vals = xa.sum(axis=1)[:, None] + xb.sum(axis=1)[None, :] - 2.0 * (xa @ xb.T)
+        return cls(vals, rows, cols)
+
 
 def _jsonable(label):
     if isinstance(label, tuple):

@@ -64,6 +64,16 @@ def test_verify_lemma_cap_exceeded(tmp_path):
     assert "cap" in err
 
 
+def test_bounds_cap_exceeded(tmp_path):
+    # dim 6, n 2: each projection law needs C(6, 2) = 15 minors
+    cfg = write_config(tmp_path, "bounds.count=2\nbounds.dim=6\nbounds.n=2\n"
+                                 "enumeration_cap=10\n")
+    code, out, err = run_cli(["bounds", "--config", cfg])
+    assert code == 2
+    assert "cap" in err
+    assert out == ""
+
+
 def test_config_parse_error_reports_line(tmp_path):
     cfg = write_config(tmp_path, "verify_lemma.dim=4\nnot a pair\n")
     code, _, err = run_cli(["verify-lemma", "--config", cfg])

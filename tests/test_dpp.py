@@ -1,5 +1,6 @@
 """Determinantal point process layer: correlation minors, counting moments,
-the brute-force measurement oracle, exact samplers, Bernoulli mixtures."""
+the brute-force measurement oracle, exact samplers, Bernoulli mixtures and
+their Cauchy-Binet laws."""
 
 import itertools
 import math
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from fermiflow import (ConfigurationDistribution, EnumerationCapError,
-                       MixedKernelSpec, brute_force_configuration_distribution,
+                       GroundSpace, MixedKernelSpec,
+                       brute_force_configuration_distribution,
                        correlation_function, count_covariance,
                        coupled_sample_pair, exact_mixed_distribution,
                        expected_count, ordered_measurement_distribution,
@@ -195,6 +197,82 @@ def test_mixed_cardinality_law_is_poisson_binomial():
                 itertools.combinations(range(3), r) for r in range(4)))
             if len(subset) == size)
         assert by_size.get(size, 0.0) == pytest.approx(float(target), abs=1e-12)
+
+
+def tuple_enumeration_law(spec):
+    """Mixed law from all 2^n index sets, each by all m^|I| ordered tuples.
+
+    An independent route to the law of exact_mixed_distribution: Bernoulli
+    weights times the brute-force oracle's law of each kept family.
+    """
+    acc = {(): 0.0}
+    for bits in itertools.product((0, 1), repeat=spec.n_indices):
+        weight = math.prod(lam if b else 1.0 - lam for lam, b in zip(spec.lambdas, bits))
+        if weight <= 0.0:
+            continue
+        keep = [i for i, b in enumerate(bits) if b]
+        if not keep:
+            acc[()] += weight
+            continue
+        sub = brute_force_configuration_distribution(spec.family.subset(keep))
+        for config, p in zip(sub.support, sub.probs):
+            acc[config] = acc.get(config, 0.0) + weight * float(p)
+    support = sorted(acc, key=lambda c: (len(c), c))
+    probs = np.array([acc[c] for c in support])
+    keep = probs > 1e-14
+    return tuple(c for c, k in zip(support, keep) if k), probs[keep] / probs[keep].sum()
+
+
+def weighted_space(m, seed):
+    w = stream_generator(seed, 1).uniform(0.5, 2.0, size=m)
+    return GroundSpace(tuple(range(m)), w / w.sum())
+
+
+@pytest.mark.parametrize("m, lambdas, weighted", [
+    (4, [0.4], False),
+    (4, [0.0, 0.0], True),
+    (4, [1.0, 1.0], True),
+    (5, [0.3, 0.0, 0.8], False),
+    (6, [1.0, 0.5, 0.25, 0.9], True),
+    (6, [1.0, 0.0, 0.5, 1.0, 0.7, 0.0], True),
+    (7, [1.0] * 5, False),
+    (7, [1.0] * 6, True),
+    (8, [0.2, 0.6, 0.95], True),
+    (8, [0.1, 0.35, 0.5, 0.75, 0.9], False),
+])
+def test_exact_law_matches_tuple_enumeration(m, lambdas, weighted):
+    n = len(lambdas)
+    space = weighted_space(m, 900 + m) if weighted else None
+    fam = random_orthonormal(m, n, 800 + 10 * m + n, space=space)
+    spec = MixedKernelSpec(np.array(lambdas), fam)
+    support, probs = tuple_enumeration_law(spec)
+    law = exact_mixed_distribution(spec)
+    assert law.support == support
+    assert np.max(np.abs(law.probs - probs)) <= 1e-12
+
+
+@pytest.mark.parametrize("lambdas, required", [
+    ([0.2, 0.5, 0.7], math.comb(6 + 3, 3)),
+    ([1.0, 1.0, 1.0], math.comb(6, 3)),
+    ([1.0, 0.0, 0.5], math.comb(6, 1) + math.comb(6, 2)),
+])
+def test_exact_law_cap_counts_minors_before_any_determinant(monkeypatch, lambdas, required):
+    spec = MixedKernelSpec(np.array(lambdas), random_orthonormal(6, 3, 17))
+    real_det = np.linalg.det
+    minors = []
+
+    def counting_det(a):
+        minors.append(math.prod(np.shape(a)[:-2]))
+        return real_det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    with pytest.raises(EnumerationCapError) as exc:
+        exact_mixed_distribution(spec, cap=required - 1)
+    assert exc.value.required == required
+    assert exc.value.cap == required - 1
+    assert minors == []
+    exact_mixed_distribution(spec, cap=required)
+    assert sum(minors) == required
 
 
 def test_coupled_pair_identical_specs():

@@ -146,6 +146,19 @@ def test_symmetric_difference_examples():
     assert symmetric_difference_cost((), (5,)) == 1
 
 
+def test_symmetric_difference_matrix_matches_cellwise_cost():
+    rng = np.random.default_rng(37)
+    configs = [(), (0,), (1, 3), (0, 2, 5), (4,), (0, 1, 2, 3, 4, 5, 6)]
+    configs += [tuple(sorted(rng.choice(9, size=rng.integers(1, 9), replace=False)))
+                for _ in range(40)]
+    rows, cols = configs[:25], configs[10:]
+    fast = CostMatrix.symmetric_difference(rows, cols)
+    cellwise = CostMatrix.from_function(rows, cols, symmetric_difference_cost)
+    assert np.array_equal(fast.values, cellwise.values)
+    assert fast.row_labels == cellwise.row_labels
+    assert fast.col_labels == cellwise.col_labels
+
+
 def test_symmetric_difference_versus_hamming():
     # forgetting order: #(set(x) ^ set(y)) <= 2 * hamming, and for
     # repeat-free tuples the set difference never beats twice the
