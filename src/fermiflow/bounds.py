@@ -33,11 +33,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import stream_generator
+# coupled_sample_pair is not called here, but perfbench/tracing.py looks it up by this name
 from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
-                  coupled_sample_pair, exact_mixed_distribution)
+                  coupled_sample_counts, coupled_sample_pair, exact_mixed_distribution)
 from .ground import OrthonormalFamily, walsh_family
 from .slater import OverlapMatrix, slater_fidelity, trace_distance_slater
-from .transport import CostMatrix, ot_cost, total_variation
+from .transport import CostMatrix, metric_transport_values, ot_cost, total_variation
 from .w1_bounds import stabilizer_max_overlap, w1_upper_slater
 
 SUBSET_CAP = 20
@@ -205,8 +206,11 @@ def wsharp_exact(dist_a: ConfigurationDistribution,
     factor 2 with the raw cardinality, which also breaks the contraction
     against Hamming transport of ordered tuples.
     """
-    cost = CostMatrix.symmetric_difference(dist_a.support, dist_b.support)
-    return 0.5 * ot_cost(dist_a.as_dict(), dist_b.as_dict(), cost).value
+    p, q = dist_a.as_dict(), dist_b.as_dict()
+    support = sorted(set(p) | set(q), key=lambda c: (len(c), c))
+    masses = np.array([[dist.get(c, 0.0) for c in support] for dist in (p, q)])
+    cost = CostMatrix.symmetric_difference(support, support)
+    return 0.5 * float(metric_transport_values(masses[:1], masses[1:], cost)[0])
 
 
 @dataclass(frozen=True)
@@ -255,17 +259,12 @@ class DppBoundsReport:
                 self.tv_slack, self.wsharp_slack]
 
 
-def _bootstrap_ci(counts_a, counts_b, statistic, rng, resamples: int = 1000,
-                  level: float = 0.95) -> tuple:
-    total_a = int(counts_a.sum())
-    total_b = int(counts_b.sum())
-    stats = np.empty(resamples)
-    for r in range(resamples):
-        pa = rng.multinomial(total_a, counts_a / total_a) / total_a
-        pb = rng.multinomial(total_b, counts_b / total_b) / total_b
-        stats[r] = statistic(pa, pb)
-    lo, hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
-    return float(lo), float(hi)
+def _bootstrap_resamples(counts, rng, resamples: int) -> np.ndarray:
+    """Multinomial resamples of both count rows, as a (2, resamples, support) array."""
+    totals = counts.sum(axis=1)
+    draws = [[rng.multinomial(n, row / n) for row, n in zip(counts, totals)]
+             for _ in range(resamples)]
+    return np.transpose(draws, (1, 0, 2)) / totals[:, None, None]
 
 
 def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
@@ -297,40 +296,27 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
         raise ValueError("mode must be 'exact' or 'empirical'")
 
     rng = stream_generator(0 if seed is None else seed, 7)
-    cache: dict = {}
-    pairs = [coupled_sample_pair(spec_a, spec_b, rng, cap=enumeration_cap, _cache=cache)
-             for _ in range(budget)]
-    emp_a = ConfigurationDistribution.from_samples([p[0] for p in pairs], seed=seed)
-    emp_b = ConfigurationDistribution.from_samples([p[1] for p in pairs], seed=seed)
-    tv_v = total_variation(emp_a.as_dict(), emp_b.as_dict())
-    ws_v = wsharp_exact(emp_a, emp_b)
-
-    support = sorted(set(emp_a.support) | set(emp_b.support), key=lambda c: (len(c), c))
-    idx = {c: i for i, c in enumerate(support)}
-    counts = np.zeros((2, len(support)))
-    for c, p in zip(emp_a.support, emp_a.probs):
-        counts[0, idx[c]] = round(p * emp_a.sample_count)
-    for c, p in zip(emp_b.support, emp_b.probs):
-        counts[1, idx[c]] = round(p * emp_b.sample_count)
+    support, counts, coupling_exact = coupled_sample_counts(
+        spec_a, spec_b, budget, rng, cap=enumeration_cap)
+    pa, pb = counts / budget
+    tv_v = 0.5 * float(np.abs(pa - pb).sum())
     cost = CostMatrix.symmetric_difference(support, support)
 
-    def tv_stat(pa, pb):
-        return 0.5 * float(np.sum(np.abs(pa - pb)))
-
-    def ws_stat(pa, pb):
-        p = {c: pa[i] for c, i in idx.items() if pa[i] > 0}
-        q = {c: pb[i] for c, i in idx.items() if pb[i] > 0}
-        return 0.5 * ot_cost(p, q, cost).value
-
     boot = stream_generator(0 if seed is None else seed, 11)
-    tv_ci = _bootstrap_ci(counts[0], counts[1], tv_stat, boot, bootstrap_resamples)
-    ws_ci = _bootstrap_ci(counts[0], counts[1], ws_stat, boot, bootstrap_resamples)
+    tv_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
+    ws_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
+    ws = 0.5 * metric_transport_values(np.vstack([pa, ws_boot[0]]),
+                                       np.vstack([pb, ws_boot[1]]), cost)
+    ws_v = float(ws[0])
+    tv_stats = 0.5 * np.abs(tv_boot[0] - tv_boot[1]).sum(axis=1)
+    tv_ci, ws_ci = (tuple(np.quantile(s, [0.025, 0.975]).tolist()) for s in (tv_stats, ws[1:]))
     return DppBoundsReport(
         n_indices=spec_a.n_indices, n_points=spec_a.family.space.n_points,
         mode="empirical", tv_value=tv_v, wsharp_value=ws_v,
         tv_bound=tv_b, wsharp_bound=ws_b,
         tv_slack=tv_b - tv_v, wsharp_slack=ws_b - ws_v,
-        sample_count=budget, seed=seed, tv_ci=tv_ci, wsharp_ci=ws_ci)
+        sample_count=budget, seed=seed, tv_ci=tv_ci, wsharp_ci=ws_ci,
+        coupling_exact=coupling_exact)
 
 
 def count_covariance_exact(int_functions, cell_weight: Fraction,

@@ -14,8 +14,8 @@ covariances) and exact samplers for projection and mixed kernels follow.
 from __future__ import annotations
 
 import itertools
-import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,18 +146,6 @@ class ConfigurationDistribution:
         return float(sum(p for config, p in zip(self.support, self.probs)
                          if wanted <= set(config)))
 
-    def to_json(self) -> str:
-        doc = {"kind": self.kind,
-               "configs": [list(c) for c in self.support]}
-        if self.kind == "empirical":
-            doc["counts"] = {",".join(map(str, c)): int(round(p * self.sample_count))
-                             for c, p in zip(self.support, self.probs)}
-            doc["sample_count"] = self.sample_count
-            doc["seed"] = self.seed
-        else:
-            doc["probs"] = self.probs.tolist()
-        return json.dumps(doc, sort_keys=True)
-
     @classmethod
     def from_samples(cls, samples, seed: int | None = None) -> "ConfigurationDistribution":
         counts: dict = {}
@@ -283,17 +271,64 @@ def exact_mixed_distribution(spec: MixedKernelSpec,
     return ConfigurationDistribution(tuple(support), probs / probs.sum(), kind="exact")
 
 
-def _sample_from(dist_map: dict, rng: np.random.Generator) -> tuple:
-    configs = sorted(dist_map, key=lambda c: (len(c), c))
-    probs = np.array([dist_map[c] for c in configs])
-    probs = np.maximum(probs, 0.0)
-    probs /= probs.sum()
-    return configs[int(rng.choice(len(configs), p=probs))]
+def coupled_sample_counts(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
+                          draws: int, rng: np.random.Generator,
+                          cap: int = ENUMERATION_CAP, _cache: dict | None = None) -> tuple:
+    """Configuration counts of `draws` draws from the coupling of `coupled_sample_pair`.
+
+    The index-set uniforms of all draws come first; draws are grouped by their
+    pair of index sets. For k draws on one index set I whose C(m, |I|) minors
+    fit the cap, the count pair is drawn from its joint law: Binomial(k, s)
+    draws, s = sum_S min(P_a(S), P_b(S)), share configurations split by one
+    multinomial over the overlap; the rest follow independent multinomials
+    over the two excesses. Other groups are drawn one by one, independently.
+
+    Returns (support, counts, exact): configurations ordered by (size, points),
+    a (2, len(support)) count array, and whether every draw whose index sets
+    agreed fell within the cap, so was coupled exactly.
+    """
+    n = spec_a.n_indices
+    if spec_b.n_indices != n:
+        raise ValueError("specs must share an index set")
+    us = rng.random((draws, n))
+    groups, sizes = np.unique(np.hstack([us < spec_a.lambdas, us < spec_b.lambdas]),
+                              axis=0, return_counts=True)
+    tallies = (Counter(), Counter())
+    cache = {} if _cache is None else _cache
+    exact = True
+    for group, k in zip(groups, sizes):
+        keeps = np.flatnonzero(group[:n]), np.flatnonzero(group[n:])
+        agree = np.array_equal(*keeps)
+        if agree and math.comb(spec_a.family.space.n_points, keeps[0].size) <= cap:
+            key = tuple(int(i) for i in keeps[0])
+            if key not in cache:
+                laws = [exact_mixed_distribution(MixedKernelSpec(
+                    np.ones(len(key)), spec.family.subset(keeps[0])), cap=cap).as_dict()
+                    if key else {(): 1.0} for spec in (spec_a, spec_b)]
+                configs = sorted(set(laws[0]) | set(laws[1]), key=lambda c: (len(c), c))
+                cache[key] = configs, np.array([[law.get(c, 0.0) for c in configs] for law in laws])
+            configs, laws = cache[key]
+            overlap = laws.min(axis=0)
+            shared = k if overlap.sum() >= 1.0 - 1e-12 else rng.binomial(k, overlap.sum())
+            both = rng.multinomial(shared, overlap / (overlap.sum() or 1.0))
+            for tally, law in zip(tallies, laws):
+                excess = law - overlap
+                drawn = both + rng.multinomial(k - shared, excess / (excess.sum() or 1.0))
+                tally.update(dict(zip(configs, drawn)))
+            continue
+        exact = exact and not agree
+        families = [spec.family.subset(keep) if keep.size else None
+                    for spec, keep in zip((spec_a, spec_b), keeps)]
+        for _ in range(k):
+            for tally, family in zip(tallies, families):
+                tally[sample_projection_dpp(family, rng) if family is not None else ()] += 1
+    support = sorted(set(+tallies[0]) | set(+tallies[1]), key=lambda c: (len(c), c))
+    counts = np.array([[tally[c] for c in support] for tally in tallies], dtype=np.int64)
+    return tuple(support), counts.reshape(2, -1), exact
 
 
 def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                        rng: np.random.Generator,
-                        cap: int = ENUMERATION_CAP,
+                        rng: np.random.Generator, cap: int = ENUMERATION_CAP,
                         _cache: dict | None = None) -> tuple:
     """One draw from a coupling of the two mixed processes.
 
@@ -301,41 +336,8 @@ def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
     the maximal probability prod min(.., ..). When the index sets agree
     and their C(m, |I|) minors fit the cap, the two configurations are drawn
     from an optimal total-variation coupling; otherwise they are independent.
-    Identical specs therefore return identical configurations.
+    Identical specs therefore return identical configurations within the
+    cap; beyond it they need not.
     """
-    if spec_a.n_indices != spec_b.n_indices:
-        raise ValueError("specs must share an index set")
-    us = rng.random(spec_a.n_indices)
-    keep_a = np.nonzero(us < spec_a.lambdas)[0]
-    keep_b = np.nonzero(us < spec_b.lambdas)[0]
-
-    if not np.array_equal(keep_a, keep_b):
-        conf_a = sample_projection_dpp(spec_a.family.subset(keep_a), rng) if keep_a.size else ()
-        conf_b = sample_projection_dpp(spec_b.family.subset(keep_b), rng) if keep_b.size else ()
-        return conf_a, conf_b
-
-    if keep_a.size == 0:
-        return (), ()
-    if math.comb(spec_a.family.space.n_points, keep_a.size) > cap:
-        conf_a = sample_projection_dpp(spec_a.family.subset(keep_a), rng)
-        conf_b = sample_projection_dpp(spec_b.family.subset(keep_a), rng)
-        return conf_a, conf_b
-
-    key = tuple(int(i) for i in keep_a)
-    if _cache is not None and key in _cache:
-        pa, pb = _cache[key]
-    else:
-        pa, pb = (exact_mixed_distribution(
-            MixedKernelSpec(np.ones(keep_a.size), spec.family.subset(keep_a)), cap=cap).as_dict()
-            for spec in (spec_a, spec_b))
-        if _cache is not None:
-            _cache[key] = (pa, pb)
-    configs = sorted(set(pa) | set(pb), key=lambda c: (len(c), c))
-    overlap = {c: min(pa.get(c, 0.0), pb.get(c, 0.0)) for c in configs}
-    shared = sum(overlap.values())
-    if shared >= 1.0 - 1e-12 or rng.random() < shared:
-        config = _sample_from(overlap, rng)
-        return config, config
-    excess_a = {c: pa.get(c, 0.0) - overlap[c] for c in configs}
-    excess_b = {c: pb.get(c, 0.0) - overlap[c] for c in configs}
-    return _sample_from(excess_a, rng), _sample_from(excess_b, rng)
+    support, counts, _ = coupled_sample_counts(spec_a, spec_b, 1, rng, cap, _cache)
+    return tuple(support[int(np.argmax(side))] for side in counts)

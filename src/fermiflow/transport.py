@@ -1,24 +1,29 @@
 """Exact distances between finitely supported distributions.
 
 Total variation, Hamming and symmetric-difference ground costs, and exact
-optimal transport by successive shortest augmenting paths on the bipartite
-graph of the two supports. Masses are rescaled to 64-bit integers with
-common denominator 10**12 before solving, so flows are exact integers and
-the returned plan's marginals match the rounded masses bit for bit.
+optimal transport as linear programs solved by HiGHS: `ot_cost` gives one
+plan with dual potentials on any cost, `metric_transport_values` the values
+of a batch of pairs on one metric cost. scipy is imported at the first
+solve, which keeps `import fermiflow` light.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-MASS_SCALE = 10 ** 12
 SUPPORT_CAP = 2000
+# HiGHS primal and dual feasibility tolerance, its smallest allowed value: at
+# its default of 1e-7, plan marginals drift by up to 1e-7, above the 1e-9
+# that the selftest allows
+LP_TOL = 1e-10
+# cells per HiGHS call (HiGHS takes about 1 kB per variable), and the
+# cheapest cells of each row and column that every block starts from
+LP_CELLS = 1_000
+START_CELLS = 3
 
 
 def total_variation(p, q) -> float:
@@ -75,25 +80,17 @@ class CostMatrix:
         With 0/1 memberships x, card(A delta B) = |A| + |B| - 2 x_A . x_B, a sum
         of small integers, so the values are exact.
         """
-        rows = tuple(row_configs)
-        cols = tuple(col_configs)
+        rows, cols = tuple(row_configs), tuple(col_configs)
         n_points = 1 + max((max(c) for c in rows + cols if c), default=-1)
         xa, xb = np.zeros((len(rows), n_points)), np.zeros((len(cols), n_points))
         for x, configs in ((xa, rows), (xb, cols)):
             for i, config in enumerate(configs):
                 x[i, list(config)] = 1.0
-        vals = xa.sum(axis=1)[:, None] + xb.sum(axis=1)[None, :] - 2.0 * (xa @ xb.T)
+        vals = xa @ xb.T  # in place from here: one matrix, no temporaries
+        vals *= -2.0
+        vals += xa.sum(axis=1)[:, None]
+        vals += xb.sum(axis=1)[None, :]
         return cls(vals, rows, cols)
-
-
-def _jsonable(label):
-    if isinstance(label, tuple):
-        return [_jsonable(x) for x in label]
-    if isinstance(label, (np.integer,)):
-        return int(label)
-    if isinstance(label, (np.floating,)):
-        return float(label)
-    return label
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +98,8 @@ class TransportPlan:
     """Optimal coupling with its cost, dual potentials and certificates.
 
     `plan` holds (row index, col index, mass) triples; `value` equals the
-    plan cost sum exactly. Potentials certify optimality: `duality_gap` is
+    plan cost sum. The marginals match the normalized masses to HiGHS's
+    feasibility tolerance. Potentials certify optimality: `duality_gap` is
     primal minus dual and stays below 1e-9 on well-scaled inputs.
     """
 
@@ -125,42 +123,119 @@ class TransportPlan:
             out[j] += mass
         return out
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "rows": [_jsonable(r) for r in self.row_labels],
-            "cols": [_jsonable(c) for c in self.col_labels],
-            "triples": [[int(i), int(j), mass] for i, j, mass in self.plan],
-            "row_potentials": list(self.row_potentials),
-            "col_potentials": list(self.col_potentials),
-            "duality_gap": self.duality_gap,
-        }, sort_keys=True)
 
-
-def _integer_masses(dist, labels) -> np.ndarray:
+def _masses(dist, labels) -> np.ndarray:
     masses = np.array([float(dist.get(label, 0.0)) for label in labels])
     if np.any(masses < -1e-12):
         raise ValueError("negative mass in distribution")
     masses = np.maximum(masses, 0.0)
-    total = masses.sum()
-    if total <= 0:
+    if masses.sum() <= 0:
         raise ValueError("distribution has no mass on the given support")
-    scaled = np.rint(masses / total * MASS_SCALE).astype(np.int64)
-    scaled[int(np.argmax(scaled))] += MASS_SCALE - scaled.sum()
-    return scaled
+    return masses / masses.sum()
+
+
+def _start_cells(cost, supply, demand) -> np.ndarray:
+    """The START_CELLS cheapest cells of every row and column, and the
+    northwest-corner staircase, a feasible plan, so every restricted LP is feasible."""
+    cells = np.zeros(cost.shape, dtype=bool)
+    for axis in (0, 1):
+        k = min(START_CELLS, cost.shape[axis])
+        cheapest = np.argpartition(cost, k - 1, axis=axis).take(np.arange(k), axis=axis)
+        np.put_along_axis(cells, cheapest, True, axis=axis)
+    cuts = np.concatenate([np.cumsum(supply)[:-1], np.cumsum(demand)[:-1]])
+    right = (np.arange(cuts.size) >= supply.size - 1)[np.argsort(cuts, kind="stable")]
+    cells[np.cumsum(np.append(0, ~right)), np.cumsum(np.append(0, right))] = True
+    return cells
+
+
+def _restricted_lp(blocks, cells) -> list:
+    """One HiGHS LP over the given cells of every block (cost, supply, demand).
+
+    A block's constraints are its row sums and every column sum but the last,
+    which the others imply: kept, HiGHS presolve calls some balanced problems
+    infeasible (presolve is off all the same; here it costs time and memory).
+    Returns per block the flow and the potentials (u, v), the dropped v being 0.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    rows, cols, rhs, var0, con0 = [], [], [], [0], [0]
+    for (cost, supply, demand), active in zip(blocks, cells):
+        i, j = np.nonzero(active)
+        variables, kept = var0[-1] + np.arange(i.size), j < cost.shape[1] - 1
+        rows += [con0[-1] + i, con0[-1] + cost.shape[0] + j[kept]]
+        cols += [variables, variables[kept]]
+        rhs += [supply, demand[:-1]]
+        var0.append(var0[-1] + i.size)
+        con0.append(con0[-1] + sum(cost.shape) - 1)
+    rows = np.concatenate(rows)
+    a_eq = sparse.coo_array((np.ones(rows.size), (rows, np.concatenate(cols))),
+                            shape=(con0[-1], var0[-1]))
+    objective = np.concatenate([cost[active] for (cost, _, _), active in zip(blocks, cells)])
+    res = linprog(objective, A_eq=a_eq, b_eq=np.concatenate(rhs), bounds=(0, None),
+                  method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": LP_TOL,
+                                           "dual_feasibility_tolerance": LP_TOL})
+    if res.status != 0:
+        raise ConvergenceError(f"transport LP not solved: {res.message}")
+    out = []
+    for b, ((cost, _, _), active) in enumerate(zip(blocks, cells)):
+        flow = np.zeros(cost.shape)
+        flow[active] = res.x[var0[b]:var0[b + 1]]
+        duals = res.eqlin.marginals[con0[b]:con0[b + 1]]
+        out.append((flow, duals[:cost.shape[0]], np.append(duals[cost.shape[0]:], 0.0)))
+    return out
+
+
+def _solve_blocks(blocks) -> list:
+    """Optimal (flow, u, v) of independent transport problems (cost, supply, demand).
+
+    Blocks share LPs of about LP_CELLS cells, each over a changing set of cells
+    (column generation): every row and column adds its cell of most negative
+    reduced cost c - u - v, and cells off the plan with positive reduced cost
+    leave, which keeps HiGHS's memory small, until a cell comes back; from then
+    on cells only enter, so the loop ends, once no reduced cost is below -LP_TOL.
+    """
+    cells = [_start_cells(*block) for block in blocks]
+    entered = [np.zeros_like(active) for active in cells]
+    pruning = [True] * len(blocks)
+    chunk_of = np.cumsum([active.sum() for active in cells]) // LP_CELLS
+    out = []
+    for chunk in np.unique(chunk_of):
+        members = np.flatnonzero(chunk_of == chunk)
+        grew = True
+        while grew:
+            solved = _restricted_lp([blocks[b] for b in members], [cells[b] for b in members])
+            grew = False
+            for b, (flow, u, v) in zip(members, solved):
+                reduced = blocks[b][0] - u[:, None] - v
+                outside = np.where(cells[b], 0.0, reduced)
+                add = np.zeros(reduced.shape, dtype=bool)
+                for axis in (0, 1):
+                    np.put_along_axis(add, outside.argmin(axis=axis, keepdims=True), True, axis=axis)
+                add &= outside < -LP_TOL
+                if not add.any():
+                    continue
+                pruning[b] = pruning[b] and not (add & entered[b]).any()
+                entered[b] |= add
+                if pruning[b]:
+                    cells[b] &= (flow > 0) | (reduced <= LP_TOL)
+                cells[b] |= add
+                grew = True
+        out += solved
+    return out
 
 
 def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
     """Exact optimal transport between two distributions.
 
     `p` and `q` map labels to masses; their supports must be contained in
-    the cost matrix labels and their totals must agree within 1e-8. Ties
-    between equal-cost augmentations are broken lexicographically on
-    (row, col), so the plan is deterministic.
+    the cost matrix labels and their totals must agree within 1e-8. Each is
+    normalized to total 1. HiGHS's simplex is deterministic, so repeated
+    calls return the same plan.
     """
-    rows = cost.row_labels
-    cols = cost.col_labels
-    if len(rows) > SUPPORT_CAP or len(cols) > SUPPORT_CAP:
+    rows, cols = cost.row_labels, cost.col_labels
+    if max(cost.values.shape) > SUPPORT_CAP:
         raise ValueError(f"support cap {SUPPORT_CAP} exceeded")
     missing = set(p) - set(rows)
     if missing:
@@ -171,18 +246,10 @@ def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
     if abs(sum(p.values()) - sum(q.values())) > 1e-8:
         raise ValueError("total masses differ by more than 1e-8")
 
-    supply = _integer_masses(p, rows)
-    demand = _integer_masses(q, cols)
-    flow = _min_cost_transport(supply.copy(), demand.copy(), cost.values)
-
-    plan = tuple((int(i), int(j), flow[i, j] / MASS_SCALE)
-                 for i, j in np.argwhere(flow > 0))
+    supply, demand = _masses(p, rows), _masses(q, cols)
+    [(flow, u, v)] = _solve_blocks([(cost.values, supply, demand)])
+    plan = tuple((int(i), int(j), float(flow[i, j])) for i, j in np.argwhere(flow > 0))
     value = float(sum(mass * cost.values[i, j] for i, j, mass in plan))
-
-    prow, pcol = flow.potentials
-    u = -prow
-    v = pcol
-    dual = float(np.dot(supply / MASS_SCALE, u) + np.dot(demand / MASS_SCALE, v))
     return TransportPlan(
         value=value,
         plan=plan,
@@ -190,99 +257,38 @@ def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
         col_labels=cols,
         row_potentials=tuple(float(x) for x in u),
         col_potentials=tuple(float(x) for x in v),
-        duality_gap=value - dual,
+        duality_gap=value - float(supply @ u + demand @ v),
     )
 
 
-class _Flow(np.ndarray):
-    """Integer flow matrix carrying the final dual potentials."""
+def metric_transport_values(p_rows, q_rows, cost: CostMatrix) -> np.ndarray:
+    """Optimal transport values of the pairs (p_rows[k], q_rows[k]) on one metric cost.
 
-    potentials: tuple
-
-
-def _min_cost_transport(supply: np.ndarray, demand: np.ndarray,
-                        costs: np.ndarray) -> _Flow:
-    """Successive shortest augmenting paths with Johnson potentials.
-
-    Dense bipartite transportation: every row-col edge exists with
-    unlimited capacity. Integer supplies and demands give integer flows;
-    node potentials keep reduced costs nonnegative so Dijkstra applies.
+    Rows hold masses over the cost's labels, taken as given; each pair's totals
+    must agree within 1e-8. On a metric the common mass min(p, q) stays put, so
+    a pair moves only its excess (p - q)+ onto (p - q)-, one block of a shared
+    LP; pairs with p == q cost 0.
     """
-    n_rows, n_cols = costs.shape
-    flow = np.zeros((n_rows, n_cols), dtype=np.int64).view(_Flow)
-    prow = np.zeros(n_rows)
-    pcol = np.zeros(n_cols)
-    inf = float("inf")
-    max_rounds = 50 * (n_rows + n_cols) + 100
-
-    for _ in range(max_rounds):
-        if supply.sum() == 0:
-            break
-        dist_row = np.where(supply > 0, 0.0, inf)
-        dist_col = np.full(n_cols, inf)
-        parent_col = np.full(n_cols, -1, dtype=np.int64)
-        parent_row = np.full(n_rows, -1, dtype=np.int64)
-        heap = [(0.0, int(i)) for i in np.nonzero(supply > 0)[0]]
-        heapq.heapify(heap)
-        target = -1
-        target_dist = inf
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node < n_rows:
-                if d > dist_row[node]:
-                    continue
-                red = np.maximum(costs[node] + prow[node] - pcol, 0.0)
-                cand = d + red
-                for j in np.nonzero(cand < dist_col)[0]:
-                    dist_col[j] = cand[j]
-                    parent_col[j] = node
-                    heapq.heappush(heap, (float(cand[j]), int(n_rows + j)))
-            else:
-                j = node - n_rows
-                if d > dist_col[j]:
-                    continue
-                if demand[j] > 0:
-                    target = j
-                    target_dist = d
-                    break
-                carriers = np.nonzero(flow[:, j] > 0)[0]
-                if carriers.size:
-                    red = np.maximum(-costs[carriers, j] - prow[carriers] + pcol[j], 0.0)
-                    cand = d + red
-                    for k in np.nonzero(cand < dist_row[carriers])[0]:
-                        i = carriers[k]
-                        dist_row[i] = cand[k]
-                        parent_row[i] = j
-                        heapq.heappush(heap, (float(cand[k]), int(i)))
-        if target < 0:
-            raise ConvergenceError("no augmenting path; masses are inconsistent")
-
-        prow += np.minimum(dist_row, target_dist)
-        pcol += np.minimum(dist_col, target_dist)
-
-        forward = []
-        backward = []
-        node = target
-        while True:
-            i = parent_col[node]
-            forward.append((i, node))
-            j = parent_row[i]
-            if j < 0:
-                source = i
-                break
-            backward.append((i, j))
-            node = j
-        bottleneck = min(int(supply[source]), int(demand[target]))
-        for i, j in backward:
-            bottleneck = min(bottleneck, int(flow[i, j]))
-        for i, j in forward:
-            flow[i, j] += bottleneck
-        for i, j in backward:
-            flow[i, j] -= bottleneck
-        supply[source] -= bottleneck
-        demand[target] -= bottleneck
-    else:
-        raise ConvergenceError("augmentation limit reached", iterations=max_rounds)
-
-    flow.potentials = (prow.copy(), pcol.copy())
-    return flow
+    p, q, c = np.atleast_2d(p_rows), np.atleast_2d(q_rows), cost.values
+    if max(c.shape) > SUPPORT_CAP:
+        raise ValueError(f"support cap {SUPPORT_CAP} exceeded")
+    # symmetric, zero on the diagonal, c[i, k] <= c[i, j] + c[j, k]
+    if (cost.row_labels != cost.col_labels or not np.array_equal(c, c.T) or c.diagonal().any()
+            or not all(np.all(c <= c[:, [j]] + c[j]) for j in range(len(c)))):
+        raise ValueError("cost must be a metric on one set of labels")
+    if p.shape != q.shape or p.shape[1] != len(c):
+        raise ValueError("mass rows must match each other and the cost labels")
+    if np.any(p < 0) or np.any(q < 0):
+        raise ValueError("negative mass in distribution")
+    if np.any(np.abs(p.sum(axis=1) - q.sum(axis=1)) > 1e-8):
+        raise ValueError("total masses differ by more than 1e-8")
+    moving, blocks = [], []
+    for k, d in enumerate(p - q):
+        src, dst = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
+        if src.size and dst.size:
+            moving.append(k)
+            blocks.append((c[np.ix_(src, dst)], d[src], -d[dst]))
+    values = np.zeros(len(p))
+    values[moving] = [np.sum(flow * block[0])
+                      for (flow, _, _), block in zip(_solve_blocks(blocks), blocks)]
+    return values

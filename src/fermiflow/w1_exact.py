@@ -30,7 +30,8 @@ from .errors import ConvergenceError
 from .ground import OrthonormalFamily
 from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
                      reduced_density_matrix)
-from .transport import CostMatrix, hamming_cost, ot_cost
+# ot_cost is not called here, but perfbench/tracing.py looks it up by this name
+from .transport import CostMatrix, hamming_cost, metric_transport_values, ot_cost
 
 DIM_CAP = 64
 
@@ -152,11 +153,11 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
     basis contracts it, and the classical dual optimizer is a
     Hamming-Lipschitz witness.
     """
-    p = diagonal_distribution(rho)
-    q = diagonal_distribution(sigma)
+    p, q = diagonal_distribution(rho), diagonal_distribution(sigma)
     grid = sorted(p)
     cost = CostMatrix.from_function(grid, grid, hamming_cost)
-    return ot_cost(p, q, cost).value
+    masses = np.array([[dist[x] for x in grid] for dist in (p, q)])
+    return float(metric_transport_values(masses[:1], masses[1:], cost)[0])
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,

@@ -223,6 +223,21 @@ def test_verify_instance_empirical_mode():
     assert again.tv_ci == report.tv_ci
 
 
+def test_verify_instance_reports_coupling_past_the_cap():
+    # C(6, 2) = 15 minors: within a cap of 15 identical specs are coupled
+    # exactly, past a cap of 10 every draw is independent
+    spec, _ = haar_spec_pair(6, 2, 45)
+    exact = verify_instance(spec, spec, mode="empirical", budget=2000, seed=3,
+                            bootstrap_resamples=50, enumeration_cap=15)
+    assert exact.coupling_exact
+    assert exact.tv_value == 0.0 and exact.wsharp_value == 0.0
+    past = verify_instance(spec, spec, mode="empirical", budget=2000, seed=3,
+                           bootstrap_resamples=50, enumeration_cap=10)
+    assert not past.coupling_exact
+    assert past.tv_value > 0.0
+    assert json.loads(past.to_json())["coupling_exact"] is False
+
+
 def test_bound_validity_small_sweep():
     for seed in range(10):
         spec_a, spec_b = haar_spec_pair(5, 2, 800 + 2 * seed)

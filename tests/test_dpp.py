@@ -13,7 +13,8 @@ from fermiflow import (ConfigurationDistribution, EnumerationCapError,
                        GroundSpace, MixedKernelSpec,
                        brute_force_configuration_distribution,
                        correlation_function, count_covariance,
-                       coupled_sample_pair, exact_mixed_distribution,
+                       coupled_sample_counts, coupled_sample_pair,
+                       exact_mixed_distribution,
                        expected_count, ordered_measurement_distribution,
                        orthonormalize, projection_kernel, random_orthonormal,
                        sample_mixed_dpp, sample_projection_dpp,
@@ -300,6 +301,63 @@ def test_coupled_pair_index_mismatch_rate():
     rate = mismatch / draws
     se = math.sqrt(0.3 * 0.7 / draws)
     assert abs(rate - 0.3) <= 4 * se
+
+
+def test_coupled_pair_identical_specs_past_the_cap_may_differ():
+    # C(6, 2) = 15 minors exceed a cap of 10: the two configurations are
+    # drawn independently even for identical specs
+    spec = MixedKernelSpec(np.ones(2), random_orthonormal(6, 2, 18))
+    rng = stream_generator(106, 0)
+    draws = [coupled_sample_pair(spec, spec, rng, cap=10) for _ in range(50)]
+    assert any(a != b for a, b in draws)
+    assert all(a == b for a, b in (coupled_sample_pair(spec, spec, rng, cap=15)
+                                   for _ in range(50)))
+
+
+def test_coupled_counts_identical_specs():
+    spec = MixedKernelSpec(np.array([0.7, 0.6, 0.9]), random_orthonormal(6, 3, 19))
+    support, counts, exact = coupled_sample_counts(spec, spec, 5000, stream_generator(107, 0))
+    assert exact
+    assert counts.sum(axis=1).tolist() == [5000, 5000]
+    assert np.array_equal(counts[0], counts[1])
+    assert support == tuple(sorted(support, key=lambda c: (len(c), c)))
+    _, counts, exact = coupled_sample_counts(spec, spec, 5000, stream_generator(107, 0), cap=10)
+    assert not exact
+    assert not np.array_equal(counts[0], counts[1])
+
+
+def test_coupled_counts_index_mismatch_rate():
+    # same functions, eigenvalues (1, 0.8) against (1, 0.5): the index sets
+    # differ exactly when a keeps both and b only the first, so every
+    # two-point configuration is at least as frequent under a, and the
+    # surplus counts the mismatched draws, |0.8 - 0.5| of them on average
+    fam = random_orthonormal(5, 2, 15)
+    spec_a = MixedKernelSpec(np.array([1.0, 0.8]), fam)
+    spec_b = MixedKernelSpec(np.array([1.0, 0.5]), fam)
+    draws = 4000
+    support, counts, exact = coupled_sample_counts(spec_a, spec_b, draws,
+                                                   stream_generator(108, 0))
+    assert exact
+    pairs = np.array([len(c) == 2 for c in support])
+    assert np.all(counts[0, pairs] >= counts[1, pairs])
+    rate = (counts[0, pairs] - counts[1, pairs]).sum() / draws
+    se = math.sqrt(0.3 * 0.7 / draws)
+    assert abs(rate - 0.3) <= 4 * se
+
+
+def test_coupled_counts_match_exact_laws():
+    fam_a = random_orthonormal(5, 3, 20)
+    fam_b = random_orthonormal(5, 3, 21, space=fam_a.space)
+    spec_a = MixedKernelSpec(np.array([0.9, 0.4, 0.7]), fam_a)
+    spec_b = MixedKernelSpec(np.array([0.5, 0.8, 0.7]), fam_b)
+    draws = 20000
+    support, counts, _ = coupled_sample_counts(spec_a, spec_b, draws, stream_generator(109, 0))
+    for spec, row in zip((spec_a, spec_b), counts):
+        law = exact_mixed_distribution(spec).as_dict()
+        assert set(c for c, k in zip(support, row) if k) <= set(law)
+        for config, k in zip(support, row):
+            p = law.get(config, 0.0)
+            assert abs(k / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws) + 1e-12
 
 
 def test_from_samples_normalizes_counts():

@@ -1,15 +1,20 @@
-"""Exact transport layer: total variation three ways, the flow solver and
-its certificates, Hamming and symmetric-difference ground costs."""
+"""Exact transport layer: total variation three ways, the HiGHS solver and
+its certificates, batched values on a metric, Hamming and
+symmetric-difference ground costs."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiflow import (ConfigurationDistribution, CostMatrix, hamming_cost,
-                       ot_cost, symmetric_difference_cost, total_variation,
-                       wsharp_exact)
+import fermiflow
+from fermiflow import (ConfigurationDistribution, ConvergenceError, CostMatrix,
+                       hamming_cost, metric_transport_values, ot_cost,
+                       symmetric_difference_cost, total_variation, wsharp_exact)
 
 
 def tv_sup_form(p, q):
@@ -113,6 +118,83 @@ def test_ot_deterministic_plan():
     a = ot_cost(p, q, cost)
     b = ot_cost(p, q, cost)
     np.testing.assert_array_equal(a.plan, b.plan)
+
+
+def hamming_cube(bits):
+    points = list(itertools.product(range(2), repeat=bits))
+    return points, CostMatrix.from_function(points, points, hamming_cost)
+
+
+@pytest.mark.parametrize("seed", [29, 242, 248])
+def test_ot_solves_instances_presolve_calls_infeasible(seed):
+    # balanced Hamming instances on 16 outcomes with skewed masses: with
+    # every row and column sum as a constraint, HiGHS presolve (scipy
+    # 1.17.1, feasibility tolerances 1e-10) reports them infeasible
+    points, cost = hamming_cube(4)
+    g = np.random.default_rng(seed)
+    p, q = g.random(16) ** 6, g.random(16) ** 6
+    p, q = p / p.sum(), q / q.sum()
+    plan = ot_cost(dict(zip(points, p)), dict(zip(points, q)), cost)
+    np.testing.assert_allclose(plan.row_marginal(), p, atol=1e-9)
+    np.testing.assert_allclose(plan.col_marginal(), q, atol=1e-9)
+    assert abs(plan.duality_gap) <= 1e-9
+    assert total_variation(dict(enumerate(p)), dict(enumerate(q))) <= plan.value + 1e-9
+
+
+def test_ot_nonoptimal_status_raises_convergence_error(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    message = "The problem is infeasible. (HiGHS Status 8: model_status is Infeasible)"
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *args, **kwargs: OptimizeResult(status=2, message=message))
+    p, q = random_pair(5, 4)
+    with pytest.raises(ConvergenceError, match="HiGHS Status 8"):
+        ot_cost(p, q, trivial_cost(p, q))
+
+
+def test_metric_values_match_ot_cost():
+    points, hamming = hamming_cube(4)
+    configs = [(), (0,), (1,), (0, 1), (0, 2), (1, 3), (0, 1, 2), (2, 3, 4)]
+    symdiff = CostMatrix.symmetric_difference(configs, configs)
+    rng = np.random.default_rng(31)
+    for cost in (hamming, symdiff):
+        n = len(cost.row_labels)
+        p = rng.dirichlet(np.ones(n), size=12)
+        q = rng.dirichlet(np.ones(n), size=12)
+        q[[0, 5]] = p[[0, 5]]
+        q[7] = p[7]
+        q[7, [1, 2]] = p[7, [2, 1]]
+        values = metric_transport_values(p, q, cost)
+        labels = cost.row_labels
+        expected = [ot_cost(dict(zip(labels, a)), dict(zip(labels, b)), cost).value
+                    for a, b in zip(p, q)]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
+        assert values[0] == 0.0 and values[5] == 0.0
+        assert values[7] > 0.0
+
+
+def test_metric_values_reject_non_metric_cost():
+    line = list(range(4))
+    squared = CostMatrix.from_function(line, line, lambda x, y: float((x - y) ** 2))
+    asymmetric = CostMatrix.from_function(line, line, lambda x, y: float(max(x - y, 0)))
+    p = np.full((1, 4), 0.25)
+    q = np.array([[0.1, 0.2, 0.3, 0.4]])
+    for cost in (squared, asymmetric):
+        with pytest.raises(ValueError, match="metric"):
+            metric_transport_values(p, q, cost)
+    with pytest.raises(ValueError, match="differ"):
+        metric_transport_values(p, 2 * q, CostMatrix.from_function(line, line, lambda x, y: float(x != y)))
+
+
+def test_import_loads_no_solver_modules():
+    src = os.path.dirname(os.path.dirname(fermiflow.__file__))
+    code = ("import sys, fermiflow; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ot_triangle_inequality_on_metric():
