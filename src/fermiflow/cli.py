@@ -12,23 +12,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ._rng import stream_generator
 from .bounds import verify_instance, walsh_counterexample_report
 from .dpp import (ENUMERATION_CAP, MixedKernelSpec,
-                  brute_force_configuration_distribution,
-                  ordered_measurement_distribution, sample_projection_dpp)
+                  brute_force_configuration_distribution)
 from .errors import ConvergenceError, EnumerationCapError
 from .ground import random_orthonormal
-from .selftest import run_all
+from .selftest import (law_deviations_pass, measurement_law_deviations,
+                       run_all, sampler_chi_square)
 from .slater import projection_kernel
 from .w1_bounds import example_gap_table
 from .w1_exact import DIM_CAP, rdm_monotonicity_check
@@ -137,26 +135,13 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
     worst_incl = worst_mass = worst_diag = 0.0
     for s in range(seeds):
         fam = random_orthonormal(dim, n, seed=cfg.instance_seed("verify-lemma", s))
-        tuples, probs = ordered_measurement_distribution(fam, cap=cfg.enumeration_cap)
-        mass_dev = abs(float(probs.sum()) - 1.0)
-        repeated = np.array([len(set(map(int, t))) < n for t in tuples])
-        diag_mass = float(probs[repeated].sum())
-        dist = brute_force_configuration_distribution(fam, cap=cfg.enumeration_cap)
-        kern = projection_kernel(fam)
-        kmat = kern.matrix.copy()
+        kmat = projection_kernel(fam).matrix.copy()
         if corrupt:
             # negative control: break one off-diagonal entry and its mirror
             kmat[0, 1] += 0.5
             kmat[1, 0] += 0.5
-        weights = fam.space.weights
-        incl_dev = 0.0
-        for m in range(1, n + 1):
-            for subset in itertools.combinations(range(dim), m):
-                lhs = dist.inclusion_probability(subset)
-                minor = kmat[np.ix_(subset, subset)]
-                rhs = float(np.linalg.det(minor).real) * \
-                    float(np.prod(weights[list(subset)]))
-                incl_dev = max(incl_dev, abs(lhs - rhs))
+        incl_dev, mass_dev, diag_mass = measurement_law_deviations(
+            fam, kmat, cap=cfg.enumeration_cap)
         worst_incl = max(worst_incl, incl_dev)
         worst_mass = max(worst_mass, mass_dev)
         worst_diag = max(worst_diag, diag_mass)
@@ -166,17 +151,9 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
     fam = random_orthonormal(dim, n, seed=cfg.instance_seed("verify-lemma", 0))
     dist = brute_force_configuration_distribution(fam, cap=cfg.enumeration_cap)
     rng = stream_generator(cfg.seed, _SUBCOMMAND_CODE["verify-lemma"], seeds)
-    counts = {}
-    for _ in range(draws):
-        config = sample_projection_dpp(fam, rng)
-        counts[config] = counts.get(config, 0) + 1
-    obs = np.array([counts.get(c, 0) for c in dist.support], dtype=float)
-    exp = dist.probs * draws
-    chi2 = float(np.sum((obs - exp) ** 2 / exp))
-    cutoff = float(scipy_stats.chi2.ppf(0.99, len(dist.support) - 1))
+    chi2, cutoff, _ = sampler_chi_square(fam, dist, draws, rng)
 
-    ok = (worst_incl <= 1e-9 and worst_mass <= 1e-10
-          and worst_diag <= 1e-20 and chi2 <= cutoff)
+    ok = law_deviations_pass(worst_incl, worst_mass, worst_diag) and chi2 <= cutoff
     report = {
         "dim": dim, "n": n, "seeds": seeds, "corrupt": corrupt,
         "worst_inclusion_dev": worst_incl, "worst_mass_dev": worst_mass,

@@ -13,7 +13,6 @@ as 2-d arrays with one row per function.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,12 +62,6 @@ class GroundSpace:
     def same_as(self, other: "GroundSpace") -> bool:
         return (self.points == other.points
                 and np.array_equal(self.weights, other.weights))
-
-    def to_json(self) -> str:
-        doc = {"points": list(self.points), "weights": self.weights.tolist()}
-        if self.coords is not None:
-            doc["coords"] = self.coords.tolist()
-        return json.dumps(doc, sort_keys=True)
 
 
 def _as_function(f, space: GroundSpace) -> np.ndarray:
@@ -141,13 +134,6 @@ class OrthonormalFamily:
         if u.shape != (self.n, self.n):
             raise ValueError("unitary size must match family size")
         return OrthonormalFamily(self.space, u.T @ self.functions, self.tol)
-
-    def to_json(self) -> str:
-        doc = json.loads(self.space.to_json())
-        doc["functions"] = [
-            [[float(v.real), float(v.imag)] for v in row] for row in self.functions
-        ]
-        return json.dumps(doc, sort_keys=True)
 
 
 def orthonormalize(functions, space: GroundSpace, tol: float = DEFAULT_TOL) -> OrthonormalFamily:

@@ -17,7 +17,6 @@ and the maximal possible distance is 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,10 +54,6 @@ class OverlapMatrix:
     @property
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.entries, compute_uv=False)
-
-    def to_json(self) -> str:
-        ent = [[[float(v.real), float(v.imag)] for v in row] for row in self.entries]
-        return json.dumps({"entries": ent}, sort_keys=True)
 
 
 def overlap_matrix(a: OrthonormalFamily, b: OrthonormalFamily) -> OverlapMatrix:
@@ -135,11 +130,6 @@ class ProjectionKernel:
         root = np.sqrt(self.space.weights)
         return root[:, None] * self.matrix.conj() * root[None, :]
 
-    def to_json(self) -> str:
-        mat = [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix]
-        return json.dumps({"rank": self.rank, "matrix": mat,
-                           "weights": self.space.weights.tolist()}, sort_keys=True)
-
 
 def projection_kernel(family: OrthonormalFamily) -> ProjectionKernel:
     fns = family.functions
@@ -184,10 +174,6 @@ class DensityOperator:
     @property
     def n_factors(self) -> int:
         return len(self.dims)
-
-    def to_json(self) -> str:
-        mat = [[[float(v.real), float(v.imag)] for v in row] for row in self.matrix]
-        return json.dumps({"dims": list(self.dims), "matrix": mat}, sort_keys=True)
 
 
 def slater_state_vector(family: OrthonormalFamily, cap: int = 100_000) -> np.ndarray:

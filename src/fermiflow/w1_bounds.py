@@ -15,7 +15,6 @@ the two sides can be far apart: see `example_gap_table`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -95,20 +94,6 @@ class SlaterBoundsReport:
     n_times_trace: float
     stabilizer_overlap: float
     singular_values: tuple
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "trace_distance": self.trace_distance,
-            "w1_upper": self.w1_upper,
-            "n_times_trace": self.n_times_trace,
-            "stabilizer_overlap": self.stabilizer_overlap,
-            "singular_values": list(self.singular_values),
-        }, sort_keys=True)
-
-    def csv_row(self) -> list:
-        return [self.n, self.trace_distance, self.w1_upper,
-                self.n_times_trace, *self.singular_values]
 
 
 def slater_bounds_report(a: OrthonormalFamily, b: OrthonormalFamily) -> SlaterBoundsReport:

@@ -10,17 +10,20 @@ single site, never falls below the trace distance, and never exceeds n
 times it. The trace-norm convention is (1/2) tr |.| throughout, matching
 `trace_distance_slater`.
 
-The solver is an over-relaxed ADMM (Douglas-Rachford splitting): the
-objective's proximal map is eigenvalue soft-thresholding per block, and
-the affine constraint set is handled by an exact orthogonal projection.
-Lower bounds come from classical witnesses: a Hamming-Lipschitz function
+The solver is an over-relaxed ADMM (Douglas-Rachford splitting) on the n
+blocks held as one (n, D, D) array: the objective's proximal map is one
+batched eigenvalue soft-thresholding, and the affine constraint set is
+handled by an exact orthogonal projection in closed form. In a product
+operator basis whose first element per site is the normalized identity
+(up to sign), tr_i X_i = 0 says block i vanishes wherever site i carries
+the identity, so the projection splits coefficient by coefficient. Lower
+bounds come from classical witnesses: a Hamming-Lipschitz function
 measured through a product basis cannot exceed the distance.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,6 +37,9 @@ from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
 from .transport import CostMatrix, hamming_cost, metric_transport_values, ot_cost
 
 DIM_CAP = 64
+# ADMM relative stopping tolerance and over-relaxation factor
+REL_TOL = 1e-6
+OVER_RELAX = 1.7
 
 
 def partial_trace(op, dims, which) -> np.ndarray:
@@ -42,74 +48,75 @@ def partial_trace(op, dims, which) -> np.ndarray:
     return _partial_trace_matrix(mat, list(dims), which)
 
 
-def _embed_identity(block: np.ndarray, dims, site: int) -> np.ndarray:
-    """Inflate an operator on the other sites with the identity at `site`."""
-    pre = math.prod(dims[:site])
-    d = dims[site]
-    post = math.prod(dims[site + 1:])
-    four = block.reshape(pre, post, pre, post)
-    six = np.einsum("abcd,pq->apbcqd", four, np.eye(d))
-    return six.reshape(pre * d * post, pre * d * post)
+def _identity_first_reflection(d: int) -> np.ndarray:
+    """Real symmetric orthogonal d^2 x d^2 matrix sending vec(I)/sqrt(d) to -e_0.
+
+    A Householder reflection, so it is its own inverse: row 0 reads a
+    matrix's identity component (negated) and the other rows a traceless
+    orthonormal basis. The sign keeps v away from zero for every d >= 1.
+    """
+    v = np.eye(d).ravel() / math.sqrt(d)
+    v[0] += 1.0
+    return np.eye(d * d) - (2.0 / float(v @ v)) * np.outer(v, v)
 
 
 class _ConstraintProjector:
     """Orthogonal projection onto {(Z_i): tr_i Z_i = 0, sum_i Z_i = delta}.
 
-    The maps Q_i replacing site i by its normalized identity commute, so
-    sum_i (I - Q_i) diagonalizes over the 2^n joint eigenspaces indexed by
-    the set S of sites carrying an identity factor, with eigenvalue
-    n - |S|. Inverting it on the traceless part solves the multiplier
-    equation exactly, giving a projection in closed form.
+    In a product operator basis whose first element per site is -I/sqrt(d),
+    both constraints act coefficient by coefficient. At a coefficient
+    whose set A of non-identity sites has w members, block i may be
+    non-zero only for i in A, and the allowed blocks share the residual
+    delta - sum_{i in A} Y_i equally. w = 0 only on the identity component,
+    where a traceless delta is 0. Blocks are held as one (n, D, D) array.
     """
 
     def __init__(self, dims, delta: np.ndarray):
-        self.dims = list(dims)
-        self.n = len(self.dims)
-        self.delta = delta
+        self.dims = tuple(dims)
+        n = len(self.dims)
+        self.reflections = [_identity_first_reflection(d) for d in self.dims]
+        # (m, rows..., cols...) -> (m, row_1, col_1, ..., row_n, col_n) and back
+        self._interleave = (0,) + tuple(a for i in range(n) for a in (1 + i, 1 + n + i))
+        self._deinterleave = tuple(np.argsort(self._interleave))
+        # flat coefficient a has site i in its identity component iff a_i == 0
+        self.allowed = (np.indices([d * d for d in self.dims]) != 0).reshape(n, -1)
+        # where no block is allowed (the identity component) the mask zeroes the share
+        self.share = 1.0 / np.maximum(self.allowed.sum(axis=0), 1)
+        self.delta_coeffs = self._to_basis(delta[None])[0]
 
-    def _strip(self, mat: np.ndarray, site: int) -> np.ndarray:
-        """P_i: remove the component with identity at `site`."""
-        reduced = _partial_trace_matrix(mat, self.dims, [site])
-        return mat - _embed_identity(reduced, self.dims, site) / self.dims[site]
+    def _change_basis(self, coeffs: np.ndarray) -> np.ndarray:
+        """Apply every site's reflection to (m, d_1^2, ..., d_n^2) entries; flat out."""
+        m = coeffs.shape[0]
+        for h in self.reflections:  # each step moves its site's axis to the back
+            coeffs = coeffs.reshape(m, h.shape[0], -1).transpose(0, 2, 1) @ h
+        return coeffs.reshape(m, -1)
 
-    def _solve_multiplier(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve sum_i P_i(lam) = rhs for traceless rhs."""
-        n = self.n
-        table = {(): rhs}
-        for size in range(1, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                prev = table[subset[:-1]]
-                i = subset[-1]
-                red = _partial_trace_matrix(prev, self.dims, [i])
-                table[subset] = _embed_identity(red, self.dims, i) / self.dims[i]
-        lam = np.zeros_like(rhs)
-        for s_count in range(n):  # the full set has eigenvalue zero and no mass
-            for subset in itertools.combinations(range(n), s_count):
-                component = np.zeros_like(rhs)
-                rest = [i for i in range(n) if i not in subset]
-                for extra_count in range(len(rest) + 1):
-                    for extra in itertools.combinations(rest, extra_count):
-                        merged = tuple(sorted(subset + extra))
-                        component = component + ((-1) ** extra_count) * table[merged]
-                lam = lam + component / (n - s_count)
-        return lam
+    def _to_basis(self, stack: np.ndarray) -> np.ndarray:
+        m = stack.shape[0]
+        return self._change_basis(
+            stack.reshape((m,) + self.dims * 2).transpose(self._interleave))
 
-    def project(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        stripped = [self._strip(b, i) for i, b in enumerate(blocks)]
-        rhs = self.delta - sum(stripped)
-        lam = self._solve_multiplier(rhs)
-        out = [s + self._strip(lam, i) for i, s in enumerate(stripped)]
-        return [0.5 * (z + z.conj().T) for z in out]
+    def _from_basis(self, coeffs: np.ndarray) -> np.ndarray:
+        m = coeffs.shape[0]
+        total = math.prod(self.dims)
+        pairs = self._change_basis(coeffs).reshape((m,) + tuple(np.repeat(self.dims, 2)))
+        return pairs.transpose(self._deinterleave).reshape(m, total, total)
+
+    def project(self, blocks: np.ndarray) -> np.ndarray:
+        y = self._to_basis(blocks) * self.allowed
+        coeffs = self.allowed * (y + self.share * (self.delta_coeffs - y.sum(axis=0)))
+        out = self._from_basis(coeffs)
+        return 0.5 * (out + _adjoint(out))
 
 
-def _shrink_eigenvalues(mat: np.ndarray, amount: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(0.5 * (stack + _adjoint(stack)))
     shrunk = np.sign(vals) * np.maximum(np.abs(vals) - amount, 0.0)
-    return (vecs * shrunk) @ vecs.conj().T
-
-
-def _half_trace_norm(mat: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)))))
+    return (vecs * shrunk[:, None, :]) @ _adjoint(vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,44 +133,25 @@ class W1Certificate:
     dual_residual: float
     feasibility_error: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "part_weights": list(self.part_weights),
-            "dual_witness_value": self.dual_witness_value,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "feasibility_error": self.feasibility_error,
-        }, sort_keys=True)
-
-
-def diagonal_distribution(op: DensityOperator) -> dict:
-    """Distribution of outcomes when every site is measured in its own basis."""
-    probs = np.maximum(np.real(np.diag(op.matrix)), 0.0)
-    grid = itertools.product(*(range(d) for d in op.dims))
-    return {outcome: float(p) for outcome, p in zip(grid, probs)}
-
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Exact Hamming transport distance of the two diagonal outcome laws.
 
-    A valid lower bound on the operator distance: measurement in a product
-    basis contracts it, and the classical dual optimizer is a
-    Hamming-Lipschitz witness.
+    Both laws come from measuring every site in its own basis; the
+    diagonal is in `itertools.product` order of the site outcomes. A valid
+    lower bound on the operator distance: measurement in a product basis
+    contracts it, and the classical dual optimizer is a Hamming-Lipschitz
+    witness.
     """
-    p, q = diagonal_distribution(rho), diagonal_distribution(sigma)
-    grid = sorted(p)
+    grid = list(itertools.product(*(range(d) for d in rho.dims)))
     cost = CostMatrix.from_function(grid, grid, hamming_cost)
-    masses = np.array([[dist[x] for x in grid] for dist in (p, q)])
+    masses = np.maximum(np.real([np.diag(rho.matrix), np.diag(sigma.matrix)]), 0.0)
     return float(metric_transport_values(masses[:1], masses[1:], cost)[0])
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,
-             tol: float = 1e-8, rel_tol: float = 1e-6,
-             max_iter: int = 50_000, rho_penalty: float = 1.0,
-             over_relax: float = 1.7, dim_cap: int = DIM_CAP) -> W1Certificate:
+             tol: float = 1e-8, max_iter: int = 50_000,
+             rho_penalty: float = 1.0, dim_cap: int = DIM_CAP) -> W1Certificate:
     """Solve the transport program for a pair of density operators.
 
     Feasible iterates come from the exact constraint projection, so the
@@ -182,28 +170,25 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     n = len(dims)
 
     projector = _ConstraintProjector(dims, delta)
-    z = projector.project([np.zeros_like(delta) for _ in range(n)])
-    u = [np.zeros_like(delta) for _ in range(n)]
+    z = projector.project(np.zeros((n, total, total), dtype=delta.dtype))
+    u = np.zeros_like(z)
     shrink = 0.5 / rho_penalty
     scale = math.sqrt(n) * total
     iterations = 0
     r_norm = s_norm = float("inf")
     for iterations in range(1, max_iter + 1):
-        x = [_shrink_eigenvalues(zi - ui, shrink) for zi, ui in zip(z, u)]
-        x_hat = [over_relax * xi + (1.0 - over_relax) * zi for xi, zi in zip(x, z)]
-        z_new = projector.project([xh + ui for xh, ui in zip(x_hat, u)])
-        u = [ui + xh - zn for ui, xh, zn in zip(u, x_hat, z_new)]
+        x = _shrink_eigenvalues(z - u, shrink)
+        x_hat = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
+        z_new = projector.project(x_hat + u)
+        u = u + x_hat - z_new
 
-        r_norm = math.sqrt(sum(float(np.linalg.norm(xi - zn) ** 2)
-                               for xi, zn in zip(x, z_new)))
-        s_norm = rho_penalty * math.sqrt(sum(float(np.linalg.norm(zn - zo) ** 2)
-                                             for zn, zo in zip(z_new, z)))
+        r_norm = float(np.linalg.norm(x - z_new))
+        s_norm = rho_penalty * float(np.linalg.norm(z_new - z))
         z = z_new
-        x_scale = max(math.sqrt(sum(float(np.linalg.norm(xi) ** 2) for xi in x)),
-                      math.sqrt(sum(float(np.linalg.norm(zi) ** 2) for zi in z)))
-        u_scale = rho_penalty * math.sqrt(sum(float(np.linalg.norm(ui) ** 2) for ui in u))
-        if (r_norm <= scale * tol + rel_tol * x_scale
-                and s_norm <= scale * tol + rel_tol * u_scale):
+        x_scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(z)))
+        u_scale = rho_penalty * float(np.linalg.norm(u))
+        if (r_norm <= scale * tol + REL_TOL * x_scale
+                and s_norm <= scale * tol + REL_TOL * u_scale):
             break
     else:
         raise ConvergenceError(
@@ -211,8 +196,9 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             f"(primal {r_norm:.3e}, dual {s_norm:.3e})",
             iterations=max_iter, primal_residual=r_norm, dual_residual=s_norm)
 
-    weights = tuple(_half_trace_norm(zi) for zi in z)
-    feas_sum = float(np.max(np.abs(sum(z) - delta)))
+    weights = tuple(float(w) for w in
+                    0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1))
+    feas_sum = float(np.max(np.abs(z.sum(axis=0) - delta)))
     feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(zi, dims, [i]))))
                   for i, zi in enumerate(z)) if n else 0.0
     witness = classical_hamming_w1(rho, sigma)

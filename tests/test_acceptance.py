@@ -49,9 +49,10 @@ def test_criterion_4_bound_validity_sweep():
 
 
 def test_criterion_5_quantum_sandwich():
-    # 50 random pairs: half trace norm <= exact transport value <=
-    # closed-form upper bound <= n times trace, within solver tolerance;
-    # plus the analytic product-state case
+    # 50 random pairs, 25 of two functions and 25 of three functions on 4
+    # points (total dimension 16 and 64): half trace norm <= exact
+    # transport value <= closed-form upper bound <= n times trace, within
+    # solver tolerance; plus the analytic product-state case
     report(check_transport_sandwich())
 
 

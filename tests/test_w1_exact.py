@@ -1,6 +1,8 @@
 """Exact quantum transport solver: partial traces, the splitting scheme and
 its certificates, classical witnesses, reduced-state monotonicity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fermiflow import (ConvergenceError, DensityOperator,
                        projection_kernel, random_orthonormal,
                        rdm_monotonicity_check, reduced_density_matrix,
                        trace_distance_slater, w1_exact, w1_upper_slater)
+from fermiflow.w1_exact import _ConstraintProjector
 
 
 def random_density(dim, seed):
@@ -61,6 +64,45 @@ def test_partial_trace_slater_pair_gives_kernel():
 def test_partial_trace_index_out_of_range():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4) / 4, (2, 2), (2,))
+
+
+def constraint_map(dims):
+    """Dense matrix of (Z_1..Z_n) -> (sum_i Z_i, tr_1 Z_1, ..., tr_n Z_n).
+
+    Matrices enter and leave as row-major vectors, where vec(A X B) is
+    kron(A, B^T) vec(X); tr_i X is the sum over k of L_k X L_k^T with
+    L_k = I (x) e_k^T (x) I.
+    """
+    total, n = math.prod(dims), len(dims)
+    rows = [np.hstack([np.eye(total * total)] * n)]
+    for i, d in enumerate(dims):
+        pre, post = np.eye(math.prod(dims[:i])), np.eye(math.prod(dims[i + 1:]))
+        picks = [np.kron(np.kron(pre, np.eye(d)[k:k + 1]), post) for k in range(d)]
+        trace = sum(np.kron(pick, pick) for pick in picks)
+        rows.append(np.hstack([trace if j == i else np.zeros_like(trace)
+                               for j in range(n)]))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("dims", [(3,), (1, 3), (2, 3), (2, 2, 2), (4, 4)])
+def test_constraint_projection_matches_least_squares(dims):
+    rng = np.random.default_rng(sum(dims))
+    total, n = math.prod(dims), len(dims)
+    raw = rng.normal(size=(n + 1, total, total)) + 1j * rng.normal(size=(n + 1, total, total))
+    herm = raw + raw.conj().transpose(0, 2, 1)
+    delta = herm[0] - np.trace(herm[0]) / total * np.eye(total)
+    blocks = herm[1:]
+    amap = constraint_map(dims)
+    target = np.concatenate([delta.ravel(), np.zeros(amap.shape[0] - total * total)])
+    y = blocks.ravel()
+    # the nearest feasible point moves y by the least-norm solution of A s = A y - b
+    step = np.linalg.lstsq(amap, amap @ y - target, rcond=None)[0]
+    expected = (y - step).reshape(n, total, total)
+
+    projector = _ConstraintProjector(dims, delta)
+    out = projector.project(blocks)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(projector.project(out), out, rtol=0, atol=1e-12)
 
 
 def test_w1_identical_states_is_zero():
