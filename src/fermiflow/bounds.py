@@ -33,13 +33,14 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import stream_generator
-# coupled_sample_pair is not called here, but perfbench/tracing.py looks it up by this name
+# perfbench/tracing.py looks up coupled_sample_pair and slater_fidelity here; neither is called
 from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
-                  coupled_sample_counts, coupled_sample_pair, exact_mixed_distribution)
+                  coupled_sample_counts, coupled_sample_pair, exact_mixed_distribution,
+                  index_set_blocks, weighted_index_sets)
 from .ground import OrthonormalFamily, walsh_family
-from .slater import OverlapMatrix, slater_fidelity, trace_distance_slater
+from .slater import OverlapMatrix, _fidelities, slater_fidelity, trace_distance_slater
 from .transport import CostMatrix, metric_transport_values, ot_cost, total_variation
-from .w1_bounds import stabilizer_max_overlap, w1_upper_slater
+from .w1_bounds import _mean_overlaps, w1_upper_slater
 
 SUBSET_CAP = 20
 TRUNCATION_LIMIT = 100_000
@@ -72,18 +73,6 @@ def weight_w(lambdas, lambdas_prime, subset) -> float:
         else:
             out *= 1.0 - max(lam[i], lam_p[i])
     return float(out)
-
-
-def _cross_overlaps(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> np.ndarray:
-    fold_a = spec_a.family.folded()
-    fold_b = spec_b.family.folded()
-    return fold_a.conj().T @ fold_b
-
-
-def _subset_factors(lam: np.ndarray, lam_p: np.ndarray):
-    inside = np.minimum(lam, lam_p)
-    outside = 1.0 - np.maximum(lam, lam_p)
-    return inside, outside
 
 
 def _iter_subsets_by_weight(inside: np.ndarray, outside: np.ndarray, limit: int):
@@ -119,67 +108,50 @@ def _iter_subsets_by_weight(inside: np.ndarray, outside: np.ndarray, limit: int)
 
 
 def _general_bound(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                   per_subset, tail_factor, subset_cap: int,
-                   truncation_limit: int) -> float:
+                   per_minor, tail_factor: float) -> float:
+    """Sum over index sets I of w(I) times `per_minor` of the cross overlaps' minor on I."""
     lam = spec_a.lambdas
     lam_p = spec_b.lambdas
     if lam.size != lam_p.size:
         raise ValueError("specs must share an index set")
-    cross = _cross_overlaps(spec_a, spec_b)
-    inside, outside = _subset_factors(lam, lam_p)
-
+    # no principal minor has a larger singular value than the whole: one check covers all
+    cross = OverlapMatrix(spec_a.family.folded().conj().T @ spec_b.family.folded()).entries
+    inside = np.minimum(lam, lam_p)
+    outside = 1.0 - np.maximum(lam, lam_p)
+    if lam.size <= SUBSET_CAP:
+        blocks, tail = weighted_index_sets(inside, outside), 0.0
+    else:
+        # beyond the cap: heaviest subsets first, conservative remainder for the tail
+        heaviest = list(_iter_subsets_by_weight(inside, outside, TRUNCATION_LIMIT))
+        covered = sum(w for _, w in heaviest)
+        tail = max(0.0, float(np.prod(inside + outside)) - covered) * tail_factor
+        by_size = itertools.groupby(sorted(heaviest, key=lambda item: len(item[0])),
+                                    key=lambda item: len(item[0]))
+        blocks = (block for size, group in by_size for block in
+                  index_set_blocks((subset for subset, _ in group), size, inside, outside))
     total = 0.0
-    if lam.size <= subset_cap:
-        for size in range(lam.size + 1):
-            for subset in itertools.combinations(range(lam.size), size):
-                w = float(np.prod(inside[list(subset)])) * \
-                    float(np.prod(outside[[i for i in range(lam.size) if i not in subset]]))
-                if w > 0.0:
-                    total += per_subset(subset, cross) * w
-        return total
-    # beyond the cap: heaviest subsets first, conservative remainder for the tail
-    covered = 0.0
-    for subset, w in _iter_subsets_by_weight(inside, outside, truncation_limit):
-        total += per_subset(subset, cross) * w
-        covered += w
-    mass = float(np.prod(inside + outside))
-    tail = max(0.0, mass - covered)
-    return total + tail * tail_factor
+    for sets, weights in blocks:
+        total += float(per_minor(cross[sets[:, :, None], sets[:, None, :]]) @ weights)
+    return total + tail
 
 
-def tv_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                     subset_cap: int = SUBSET_CAP,
-                     truncation_limit: int = TRUNCATION_LIMIT) -> float:
+def tv_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
     """Total-variation bound for two mixed determinantal laws."""
-    def per_subset(subset, cross):
-        if not subset:
-            return 0.0
-        minor = cross[np.ix_(subset, subset)]
-        fid = slater_fidelity(OverlapMatrix(minor))
-        return math.sqrt(max(0.0, 1.0 - fid))
-
     mismatch = float(np.sum(np.abs(spec_a.lambdas - spec_b.lambdas)))
-    return mismatch + _general_bound(spec_a, spec_b, per_subset, 1.0,
-                                     subset_cap, truncation_limit)
+    return mismatch + _general_bound(
+        spec_a, spec_b, lambda minors: np.sqrt(1.0 - _fidelities(minors)), 1.0)
 
 
-def wsharp_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                         subset_cap: int = SUBSET_CAP,
-                         truncation_limit: int = TRUNCATION_LIMIT) -> float:
+def wsharp_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
     """Symmetric-difference transport bound for two mixed determinantal laws."""
-    def per_subset(subset, cross):
-        if not subset:
-            return 0.0
-        minor = cross[np.ix_(subset, subset)]
-        s = stabilizer_max_overlap(OverlapMatrix(minor))
-        return len(subset) * math.sqrt(max(0.0, 1.0 - s * s))
-
     lam = spec_a.lambdas
     lam_p = spec_b.lambdas
     mismatch = float(np.sum(np.abs(lam - lam_p)))
     head = (2.0 + float(lam.sum()) + float(lam_p.sum())) * math.sqrt(mismatch)
-    return head + _general_bound(spec_a, spec_b, per_subset, float(lam.size),
-                                 subset_cap, truncation_limit)
+    return head + _general_bound(
+        spec_a, spec_b,
+        lambda minors: minors.shape[-1] * np.sqrt(1.0 - _mean_overlaps(minors) ** 2),
+        float(lam.size))
 
 
 def pair_by_descending_eigenvalue(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec
@@ -276,47 +248,47 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
 
     Exact mode computes both laws; empirical mode draws `budget` coupled
     samples and attaches bootstrap confidence intervals; `enumeration_cap`
-    bounds the minors of each exact law or exactly coupled draw. Slack is
-    bound minus value and should never be negative beyond numerical tolerance.
+    bounds the minors of each exact law or exactly coupled draw. Values come
+    before bounds, so a law past the cap raises before any bound is computed.
+    Slack is bound minus value and should never be negative beyond
+    numerical tolerance.
     """
-    tv_b = tv_bound_general(spec_a, spec_b)
-    ws_b = wsharp_bound_general(spec_a, spec_b)
-
+    sampled = {}
     if mode == "exact":
         dist_a = exact_mixed_distribution(spec_a, cap=enumeration_cap)
         dist_b = exact_mixed_distribution(spec_b, cap=enumeration_cap)
         tv_v = total_variation(dist_a.as_dict(), dist_b.as_dict())
         ws_v = wsharp_exact(dist_a, dist_b)
-        return DppBoundsReport(
-            n_indices=spec_a.n_indices, n_points=spec_a.family.space.n_points,
-            mode="exact", tv_value=tv_v, wsharp_value=ws_v,
-            tv_bound=tv_b, wsharp_bound=ws_b,
-            tv_slack=tv_b - tv_v, wsharp_slack=ws_b - ws_v)
-    if mode != "empirical":
+    elif mode == "empirical":
+        rng = stream_generator(0 if seed is None else seed, 7)
+        support, counts, coupling_exact = coupled_sample_counts(
+            spec_a, spec_b, budget, rng, cap=enumeration_cap)
+        pa, pb = counts / budget
+        tv_v = 0.5 * float(np.abs(pa - pb).sum())
+        cost = CostMatrix.symmetric_difference(support, support)
+
+        boot = stream_generator(0 if seed is None else seed, 11)
+        tv_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
+        ws_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
+        ws = 0.5 * metric_transport_values(np.vstack([pa, ws_boot[0]]),
+                                           np.vstack([pb, ws_boot[1]]), cost)
+        ws_v = float(ws[0])
+        tv_stats = 0.5 * np.abs(tv_boot[0] - tv_boot[1]).sum(axis=1)
+        # the plug-in distances are biased upward and their resamples again, so
+        # both percentile ends move down by the bootstrap's estimate of that bias
+        tv_ci, ws_ci = (tuple((np.quantile(s, [0.025, 0.975]) - (s.mean() - v)).tolist())
+                        for s, v in ((tv_stats, tv_v), (ws[1:], ws_v)))
+        sampled = dict(sample_count=budget, seed=seed, tv_ci=tv_ci, wsharp_ci=ws_ci,
+                       coupling_exact=coupling_exact)
+    else:
         raise ValueError("mode must be 'exact' or 'empirical'")
-
-    rng = stream_generator(0 if seed is None else seed, 7)
-    support, counts, coupling_exact = coupled_sample_counts(
-        spec_a, spec_b, budget, rng, cap=enumeration_cap)
-    pa, pb = counts / budget
-    tv_v = 0.5 * float(np.abs(pa - pb).sum())
-    cost = CostMatrix.symmetric_difference(support, support)
-
-    boot = stream_generator(0 if seed is None else seed, 11)
-    tv_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
-    ws_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
-    ws = 0.5 * metric_transport_values(np.vstack([pa, ws_boot[0]]),
-                                       np.vstack([pb, ws_boot[1]]), cost)
-    ws_v = float(ws[0])
-    tv_stats = 0.5 * np.abs(tv_boot[0] - tv_boot[1]).sum(axis=1)
-    tv_ci, ws_ci = (tuple(np.quantile(s, [0.025, 0.975]).tolist()) for s in (tv_stats, ws[1:]))
+    tv_b = tv_bound_general(spec_a, spec_b)
+    ws_b = wsharp_bound_general(spec_a, spec_b)
     return DppBoundsReport(
         n_indices=spec_a.n_indices, n_points=spec_a.family.space.n_points,
-        mode="empirical", tv_value=tv_v, wsharp_value=ws_v,
+        mode=mode, tv_value=tv_v, wsharp_value=ws_v,
         tv_bound=tv_b, wsharp_bound=ws_b,
-        tv_slack=tv_b - tv_v, wsharp_slack=ws_b - ws_v,
-        sample_count=budget, seed=seed, tv_ci=tv_ci, wsharp_ci=ws_ci,
-        coupling_exact=coupling_exact)
+        tv_slack=tv_b - tv_v, wsharp_slack=ws_b - ws_v, **sampled)
 
 
 def count_covariance_exact(int_functions, cell_weight: Fraction,

@@ -25,8 +25,6 @@ import numpy as np
 from .errors import EnumerationCapError
 from .ground import GroundSpace, OrthonormalFamily
 
-_LARGE_N_DET = 30  # beyond this, determinants go through log magnitudes
-
 
 @dataclass(frozen=True, eq=False)
 class OverlapMatrix:
@@ -68,23 +66,22 @@ def overlap_matrix(a: OrthonormalFamily, b: OrthonormalFamily) -> OverlapMatrix:
 
 
 def overlap_determinant(m: OverlapMatrix) -> complex:
-    """det of the overlap matrix, through log magnitudes for large sizes."""
-    if m.n == 0:
-        return 1.0 + 0.0j
-    if m.n <= _LARGE_N_DET:
-        return complex(np.linalg.det(m.entries))
+    """det of the overlap matrix, as its sign times its exponentiated log magnitude."""
     sign, logabs = np.linalg.slogdet(m.entries)
     return complex(sign * np.exp(logabs))
 
 
+def _fidelities(mats: np.ndarray) -> np.ndarray:
+    """|det|^2 of each matrix in a stack, clamped to at most one (one for 0 x 0)."""
+    _, logabs = np.linalg.slogdet(mats)
+    # math.exp, not np.exp: numpy's exp can differ in the last bit, and
+    # sqrt(1 - fidelity) magnifies that wherever the fidelity is near one
+    return np.minimum(1.0, np.vectorize(math.exp, otypes=[float])(2.0 * logabs))
+
+
 def slater_fidelity(m: OverlapMatrix) -> float:
     """|det M|^2, the squared overlap of the two determinant states."""
-    if m.n == 0:
-        return 1.0
-    _, logabs = np.linalg.slogdet(m.entries)
-    if logabs == -np.inf:
-        return 0.0
-    return float(min(1.0, math.exp(2.0 * logabs)))
+    return float(_fidelities(m.entries))
 
 
 def trace_distance_slater(m: OverlapMatrix) -> float:

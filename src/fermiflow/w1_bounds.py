@@ -33,10 +33,15 @@ def stabilizer_max_overlap(m: OverlapMatrix) -> float:
     trace inequality caps that at the singular value sum, attained at the
     polar factor. Clamped to [0, 1].
     """
-    if m.n == 0:
-        return 1.0
-    s = float(np.sum(m.singular_values)) / m.n
-    return min(1.0, max(0.0, s))
+    return float(_mean_overlaps(m.entries))
+
+
+def _mean_overlaps(mats: np.ndarray) -> np.ndarray:
+    """Singular value sum over n of each n x n matrix in a stack, in [0, 1]; one if n = 0."""
+    n = mats.shape[-1]
+    if n == 0:
+        return np.ones(mats.shape[:-2])
+    return np.clip(np.linalg.svd(mats, compute_uv=False).sum(axis=-1) / n, 0.0, 1.0)
 
 
 def stabilizer_max_overlap_ascent(m: OverlapMatrix, rng: np.random.Generator,

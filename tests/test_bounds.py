@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiflow import (ConfigurationDistribution, MixedKernelSpec,
+from fermiflow import bounds, dpp
+from fermiflow import (ConfigurationDistribution, EnumerationCapError, MixedKernelSpec,
                        OverlapMatrix, count_covariance_exact,
                        density_transport_rhs, exact_mixed_distribution,
                        orthonormalize, overlap_matrix,
@@ -137,7 +138,7 @@ def test_general_wsharp_single_index():
         math.sqrt(1 - c * c), abs=1e-12)
 
 
-def test_truncated_enumeration_stays_conservative():
+def test_truncated_enumeration_stays_conservative(monkeypatch):
     rng = np.random.default_rng(35)
     lam = rng.random(6)
     fam = random_orthonormal(8, 6, 36)
@@ -147,13 +148,71 @@ def test_truncated_enumeration_stays_conservative():
     exact_tv = tv_bound_general(spec_a, spec_b)
     exact_ws = wsharp_bound_general(spec_a, spec_b)
     # forcing the heap path with a tight budget may only grow the bound
-    rough_tv = tv_bound_general(spec_a, spec_b, subset_cap=3, truncation_limit=10)
-    rough_ws = wsharp_bound_general(spec_a, spec_b, subset_cap=3, truncation_limit=10)
+    monkeypatch.setattr(bounds, "SUBSET_CAP", 3)
+    monkeypatch.setattr(bounds, "TRUNCATION_LIMIT", 10)
+    rough_tv = tv_bound_general(spec_a, spec_b)
+    rough_ws = wsharp_bound_general(spec_a, spec_b)
     assert rough_tv >= exact_tv - 1e-12
     assert rough_ws >= exact_ws - 1e-12
     # with the budget covering every subset the two paths agree
-    full_tv = tv_bound_general(spec_a, spec_b, subset_cap=3, truncation_limit=64)
+    monkeypatch.setattr(bounds, "TRUNCATION_LIMIT", 64)
+    full_tv = tv_bound_general(spec_a, spec_b)
     assert full_tv == pytest.approx(exact_tv, abs=1e-12)
+
+
+def subset_definition_bounds(spec_a, spec_b):
+    """Both general bounds summed subset by subset, straight from their definition."""
+    lam, lam_p = spec_a.lambdas, spec_b.lambdas
+    cross = spec_a.family.folded().conj().T @ spec_b.family.folded()
+    tv = ws = 0.0
+    for r in range(1, lam.size + 1):
+        for subset in itertools.combinations(range(lam.size), r):
+            minor = OverlapMatrix(cross[np.ix_(subset, subset)])
+            w = weight_w(lam, lam_p, subset)
+            tv += w * tv_bound_projection(minor)
+            ws += w * wsharp_bound_projection(minor)
+    mismatch = float(np.abs(lam - lam_p).sum())
+    head = (2.0 + lam.sum() + lam_p.sum()) * math.sqrt(mismatch)
+    return mismatch + tv, head + ws
+
+
+@pytest.mark.parametrize("lam, lam_p", [
+    ([0.3, 0.7, 0.5, 0.9], [0.3, 0.7, 0.5, 0.9]),
+    ([0.3, 0.7, 0.5, 0.9], [0.6, 0.2, 0.5, 0.95]),
+    ([1.0, 0.0, 0.4, 1.0, 0.8], [1.0, 0.0, 0.4, 1.0, 0.8]),
+    ([1.0, 0.0, 0.4, 1.0, 0.8], [0.5, 0.3, 0.4, 1.0, 0.0]),
+    ([1.0, 1.0, 0.2, 0.6, 0.9, 0.1], [0.7, 1.0, 0.25, 0.6, 0.8, 0.3]),
+])
+@pytest.mark.parametrize("heap", [False, True])
+def test_general_bounds_match_subset_definition(monkeypatch, lam, lam_p, heap):
+    n = len(lam)
+    fam = random_orthonormal(n + 2, n, 60 + n)
+    fam_b = random_orthonormal(n + 2, n, 61 + n, space=fam.space)
+    spec_a = MixedKernelSpec(np.array(lam), fam)
+    spec_b = MixedKernelSpec(np.array(lam_p), fam_b)
+    if heap:
+        # every subset through the heavy-first search, none left to the tail
+        monkeypatch.setattr(bounds, "SUBSET_CAP", 1)
+        monkeypatch.setattr(bounds, "TRUNCATION_LIMIT", 2 ** n)
+        monkeypatch.setattr(dpp, "INDEX_SET_BLOCK", 3)
+    tv, ws = subset_definition_bounds(spec_a, spec_b)
+    assert tv_bound_general(spec_a, spec_b) == pytest.approx(tv, abs=1e-12)
+    assert wsharp_bound_general(spec_a, spec_b) == pytest.approx(ws, abs=1e-12)
+
+
+def test_exact_mode_enforces_the_law_cap_before_any_bound(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bound computed before the law cap was checked")
+
+    monkeypatch.setattr(bounds, "tv_bound_general", unreachable)
+    monkeypatch.setattr(bounds, "wsharp_bound_general", unreachable)
+    rng = np.random.default_rng(62)
+    fam = random_orthonormal(7, 4, 63)
+    fam_b = random_orthonormal(7, 4, 64, space=fam.space)
+    spec_a = MixedKernelSpec(rng.random(4), fam)
+    spec_b = MixedKernelSpec(rng.random(4), fam_b)
+    with pytest.raises(EnumerationCapError):
+        verify_instance(spec_a, spec_b, mode="exact", enumeration_cap=50)
 
 
 def test_eigenvalue_pairing_shrinks_mismatch_term():

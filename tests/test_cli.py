@@ -186,6 +186,20 @@ def test_bounds_empirical_mode_reports_cis(tmp_path):
         assert inst["wsharp_ci"] is not None
 
 
+def test_bounds_empirical_intervals_hold_their_values(tmp_path):
+    # plain percentile intervals here gave tv 0.402 outside [0.4045, 0.4471]:
+    # the resampled distances sit above the upward-biased plug-in value
+    cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=8\n"
+                       "bounds.mixed_eigenvalues=5\nbounds.mode=empirical\n"
+                       "bounds.budget=2000\nbounds.bootstrap_resamples=200\n")
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 0
+    inst = parse_json(out)["report"]["instances"][0]
+    for name in ("tv", "wsharp"):
+        lo, hi = inst[f"{name}_ci"]
+        assert lo <= inst[f"{name}_value"] <= hi
+
+
 def test_rdm_monotonicity_run(tmp_path):
     cfg = write_config(tmp_path, "rdm.seeds=2\nrdm.dim=4\nrdm.n=2\nw1.max_iter=200000\n")
     code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg])

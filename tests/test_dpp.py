@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fermiflow import dpp
+from fermiflow.bounds import weight_w
 from fermiflow import (ConfigurationDistribution, EnumerationCapError,
                        GroundSpace, MixedKernelSpec,
                        brute_force_configuration_distribution,
@@ -229,7 +231,7 @@ def weighted_space(m, seed):
     return GroundSpace(tuple(range(m)), w / w.sum())
 
 
-@pytest.mark.parametrize("m, lambdas, weighted", [
+EXACT_LAW_CASES = [
     (4, [0.4], False),
     (4, [0.0, 0.0], True),
     (4, [1.0, 1.0], True),
@@ -240,7 +242,10 @@ def weighted_space(m, seed):
     (7, [1.0] * 6, True),
     (8, [0.2, 0.6, 0.95], True),
     (8, [0.1, 0.35, 0.5, 0.75, 0.9], False),
-])
+]
+
+
+@pytest.mark.parametrize("m, lambdas, weighted", EXACT_LAW_CASES)
 def test_exact_law_matches_tuple_enumeration(m, lambdas, weighted):
     n = len(lambdas)
     space = weighted_space(m, 900 + m) if weighted else None
@@ -250,6 +255,47 @@ def test_exact_law_matches_tuple_enumeration(m, lambdas, weighted):
     law = exact_mixed_distribution(spec)
     assert law.support == support
     assert np.max(np.abs(law.probs - probs)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, lambdas, weighted", EXACT_LAW_CASES)
+def test_exact_law_matches_tuple_enumeration_in_small_blocks(monkeypatch, m, lambdas, weighted):
+    # blocks of two index sets: every size with more than two sets spans
+    # several blocks, whose masses must add up
+    monkeypatch.setattr(dpp, "INDEX_SET_BLOCK", 2)
+    test_exact_law_matches_tuple_enumeration(m, lambdas, weighted)
+
+
+@pytest.mark.parametrize("lam, lam_p", [
+    ([0.3, 0.7, 0.5, 0.9, 0.2], [0.3, 0.7, 0.5, 0.9, 0.2]),
+    ([0.3, 0.7, 0.5, 0.9, 0.2], [0.6, 0.1, 0.5, 0.95, 0.4]),
+    ([1.0, 0.0, 0.4, 1.0, 0.8, 0.5], [1.0, 0.0, 0.7, 0.6, 0.8, 0.5]),
+    ([1.0, 0.0, 0.4], [0.0, 1.0, 0.4]),
+    ([], []),
+])
+@pytest.mark.parametrize("block", [256, 3])
+def test_weighted_index_sets_match_weight_w(monkeypatch, lam, lam_p, block):
+    monkeypatch.setattr(dpp, "INDEX_SET_BLOCK", block)
+    lam, lam_p = np.array(lam), np.array(lam_p)
+    inside, outside = np.minimum(lam, lam_p), 1.0 - np.maximum(lam, lam_p)
+    seen, sizes = {}, []
+    for sets, weights in dpp.weighted_index_sets(inside, outside):
+        assert 1 <= len(sets) <= block and sets.ndim == 2
+        assert np.all(np.diff(sets, axis=1) > 0)
+        sizes.append(sets.shape[1])
+        for row, w in zip(sets, weights):
+            key = tuple(int(i) for i in row)
+            assert key not in seen
+            seen[key] = w
+            assert w == pytest.approx(weight_w(lam, lam_p, key), rel=1e-15)
+    assert sizes == sorted(sizes)
+    positive = {s for r in range(lam.size + 1)
+                for s in itertools.combinations(range(lam.size), r)
+                if weight_w(lam, lam_p, s) > 0.0}
+    assert set(seen) == positive
+    if np.all((inside > 0) | (outside > 0)):
+        assert sum(seen.values()) == pytest.approx(np.prod(inside + outside), rel=1e-13)
+    else:
+        assert not seen
 
 
 @pytest.mark.parametrize("lambdas, required", [
@@ -280,9 +326,8 @@ def test_coupled_pair_identical_specs():
     fam = random_orthonormal(5, 2, 14)
     spec = MixedKernelSpec(np.array([0.7, 0.6]), fam)
     rng = stream_generator(103, 0)
-    cache = {}
     for _ in range(50):
-        a, b = coupled_sample_pair(spec, spec, rng, _cache=cache)
+        a, b = coupled_sample_pair(spec, spec, rng)
         assert a == b
 
 
@@ -291,11 +336,10 @@ def test_coupled_pair_index_mismatch_rate():
     spec_a = MixedKernelSpec(np.array([1.0, 0.8]), fam)
     spec_b = MixedKernelSpec(np.array([1.0, 0.5]), fam)
     rng = stream_generator(104, 0)
-    cache = {}
     draws = 4000
     mismatch = 0
     for _ in range(draws):
-        a, b = coupled_sample_pair(spec_a, spec_b, rng, _cache=cache)
+        a, b = coupled_sample_pair(spec_a, spec_b, rng)
         mismatch += len(a) != len(b)
     # P(sizes differ) = |0.8 - 0.5|; four standard errors around it
     rate = mismatch / draws
