@@ -7,8 +7,7 @@ convention, (1/2) tr |rho - sigma|, matching half-L1 for classical laws.
 
 from ._rng import stream_generator
 from .bounds import (DppBoundsReport, WalshCounterexampleReport,
-                     count_covariance_exact,
-                     density_transport_rhs, pair_by_descending_eigenvalue,
+                     count_covariance_exact, density_transport_rhs,
                      tv_bound_general, tv_bound_projection, verify_instance,
                      walsh_counterexample_report, weight_w,
                      wsharp_bound_general, wsharp_bound_projection,
@@ -18,7 +17,7 @@ from .dpp import (ConfigurationDistribution, MixedKernelSpec,
                   count_covariance, coupled_sample_counts, coupled_sample_pair,
                   exact_mixed_distribution,
                   expected_count, ordered_measurement_distribution,
-                  sample_mixed_dpp, sample_projection_dpp)
+                  sample_projection_dpp)
 from .errors import (ConvergenceError, EnumerationCapError, RankCollapseError,
                      RankDeficiencyError)
 from .ground import (GroundSpace, OrthonormalFamily, gram_matrix, inner_product,
@@ -31,12 +30,10 @@ from .slater import (DensityOperator, OverlapMatrix, ProjectionKernel,
 from .transport import (CostMatrix, TransportPlan, hamming_cost,
                         metric_transport_values, ot_cost, symmetric_difference_cost,
                         total_variation)
-from .w1_bounds import (GapRow, SlaterBoundsReport, example_gap_table,
-                        slater_bounds_report, stabilizer_max_overlap,
+from .w1_bounds import (GapRow, example_gap_table, stabilizer_max_overlap,
                         stabilizer_max_overlap_ascent, w1_upper_slater)
-from .w1_exact import (W1Certificate, classical_hamming_w1,
-                       dual_witness_from_classical, partial_trace,
-                       rdm_monotonicity_check, w1_exact)
+from .w1_exact import (W1Certificate, classical_hamming_w1, rdm_monotonicity_check,
+                       w1_exact)
 
 __version__ = "0.1.0"
 
@@ -55,7 +52,6 @@ __all__ = [
     "ProjectionKernel",
     "RankCollapseError",
     "RankDeficiencyError",
-    "SlaterBoundsReport",
     "TransportPlan",
     "W1Certificate",
     "WalshCounterexampleReport",
@@ -67,7 +63,6 @@ __all__ = [
     "coupled_sample_counts",
     "coupled_sample_pair",
     "density_transport_rhs",
-    "dual_witness_from_classical",
     "exact_mixed_distribution",
     "example_gap_table",
     "expected_count",
@@ -81,16 +76,12 @@ __all__ = [
     "ot_cost",
     "overlap_determinant",
     "overlap_matrix",
-    "pair_by_descending_eigenvalue",
-    "partial_trace",
     "projection_kernel",
     "random_orthonormal",
     "rdm_monotonicity_check",
     "reduced_density_matrix",
-    "sample_mixed_dpp",
     "sample_projection_dpp",
     "slater_amplitude",
-    "slater_bounds_report",
     "slater_fidelity",
     "slater_state_vector",
     "stabilizer_max_overlap",

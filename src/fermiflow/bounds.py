@@ -154,20 +154,6 @@ def wsharp_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> fl
         float(lam.size))
 
 
-def pair_by_descending_eigenvalue(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec
-                                  ) -> tuple[MixedKernelSpec, MixedKernelSpec]:
-    """Greedy relabeling: match indices rank by rank in decreasing eigenvalue.
-
-    The general bounds depend on how the two index sets are identified;
-    any bijection is valid, and sorting both sides is a cheap heuristic.
-    """
-    order_a = np.argsort(-spec_a.lambdas, kind="stable")
-    order_b = np.argsort(-spec_b.lambdas, kind="stable")
-    a2 = MixedKernelSpec(spec_a.lambdas[order_a], spec_a.family.subset(order_a))
-    b2 = MixedKernelSpec(spec_b.lambdas[order_b], spec_b.family.subset(order_b))
-    return a2, b2
-
-
 def wsharp_exact(dist_a: ConfigurationDistribution,
                  dist_b: ConfigurationDistribution) -> float:
     """Exact transport distance with half-symmetric-difference ground cost.

@@ -240,9 +240,8 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
     seeds = cfg.get_int("rdm.seeds", 20)
     dim = cfg.get_int("rdm.dim", 4)
     n = cfg.get_int("rdm.n", 2)
-    tol = cfg.get_float("w1.tol", 1e-8)
+    tol = cfg.get_float("w1.tol", 1e-5)
     max_iter = cfg.get_int("w1.max_iter", 50_000)
-    rho_penalty = cfg.get_float("w1.rho_penalty", 1.0)
     verdict_tol = 2 * cfg.get_float("rdm.verdict_tol", 1e-4)
 
     rows = []
@@ -253,8 +252,7 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
         fam_b = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s + 1))
         try:
             values = [v for _, v in rdm_monotonicity_check(
-                fam_a, fam_b, tol=tol, max_iter=max_iter,
-                rho_penalty=rho_penalty, dim_cap=cfg.dim_cap)]
+                fam_a, fam_b, tol=tol, max_iter=max_iter, dim_cap=cfg.dim_cap)]
         except ConvergenceError as exc:
             any_failure = True
             rows.append({"seed": s, "values": None, "monotone": None,

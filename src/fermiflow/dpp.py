@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, RankCollapseError
 from .ground import OrthonormalFamily
-from .slater import ProjectionKernel, projection_kernel, slater_state_vector
+from .slater import ProjectionKernel, slater_state_vector
 
 ENUMERATION_CAP = 1_000_000
 # index sets per block: at 20 indices, blocks of 64 to 4,096 ran equally fast and
@@ -228,14 +228,6 @@ def sample_projection_dpp(family: OrthonormalFamily,
         h = np.eye(step) - 2.0 * np.outer(w, w.conj()) / float(np.linalg.norm(w) ** 2)
         fold = fold @ h[:, 1:]
     return tuple(sorted(chosen))
-
-
-def sample_mixed_dpp(spec: MixedKernelSpec, rng: np.random.Generator) -> tuple:
-    """One configuration of the mixed process: Bernoulli thinning, then projection."""
-    keep = np.nonzero(rng.random(spec.n_indices) < spec.lambdas)[0]
-    if keep.size == 0:
-        return ()
-    return sample_projection_dpp(spec.family.subset(keep), rng)
 
 
 def index_set_blocks(sets, size: int, inside: np.ndarray, outside: np.ndarray):

@@ -32,7 +32,7 @@ from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
 from .transport import CostMatrix, ot_cost, total_variation
 from .w1_bounds import (example_gap_table, stabilizer_max_overlap,
                         stabilizer_max_overlap_ascent, w1_upper_slater)
-from .w1_exact import rdm_monotonicity_check, w1_exact
+from .w1_exact import rdm_certificates, rdm_monotonicity_check, w1_exact
 
 SOLVER_TOL = 1e-4
 INCLUSION_TOL = 1e-9
@@ -40,9 +40,6 @@ MASS_TOL = 1e-10
 # repeated-point determinants are exact zeros in real arithmetic but only
 # ~1e-15 after complex LU pivoting; squared they sit below this by far
 NUMERICAL_ZERO_MASS = 1e-20
-# a couple of degenerate pairs need ~160k splitting iterations to hit the
-# residual stops; the tolerance stays at its default, only the budget grows
-SOLVER_MAX_ITER = 400_000
 
 
 @dataclass(frozen=True)
@@ -205,10 +202,16 @@ def _random_density(dim: int, seed: int, *stream) -> np.ndarray:
     return mat / np.trace(mat).real
 
 
+def _solver_summary(certs) -> str:
+    return (f"{sum(c.iterations for c in certs)} solver iterations, "
+            f"worst certified gap {max(c.gap for c in certs):.1e}")
+
+
 def check_transport_sandwich() -> CheckResult:
     """trace <= exact transport <= overlap bound <= n * trace, plus product case."""
     start = time.perf_counter()
     worst = 0.0
+    certs = []
     for i in range(50):
         n, dim = (2, 4) if i < 25 else (3, 4)
         fam_a = random_orthonormal(dim, n, seed=50_000 + 2 * i)
@@ -216,8 +219,8 @@ def check_transport_sandwich() -> CheckResult:
         m = overlap_matrix(fam_a, fam_b)
         tdist = trace_distance_slater(m)
         upper = w1_upper_slater(m)
-        value = w1_exact(full_state_vector(fam_a), full_state_vector(fam_b),
-                         max_iter=SOLVER_MAX_ITER).value
+        certs.append(w1_exact(full_state_vector(fam_a), full_state_vector(fam_b)))
+        value = certs[-1].value
         worst = max(worst, tdist - value, value - upper, upper - n * tdist)
 
     product_dev = 0.0
@@ -228,12 +231,12 @@ def check_transport_sandwich() -> CheckResult:
         rho = DensityOperator((d, d), np.kron(rho1, tau))
         sigma = DensityOperator((d, d), np.kron(sigma1, tau))
         single = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho1 - sigma1))))
-        value = w1_exact(rho, sigma, max_iter=SOLVER_MAX_ITER).value
-        product_dev = max(product_dev, abs(value - single))
+        certs.append(w1_exact(rho, sigma))
+        product_dev = max(product_dev, abs(certs[-1].value - single))
     elapsed = time.perf_counter() - start
     passed = worst <= SOLVER_TOL and product_dev <= SOLVER_TOL and elapsed < 180.0
     detail = (f"worst chain violation {worst:.3e}, "
-              f"product-case deviation {product_dev:.3e}")
+              f"product-case deviation {product_dev:.3e}, {_solver_summary(certs)}")
     return CheckResult("transport_sandwich", passed, elapsed, detail, 180.0)
 
 
@@ -241,21 +244,22 @@ def check_rdm_monotonicity() -> CheckResult:
     """Per-size reduced-state distances non-decreasing; zero when equal."""
     start = time.perf_counter()
     worst_drop = 0.0
+    certs = []
     for s in range(20):
         fam_a = random_orthonormal(4, 2, seed=60_000 + 2 * s)
         fam_b = random_orthonormal(4, 2, seed=60_001 + 2 * s)
-        values = [v for _, v in rdm_monotonicity_check(
-            fam_a, fam_b, max_iter=SOLVER_MAX_ITER)]
+        pair = rdm_certificates(fam_a, fam_b)
+        certs += pair
+        values = [cert.value / k for k, cert in enumerate(pair, start=1)]
         for lo, hi in zip(values, values[1:]):
             worst_drop = max(worst_drop, lo - hi)
     fam = random_orthonormal(4, 2, seed=60_100)
-    same = [v for _, v in rdm_monotonicity_check(fam, fam,
-                                                 max_iter=SOLVER_MAX_ITER)]
+    same = [v for _, v in rdm_monotonicity_check(fam, fam)]
     elapsed = time.perf_counter() - start
     passed = (worst_drop <= 2 * SOLVER_TOL and all(v == 0.0 for v in same)
               and elapsed < 180.0)
     detail = (f"worst monotonicity drop {worst_drop:.3e}, "
-              f"equal-pair values {same}")
+              f"equal-pair values {same}, {_solver_summary(certs)}")
     return CheckResult("rdm_monotonicity", passed, elapsed, detail, 180.0)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ground import GroundSpace, OrthonormalFamily, orthonormalize
 from .slater import (OverlapMatrix, overlap_determinant, overlap_matrix,
-                     slater_fidelity, trace_distance_slater)
+                     trace_distance_slater)
 
 
 def stabilizer_max_overlap(m: OverlapMatrix) -> float:
@@ -82,41 +82,6 @@ def w1_upper_slater(m: OverlapMatrix) -> float:
     """n sqrt(1 - s^2) with s the stabilizer-maximized mean overlap."""
     s = stabilizer_max_overlap(m)
     return m.n * math.sqrt(max(0.0, 1.0 - s * s))
-
-
-@dataclass(frozen=True)
-class SlaterBoundsReport:
-    """Distance bounds for one pair of determinant states.
-
-    Satisfies trace_distance <= w1_upper <= n_times_trace: the first step
-    holds because both bracket the same transport distance, the second
-    because |det M| <= s^n <= s by the mean inequality on singular values.
-    """
-
-    n: int
-    trace_distance: float
-    w1_upper: float
-    n_times_trace: float
-    stabilizer_overlap: float
-    singular_values: tuple
-
-
-def slater_bounds_report(a: OrthonormalFamily, b: OrthonormalFamily) -> SlaterBoundsReport:
-    m = overlap_matrix(a, b)
-    trace = trace_distance_slater(m)
-    upper = w1_upper_slater(m)
-    report = SlaterBoundsReport(
-        n=m.n,
-        trace_distance=trace,
-        w1_upper=upper,
-        n_times_trace=m.n * trace,
-        stabilizer_overlap=stabilizer_max_overlap(m),
-        singular_values=tuple(float(s) for s in m.singular_values),
-    )
-    tol = 1e-9
-    if not (trace <= upper + tol and upper <= m.n * trace + tol):
-        raise AssertionError("bound ordering violated; overlap matrix is inconsistent")
-    return report
 
 
 @dataclass(frozen=True)

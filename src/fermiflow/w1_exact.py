@@ -16,9 +16,16 @@ batched eigenvalue soft-thresholding, and the affine constraint set is
 handled by an exact orthogonal projection in closed form. In a product
 operator basis whose first element per site is the normalized identity
 (up to sign), tr_i X_i = 0 says block i vanishes wherever site i carries
-the identity, so the projection splits coefficient by coefficient. Lower
-bounds come from classical witnesses: a Hamming-Lipschitz function
-measured through a product basis cannot exceed the distance.
+the identity, so the projection splits coefficient by coefficient.
+
+Every result is certified by a duality gap. The dual program maximizes
+tr(H (rho - sigma)) over H such that, for each i, some M_i makes
+||H + M_i (x) I_i||_op <= 1/2 (the Lipschitz dual). The ADMM's scaled
+multiplier u lies in the range of the constraint adjoint: its blocks are
+L + M_i (x) I_i for one shared L. Scaled by -t into the norm ball, u is a
+dual point of value -t Re tr(L (rho - sigma)). The solver stops once the
+feasible iterate's value exceeds that dual value by at most `tol`, so the
+distance lies in an interval of width at most `tol`.
 """
 
 from __future__ import annotations
@@ -37,15 +44,10 @@ from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
 from .transport import CostMatrix, hamming_cost, metric_transport_values, ot_cost
 
 DIM_CAP = 64
-# ADMM relative stopping tolerance and over-relaxation factor
-REL_TOL = 1e-6
+# ADMM over-relaxation factor
 OVER_RELAX = 1.7
-
-
-def partial_trace(op, dims, which) -> np.ndarray:
-    """Trace the tensor factors listed in `which` (0-based) out of `op`."""
-    mat = op.matrix if isinstance(op, DensityOperator) else np.asarray(op)
-    return _partial_trace_matrix(mat, list(dims), which)
+# iterations between duality-gap tests; the first and last iterations are tested too
+GAP_EVERY = 10
 
 
 def _identity_first_reflection(d: int) -> np.ndarray:
@@ -108,6 +110,26 @@ class _ConstraintProjector:
         out = self._from_basis(coeffs)
         return 0.5 * (out + _adjoint(out))
 
+    def dual_value(self, u: np.ndarray) -> float:
+        """Lower bound on the distance from a multiplier u near the adjoint's range.
+
+        In this basis the adjoint's range is the stacks whose allowed blocks
+        share one coefficient, that of L. H_i keeps u_i where site i is the
+        identity and takes L's coefficient elsewhere, so H_i = L + M_i (x) I_i
+        exactly and ||H_i||_op <= ||u_i||_op + ||H_i - u_i||_F. With t the
+        reciprocal of twice the largest such bound, -t H is dual feasible and
+        -t Re<L, delta> is its dual value; the Hermitian part of u is used,
+        which changes neither side for Hermitian delta.
+        """
+        coeffs = self._to_basis(u) * self.allowed
+        common = self.share * coeffs.sum(axis=0)
+        drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
+        norms = np.abs(np.linalg.eigvalsh(0.5 * (u + _adjoint(u)))).max(axis=1) + drift
+        top = float(norms.max())
+        if top == 0.0:
+            return 0.0
+        return -0.5 / top * float(np.vdot(common, self.delta_coeffs).real)
+
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
@@ -121,13 +143,17 @@ def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class W1Certificate:
-    """Solver output: optimal value with feasibility and duality evidence."""
+    """Solver output: the certified interval [lower, value] holding the distance.
+
+    `value` is the objective at the feasible iterate `primal_parts`, `lower`
+    the dual value of the scaled multiplier, and gap = value - lower <= tol.
+    """
 
     value: float
+    lower: float
+    gap: float
     part_weights: tuple
     primal_parts: tuple
-    dual_witness_value: float
-    gap: float
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -141,7 +167,8 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
     diagonal is in `itertools.product` order of the site outcomes. A valid
     lower bound on the operator distance: measurement in a product basis
     contracts it, and the classical dual optimizer is a Hamming-Lipschitz
-    witness.
+    witness. The solver does not use it; it is an independent reference
+    for the certified lower bound.
     """
     grid = list(itertools.product(*(range(d) for d in rho.dims)))
     cost = CostMatrix.from_function(grid, grid, hamming_cost)
@@ -150,16 +177,18 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,
-             tol: float = 1e-8, max_iter: int = 50_000,
-             rho_penalty: float = 1.0, dim_cap: int = DIM_CAP) -> W1Certificate:
+             tol: float = 1e-5, max_iter: int = 50_000,
+             dim_cap: int = DIM_CAP) -> W1Certificate:
     """Solve the transport program for a pair of density operators.
 
-    Feasible iterates come from the exact constraint projection, so the
-    reported value is an upper bound that converges to the optimum; the
-    classical witness in the certificate is a lower bound.
+    Iterates until the value of the feasible iterate exceeds the dual value
+    of the multiplier by at most `tol`, testing that gap every GAP_EVERY
+    iterations; the distance lies in the returned [lower, value].
     """
     if rho.dims != sigma.dims:
         raise ValueError("operators live on different site structures")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     dims = list(rho.dims)
     total = math.prod(dims)
     if total > dim_cap:
@@ -172,43 +201,34 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     projector = _ConstraintProjector(dims, delta)
     z = projector.project(np.zeros((n, total, total), dtype=delta.dtype))
     u = np.zeros_like(z)
-    shrink = 0.5 / rho_penalty
-    scale = math.sqrt(n) * total
-    iterations = 0
-    r_norm = s_norm = float("inf")
     for iterations in range(1, max_iter + 1):
-        x = _shrink_eigenvalues(z - u, shrink)
+        x = _shrink_eigenvalues(z - u, 0.5)
         x_hat = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
-        z_new = projector.project(x_hat + u)
-        u = u + x_hat - z_new
-
-        r_norm = float(np.linalg.norm(x - z_new))
-        s_norm = rho_penalty * float(np.linalg.norm(z_new - z))
-        z = z_new
-        x_scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(z)))
-        u_scale = rho_penalty * float(np.linalg.norm(u))
-        if (r_norm <= scale * tol + REL_TOL * x_scale
-                and s_norm <= scale * tol + REL_TOL * u_scale):
-            break
-    else:
+        z_prev, z = z, projector.project(x_hat + u)
+        u = u + x_hat - z
+        if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
+            weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
+            value = float(weights.sum())
+            lower = projector.dual_value(u)
+            if value - lower <= tol:
+                break
+    r_norm = float(np.linalg.norm(x - z))
+    s_norm = float(np.linalg.norm(z - z_prev))
+    if value - lower > tol:
         raise ConvergenceError(
-            f"no convergence in {max_iter} iterations "
-            f"(primal {r_norm:.3e}, dual {s_norm:.3e})",
+            f"no certified gap of {tol:.1e} in {max_iter} iterations (gap "
+            f"{value - lower:.3e} between {lower:.6f} and {value:.6f})",
             iterations=max_iter, primal_residual=r_norm, dual_residual=s_norm)
 
-    weights = tuple(float(w) for w in
-                    0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1))
     feas_sum = float(np.max(np.abs(z.sum(axis=0) - delta)))
     feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(zi, dims, [i]))))
-                  for i, zi in enumerate(z)) if n else 0.0
-    witness = classical_hamming_w1(rho, sigma)
-    value = float(sum(weights))
+                  for i, zi in enumerate(z))
     return W1Certificate(
         value=value,
-        part_weights=weights,
+        lower=lower,
+        gap=value - lower,
+        part_weights=tuple(float(w) for w in weights),
         primal_parts=tuple(z),
-        dual_witness_value=witness,
-        gap=value - witness,
         iterations=iterations,
         primal_residual=r_norm,
         dual_residual=s_norm,
@@ -216,59 +236,23 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     )
 
 
-def dual_witness_from_classical(f, rho: DensityOperator, sigma: DensityOperator,
-                                bases=None) -> float:
-    """Value tr[H (rho - sigma)] of the witness H = product-measured f.
-
-    `f` maps outcome tuples of the site grid to reals and must change by
-    at most one when a single coordinate changes; this is verified pair by
-    pair. `bases` optionally gives one unitary per site whose columns are
-    the measured basis (default: computational basis).
-    """
-    dims = rho.dims
-    if sigma.dims != dims:
-        raise ValueError("operators live on different site structures")
-    grid = list(itertools.product(*(range(d) for d in dims)))
-    values = {x: float(f(x)) for x in grid}
-    for x in grid:  # single-coordinate moves must change f by at most 1
-        for site, d in enumerate(dims):
-            for other in range(x[site] + 1, d):
-                y = x[:site] + (other,) + x[site + 1:]
-                if abs(values[x] - values[y]) > 1.0 + 1e-12:
-                    raise ValueError(
-                        f"not Hamming-Lipschitz: |f{x} - f{y}| = "
-                        f"{abs(values[x] - values[y]):.6f} > 1")
-    if bases is None:
-        diff = np.real(np.diag(rho.matrix - sigma.matrix))
-        return float(sum(values[x] * diff[i] for i, x in enumerate(grid)))
-    basis_mats = []
-    for d, b in zip(dims, bases):
-        b = np.asarray(b, dtype=complex)
-        if b.shape != (d, d) or np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-9:
-            raise ValueError("each basis must be a unitary of the site dimension")
-        basis_mats.append(b)
-    h = np.zeros((math.prod(dims), math.prod(dims)), dtype=complex)
-    for x in grid:
-        vec = np.array([1.0 + 0.0j])
-        for site, coord in enumerate(x):
-            vec = np.kron(vec, basis_mats[site][:, coord])
-        h += values[x] * np.outer(vec, vec.conj())
-    return float(np.real(np.trace(h @ (rho.matrix - sigma.matrix))))
+def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily,
+                     **solver_kwargs) -> list[W1Certificate]:
+    """`w1_exact` certificates of the k-particle reduced states, k = 1..n."""
+    state_a = full_state_vector(a)
+    state_b = full_state_vector(b)
+    return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
+                     **solver_kwargs)
+            for k in range(1, a.n + 1)]
 
 
 def rdm_monotonicity_check(a: OrthonormalFamily, b: OrthonormalFamily,
                            **solver_kwargs) -> list[tuple[int, float]]:
     """Per-size distances (k, W1(reduced_k) / k) for k = 1..n.
 
-    The sequence is non-decreasing in exact arithmetic; callers should
-    allow twice the solver tolerance when asserting that.
+    The sequence is non-decreasing in exact arithmetic; each value is within
+    the solver's `tol` / k above the distance, so callers should allow
+    twice `tol` when asserting that.
     """
-    state_a = full_state_vector(a)
-    state_b = full_state_vector(b)
-    out = []
-    for k in range(1, a.n + 1):
-        red_a = reduced_density_matrix(state_a, k)
-        red_b = reduced_density_matrix(state_b, k)
-        cert = w1_exact(red_a, red_b, **solver_kwargs)
-        out.append((k, cert.value / k))
-    return out
+    certs = rdm_certificates(a, b, **solver_kwargs)
+    return [(k, cert.value / k) for k, cert in enumerate(certs, start=1)]

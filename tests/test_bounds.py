@@ -14,8 +14,7 @@ from fermiflow import bounds, dpp
 from fermiflow import (ConfigurationDistribution, EnumerationCapError, MixedKernelSpec,
                        OverlapMatrix, count_covariance_exact,
                        density_transport_rhs, exact_mixed_distribution,
-                       orthonormalize, overlap_matrix,
-                       pair_by_descending_eigenvalue, random_orthonormal,
+                       orthonormalize, overlap_matrix, random_orthonormal,
                        total_variation, tv_bound_general, tv_bound_projection,
                        verify_instance, walsh_counterexample_report,
                        walsh_family, weight_w, wsharp_bound_general,
@@ -213,20 +212,6 @@ def test_exact_mode_enforces_the_law_cap_before_any_bound(monkeypatch):
     spec_b = MixedKernelSpec(rng.random(4), fam_b)
     with pytest.raises(EnumerationCapError):
         verify_instance(spec_a, spec_b, mode="exact", enumeration_cap=50)
-
-
-def test_eigenvalue_pairing_shrinks_mismatch_term():
-    fam = random_orthonormal(6, 2, 38)
-    fam_b = random_orthonormal(6, 2, 39, space=fam.space)
-    spec_a = MixedKernelSpec(np.array([0.2, 0.9]), fam)
-    spec_b = MixedKernelSpec(np.array([0.8, 0.1]), fam_b)
-    paired_a, paired_b = pair_by_descending_eigenvalue(spec_a, spec_b)
-    assert sorted(paired_a.lambdas) == sorted(spec_a.lambdas)
-    mismatch = np.abs(np.asarray(spec_a.lambdas) - np.asarray(spec_b.lambdas)).sum()
-    paired_mismatch = np.abs(np.asarray(paired_a.lambdas)
-                             - np.asarray(paired_b.lambdas)).sum()
-    assert paired_mismatch == pytest.approx(0.2, abs=1e-12)
-    assert paired_mismatch <= mismatch
 
 
 def test_wsharp_exact_point_masses():

@@ -201,7 +201,7 @@ def test_bounds_empirical_intervals_hold_their_values(tmp_path):
 
 
 def test_rdm_monotonicity_run(tmp_path):
-    cfg = write_config(tmp_path, "rdm.seeds=2\nrdm.dim=4\nrdm.n=2\nw1.max_iter=200000\n")
+    cfg = write_config(tmp_path, "rdm.seeds=2\nrdm.dim=4\nrdm.n=2\n")
     code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg])
     assert code == 0
     rep = parse_json(out)["report"]
@@ -212,8 +212,19 @@ def test_rdm_monotonicity_run(tmp_path):
         assert values[0] <= values[1] + rep["verdict_tol"]
 
 
+def test_rdm_monotonicity_default_config_certifies_every_pair():
+    # 20 pairs at the default solver settings; every solve must reach its
+    # certified gap within the default iteration ceiling
+    code, out, err = run_cli(["rdm-monotonicity"])
+    assert code == 0, err
+    rep = parse_json(out)["report"]
+    assert rep["passed"] is True
+    assert len(rep["rows"]) == 20
+    assert all(row["monotone"] is True and row["error"] is None for row in rep["rows"])
+
+
 def test_rdm_monotonicity_csv_columns(tmp_path):
-    cfg = write_config(tmp_path, "rdm.seeds=1\nrdm.dim=4\nrdm.n=2\nw1.max_iter=200000\n")
+    cfg = write_config(tmp_path, "rdm.seeds=1\nrdm.dim=4\nrdm.n=2\n")
     code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg, "--format", "csv"])
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))

@@ -19,7 +19,7 @@ from fermiflow import (ConfigurationDistribution, EnumerationCapError,
                        exact_mixed_distribution,
                        expected_count, ordered_measurement_distribution,
                        orthonormalize, projection_kernel, random_orthonormal,
-                       sample_mixed_dpp, sample_projection_dpp,
+                       sample_projection_dpp,
                        stream_generator, walsh_family)
 
 
@@ -182,8 +182,9 @@ def test_mixed_sampler_degenerate_eigenvalues():
     ones = MixedKernelSpec(np.ones(2), fam)
     zeros = MixedKernelSpec(np.zeros(2), fam)
     for _ in range(20):
-        assert len(sample_mixed_dpp(ones, rng)) == 2
-        assert sample_mixed_dpp(zeros, rng) == ()
+        full, empty = coupled_sample_pair(ones, zeros, rng)
+        assert len(full) == 2
+        assert empty == ()
 
 
 def test_mixed_cardinality_law_is_poisson_binomial():

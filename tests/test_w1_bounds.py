@@ -3,9 +3,9 @@ import pytest
 from fractions import Fraction
 
 from fermiflow import (OverlapMatrix, example_gap_table, overlap_matrix,
-                       random_orthonormal, slater_bounds_report,
-                       stabilizer_max_overlap, stabilizer_max_overlap_ascent,
-                       trace_distance_slater, w1_upper_slater)
+                       random_orthonormal, stabilizer_max_overlap,
+                       stabilizer_max_overlap_ascent, trace_distance_slater,
+                       w1_upper_slater)
 
 # frozen: 1 - (1 - 2^-20)/20 in exact rationals, then to float
 STAB_DIAG_20 = float(1 - (1 - Fraction(1, 2 ** 20)) / 20)
@@ -87,30 +87,33 @@ def test_ascent_oracle_matches_svd():
 
 def test_report_self_is_all_zero():
     fam = random_orthonormal(6, 3, 1)
-    rep = slater_bounds_report(fam, fam)
-    assert rep.trace_distance == pytest.approx(0.0, abs=1e-9)
-    assert rep.w1_upper == pytest.approx(0.0, abs=1e-7)
-    assert rep.stabilizer_overlap == pytest.approx(1.0, abs=1e-10)
+    m = overlap_matrix(fam, fam)
+    assert trace_distance_slater(m) == pytest.approx(0.0, abs=1e-9)
+    assert w1_upper_slater(m) == pytest.approx(0.0, abs=1e-7)
+    assert stabilizer_max_overlap(m) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_report_invariant_under_recombination():
     a = random_orthonormal(6, 3, 2)
     b = a.recombined(haar_unitary(3, 5))
-    rep = slater_bounds_report(a, b)
-    assert rep.trace_distance == pytest.approx(0.0, abs=1e-8)
-    assert rep.w1_upper == pytest.approx(0.0, abs=1e-4)
+    m = overlap_matrix(a, b)
+    assert trace_distance_slater(m) == pytest.approx(0.0, abs=1e-8)
+    assert w1_upper_slater(m) == pytest.approx(0.0, abs=1e-4)
 
 
 def test_report_chain_fields():
+    # trace <= w1_upper <= n * trace on one pair of determinant states, the
+    # stabilizer overlap being the mean singular value of the overlap matrix
     a = random_orthonormal(6, 3, 3)
     b = random_orthonormal(6, 3, 4, space=a.space)
-    rep = slater_bounds_report(a, b)
-    assert rep.n == 3
-    assert rep.trace_distance <= rep.w1_upper + 1e-9
-    assert rep.w1_upper <= rep.n_times_trace + 1e-9
-    assert rep.n_times_trace == pytest.approx(3 * rep.trace_distance, abs=1e-12)
-    assert len(rep.singular_values) == 3
-    assert rep.stabilizer_overlap == pytest.approx(sum(rep.singular_values) / 3, abs=1e-12)
+    m = overlap_matrix(a, b)
+    trace = trace_distance_slater(m)
+    upper = w1_upper_slater(m)
+    assert m.n == 3
+    assert trace <= upper + 1e-9
+    assert upper <= 3 * trace + 1e-9
+    assert len(m.singular_values) == 3
+    assert stabilizer_max_overlap(m) == pytest.approx(sum(m.singular_values) / 3, abs=1e-12)
 
 
 def test_gap_table_frozen_columns():

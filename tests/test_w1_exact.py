@@ -1,18 +1,25 @@
 """Exact quantum transport solver: partial traces, the splitting scheme and
-its certificates, classical witnesses, reduced-state monotonicity."""
+its certified intervals, the classical Hamming reference, reduced-state
+monotonicity."""
 
+import importlib
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fermiflow import (ConvergenceError, DensityOperator,
-                       classical_hamming_w1, dual_witness_from_classical,
-                       full_state_vector, overlap_matrix, partial_trace,
+                       classical_hamming_w1, full_state_vector, overlap_matrix,
                        projection_kernel, random_orthonormal,
                        rdm_monotonicity_check, reduced_density_matrix,
                        trace_distance_slater, w1_exact, w1_upper_slater)
+from fermiflow.slater import _partial_trace_matrix
 from fermiflow.w1_exact import _ConstraintProjector
+
+w1_module = importlib.import_module("fermiflow.w1_exact")
+DEFAULT_TOL = 1e-5
 
 
 def random_density(dim, seed):
@@ -36,7 +43,7 @@ def half_trace_norm(x):
 
 def test_partial_trace_everything_gives_trace():
     m = random_density(4, 0)
-    out = partial_trace(m, (2, 2), (0, 1))
+    out = _partial_trace_matrix(m, (2, 2), (0, 1))
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(np.trace(m), abs=1e-12)
 
@@ -45,14 +52,14 @@ def test_partial_trace_product_state():
     r1 = random_density(2, 1)
     r2 = random_density(3, 2)
     joint = np.kron(r1, r2)
-    np.testing.assert_allclose(partial_trace(joint, (2, 3), (1,)), r1, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(joint, (2, 3), (0,)), r2, atol=1e-12)
+    np.testing.assert_allclose(_partial_trace_matrix(joint, (2, 3), (1,)), r1, atol=1e-12)
+    np.testing.assert_allclose(_partial_trace_matrix(joint, (2, 3), (0,)), r2, atol=1e-12)
 
 
 def test_partial_trace_slater_pair_gives_kernel():
     fam = random_orthonormal(4, 2, 3)
     state = full_state_vector(fam)
-    direct = partial_trace(state.matrix, state.dims, (1,))
+    direct = _partial_trace_matrix(state.matrix, state.dims, (1,))
     via_rdm = reduced_density_matrix(state, 1)
     np.testing.assert_allclose(direct, via_rdm.matrix, atol=1e-12)
     k = projection_kernel(fam)
@@ -63,7 +70,7 @@ def test_partial_trace_slater_pair_gives_kernel():
 
 def test_partial_trace_index_out_of_range():
     with pytest.raises(ValueError):
-        partial_trace(np.eye(4) / 4, (2, 2), (2,))
+        _partial_trace_matrix(np.eye(4) / 4, (2, 2), (2,))
 
 
 def constraint_map(dims):
@@ -106,9 +113,11 @@ def test_constraint_projection_matches_least_squares(dims):
 
 
 def test_w1_identical_states_is_zero():
+    # a zero difference leaves every iterate and the multiplier at zero, so
+    # the first gap test certifies the interval [0, 0]
     rho = DensityOperator((2, 2), random_density(4, 4))
     cert = w1_exact(rho, rho)
-    assert cert.value == pytest.approx(0.0, abs=1e-8)
+    assert (cert.value, cert.lower, cert.gap, cert.iterations) == (0.0, 0.0, 0.0, 1)
 
 
 def test_w1_product_states_single_factor():
@@ -118,7 +127,19 @@ def test_w1_product_states_single_factor():
     rho = DensityOperator((2, 2), np.kron(r1, omega))
     sig = DensityOperator((2, 2), np.kron(s1, omega))
     cert = w1_exact(rho, sig)
-    assert cert.value == pytest.approx(half_trace_norm(r1 - s1), abs=1e-4)
+    single = half_trace_norm(r1 - s1)
+    assert cert.value == pytest.approx(single, abs=1e-4)
+    assert cert.lower - 1e-12 <= single <= cert.value + 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_w1_single_site_is_trace_distance(dim):
+    rho = DensityOperator((dim,), random_density(dim, 30 + dim))
+    sig = DensityOperator((dim,), random_density(dim, 40 + dim))
+    cert = w1_exact(rho, sig)
+    trace = half_trace_norm(rho.matrix - sig.matrix)
+    assert cert.lower - 1e-12 <= trace <= cert.value + 1e-12
+    assert cert.value - cert.lower <= DEFAULT_TOL
 
 
 def test_w1_two_qubit_pure_sandwich():
@@ -137,14 +158,14 @@ def test_w1_certificate_feasibility():
     total = sum(cert.primal_parts)
     np.testing.assert_allclose(total, rho.matrix - sig.matrix, atol=1e-8)
     for i, part in enumerate(cert.primal_parts):
-        reduced = partial_trace(part, (2, 2), (i,))
+        reduced = _partial_trace_matrix(part, (2, 2), (i,))
         np.testing.assert_allclose(reduced, np.zeros_like(reduced), atol=1e-8)
     # reported coefficients are the halved trace norms of the parts
     for weight, part in zip(cert.part_weights, cert.primal_parts):
         assert weight == pytest.approx(half_trace_norm(part), abs=1e-10)
     assert cert.value == pytest.approx(sum(cert.part_weights), abs=1e-10)
-    assert cert.dual_witness_value <= cert.value + 1e-6
-    assert cert.gap == pytest.approx(cert.value - cert.dual_witness_value, abs=1e-12)
+    assert cert.gap == cert.value - cert.lower
+    assert 0.0 <= cert.gap <= DEFAULT_TOL
     assert cert.feasibility_error <= 1e-10
 
 
@@ -166,6 +187,24 @@ def test_w1_convergence_error_carries_residuals():
         w1_exact(rho, sig, max_iter=1)
     assert exc.value.iterations == 1
     assert exc.value.primal_residual > 0
+    # the message states the certified gap the last test reached
+    reached = re.search(r"\(gap (\S+) between (\S+) and (\S+)\)", str(exc.value))
+    assert reached is not None
+    gap, lower, value = map(float, reached.groups())
+    assert gap > DEFAULT_TOL
+    assert gap == pytest.approx(value - lower, rel=1e-3, abs=2e-6)
+
+
+def test_w1_exact_makes_no_transport_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("w1_exact solved a transport problem")
+
+    monkeypatch.setattr(w1_module, "metric_transport_values", refuse)
+    monkeypatch.setattr(w1_module, "ot_cost", refuse)
+    rho = DensityOperator((2, 2), random_density(4, 13))
+    sig = DensityOperator((2, 2), random_density(4, 14))
+    cert = w1_exact(rho, sig)
+    assert cert.gap <= DEFAULT_TOL
 
 
 def test_w1_dimension_cap():
@@ -175,48 +214,42 @@ def test_w1_dimension_cap():
         w1_exact(flat, flat)
 
 
-def test_witness_zero_function():
-    rho = DensityOperator((2, 2), random_density(4, 13))
-    sig = DensityOperator((2, 2), random_density(4, 14))
-    assert dual_witness_from_classical(lambda t: 0.0, rho, sig) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_witness_hamming_weight_on_diagonals():
+    # the Hamming weight is a 1-Lipschitz witness, so it bounds the classical
+    # distance from below; between the point masses at 00 and 11 it attains it
     rng = np.random.default_rng(15)
     p = rng.random(4); p /= p.sum()
     q = rng.random(4); q /= q.sum()
+    weights = np.array([0, 1, 1, 2], dtype=float)
     rho = DensityOperator((2, 2), np.diag(p))
     sig = DensityOperator((2, 2), np.diag(q))
-    value = dual_witness_from_classical(lambda t: float(sum(t)), rho, sig)
-    weights = np.array([0, 1, 1, 2], dtype=float)
-    assert value == pytest.approx(float(weights @ (p - q)), abs=1e-12)
+    assert classical_hamming_w1(rho, sig) >= abs(float(weights @ (p - q))) - 1e-12
+    corner = DensityOperator((2, 2), np.diag([1.0, 0.0, 0.0, 0.0]))
+    opposite = DensityOperator((2, 2), np.diag([0.0, 0.0, 0.0, 1.0]))
+    assert classical_hamming_w1(corner, opposite) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_witness_weak_duality():
-    rng = np.random.default_rng(16)
-    for seed in range(3):
-        p = rng.random(4); p /= p.sum()
-        q = rng.random(4); q /= q.sum()
-        rho = DensityOperator((2, 2), np.diag(p))
-        sig = DensityOperator((2, 2), np.diag(q))
+    # classical reference <= certified lower <= value, the gap within tol;
+    # the lower end of a loose solve never passes the value of a tight one
+    for dims, seed in itertools.product([(2, 2), (3, 2), (2, 2, 2)], range(3)):
+        rho = DensityOperator(dims, random_density(math.prod(dims), 50 + seed))
+        sig = random_pure(dims, 60 + seed)
         cert = w1_exact(rho, sig)
-        for f in (lambda t: float(sum(t)), lambda t: float(t[0]),
-                  lambda t: float(t[0] != t[1])):
-            assert dual_witness_from_classical(f, rho, sig) <= cert.value + 1e-6
-
-
-def test_witness_rejects_non_lipschitz():
-    rho = DensityOperator((2, 2), random_density(4, 17))
-    sig = DensityOperator((2, 2), random_density(4, 18))
-    with pytest.raises(ValueError):
-        dual_witness_from_classical(lambda t: 3.0 * t[0], rho, sig)
+        assert classical_hamming_w1(rho, sig) <= cert.lower + 1e-12
+        assert cert.lower <= cert.value
+        assert cert.gap <= DEFAULT_TOL
+        tight = w1_exact(rho, sig, tol=1e-8)
+        assert tight.gap <= 1e-8
+        assert cert.lower <= tight.value + 1e-12
+        assert tight.lower <= cert.value + 1e-12
 
 
 def test_mixed_versus_superposition_blind_spot():
     # maximally mixed pair of qubits against the uniform superposition:
-    # the spectral gap puts them at distance 3/4, yet both push forward
-    # to the uniform law in the shared product basis, so every classical
-    # witness from that basis reports 0
+    # the spectral gap puts them at distance at least 3/4, yet both push
+    # forward to the uniform law in the shared product basis, so the
+    # classical reference reports 0 while the certified dual does not
     rho = DensityOperator((2, 2), np.eye(4) / 4)
     v = np.full(4, 0.5)
     sig = DensityOperator((2, 2), np.outer(v, v))
@@ -224,11 +257,9 @@ def test_mixed_versus_superposition_blind_spot():
     eigs = np.sort(np.linalg.eigvalsh(diff))
     np.testing.assert_allclose(eigs, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
     assert half_trace_norm(diff) == pytest.approx(0.75, abs=1e-12)
-    for f in (lambda t: float(sum(t)), lambda t: float(t[0]),
-              lambda t: float(t[1]), lambda t: float(t[0] != t[1])):
-        assert dual_witness_from_classical(f, rho, sig) == pytest.approx(0.0, abs=1e-12)
+    assert classical_hamming_w1(rho, sig) == pytest.approx(0.0, abs=1e-12)
     cert = w1_exact(rho, sig)
-    assert cert.value >= 0.75 - 1e-6
+    assert cert.lower >= 0.75 - DEFAULT_TOL
 
 
 def test_rdm_monotonicity_equal_families():
@@ -241,7 +272,7 @@ def test_rdm_monotonicity_equal_families():
 def test_rdm_monotonicity_haar_pair():
     a = random_orthonormal(4, 2, 20)
     b = random_orthonormal(4, 2, 21, space=a.space)
-    rows = rdm_monotonicity_check(a, b, max_iter=200_000)
+    rows = rdm_monotonicity_check(a, b)
     values = [value for _, value in rows]
     assert values[0] <= values[1] + 2e-4
     # the full-state row obeys the closed-form bound
