@@ -27,9 +27,8 @@ from .slater import (DensityOperator, OverlapMatrix, ProjectionKernel,
                      projection_kernel, reduced_density_matrix,
                      slater_amplitude, slater_fidelity, slater_state_vector,
                      trace_distance_slater)
-from .transport import (CostMatrix, TransportPlan, hamming_cost,
-                        metric_transport_values, ot_cost, symmetric_difference_cost,
-                        total_variation)
+from .transport import (CostMatrix, FlowGraph, TransportPlan, hamming_graph,
+                        metric_transport_values, ot_cost, subset_graph, total_variation)
 from .w1_bounds import (GapRow, example_gap_table, stabilizer_max_overlap,
                         stabilizer_max_overlap_ascent, w1_upper_slater)
 from .w1_exact import (W1Certificate, classical_hamming_w1, rdm_monotonicity_check,
@@ -44,6 +43,7 @@ __all__ = [
     "DensityOperator",
     "DppBoundsReport",
     "EnumerationCapError",
+    "FlowGraph",
     "GapRow",
     "GroundSpace",
     "MixedKernelSpec",
@@ -68,7 +68,7 @@ __all__ = [
     "expected_count",
     "full_state_vector",
     "gram_matrix",
-    "hamming_cost",
+    "hamming_graph",
     "inner_product",
     "metric_transport_values",
     "ordered_measurement_distribution",
@@ -87,7 +87,7 @@ __all__ = [
     "stabilizer_max_overlap",
     "stabilizer_max_overlap_ascent",
     "stream_generator",
-    "symmetric_difference_cost",
+    "subset_graph",
     "total_variation",
     "trace_distance_slater",
     "tv_bound_general",

@@ -39,7 +39,7 @@ from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
                   index_set_blocks, weighted_index_sets)
 from .ground import OrthonormalFamily, walsh_family
 from .slater import OverlapMatrix, _fidelities, slater_fidelity, trace_distance_slater
-from .transport import CostMatrix, metric_transport_values, ot_cost, total_variation
+from .transport import CostMatrix, metric_transport_values, ot_cost, subset_graph, total_variation
 from .w1_bounds import _mean_overlaps, w1_upper_slater
 
 SUBSET_CAP = 20
@@ -167,8 +167,7 @@ def wsharp_exact(dist_a: ConfigurationDistribution,
     p, q = dist_a.as_dict(), dist_b.as_dict()
     support = sorted(set(p) | set(q), key=lambda c: (len(c), c))
     masses = np.array([[dist.get(c, 0.0) for c in support] for dist in (p, q)])
-    cost = CostMatrix.symmetric_difference(support, support)
-    return 0.5 * float(metric_transport_values(masses[:1], masses[1:], cost)[0])
+    return float(metric_transport_values(masses[:1], masses[1:], subset_graph(support))[0])
 
 
 @dataclass(frozen=True)
@@ -251,13 +250,13 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
             spec_a, spec_b, budget, rng, cap=enumeration_cap)
         pa, pb = counts / budget
         tv_v = 0.5 * float(np.abs(pa - pb).sum())
-        cost = CostMatrix.symmetric_difference(support, support)
+        graph = subset_graph(support)
 
         boot = stream_generator(0 if seed is None else seed, 11)
         tv_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
         ws_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
-        ws = 0.5 * metric_transport_values(np.vstack([pa, ws_boot[0]]),
-                                           np.vstack([pb, ws_boot[1]]), cost)
+        ws = metric_transport_values(np.vstack([pa, ws_boot[0]]), np.vstack([pb, ws_boot[1]]),
+                                     graph)
         ws_v = float(ws[0])
         tv_stats = 0.5 * np.abs(tv_boot[0] - tv_boot[1]).sum(axis=1)
         # the plug-in distances are biased upward and their resamples again, so

@@ -52,6 +52,7 @@ class RunConfig:
     enumeration_cap: int = ENUMERATION_CAP
     dim_cap: int = DIM_CAP
     extra: dict = field(default_factory=dict)
+    read: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
         if self.enumeration_cap <= 0 or self.dim_cap <= 0:
@@ -59,14 +60,16 @@ class RunConfig:
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
-    def get_int(self, key: str, default: int) -> int:
-        return int(self.extra.get(key, default))
+    def get(self, key: str, default):
+        """The key's value, of the default's type; marks the key as read."""
+        self.read.add(key)
+        return type(default)(self.extra.get(key, default))
 
-    def get_float(self, key: str, default: float) -> float:
-        return float(self.extra.get(key, default))
-
-    def get_str(self, key: str, default: str) -> str:
-        return str(self.extra.get(key, default))
+    def reject_unread(self) -> None:
+        """Refuse config keys the command has not read, before it runs anything."""
+        unread = sorted(set(self.extra) - self.read)
+        if unread:
+            raise ValueError(f"config keys not used by this command: {', '.join(unread)}")
 
     def instance_seed(self, command: str, index: int) -> int:
         return (self.seed * 1_000_000
@@ -95,7 +98,7 @@ def _load_config(args) -> RunConfig:
     fmt = extra.pop("format", "json")
     fmt = getattr(args, "format", fmt)
     return RunConfig(
-        seed=seed, fmt=fmt, out=getattr(args, "out", None),
+        seed=seed, fmt=fmt, out=getattr(args, "out", extra.pop("out", None)),
         enumeration_cap=int(extra.pop("enumeration_cap", ENUMERATION_CAP)),
         dim_cap=int(extra.pop("dim_cap", DIM_CAP)),
         extra=extra)
@@ -126,10 +129,11 @@ def _emit(cfg: RunConfig, command: str, report: dict, csv_header: list,
 
 
 def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
-    dim = cfg.get_int("verify_lemma.dim", 6)
-    n = cfg.get_int("verify_lemma.n", 2)
-    seeds = cfg.get_int("verify_lemma.seeds", 10)
-    draws = cfg.get_int("verify_lemma.draws", 20_000)
+    dim = cfg.get("verify_lemma.dim", 6)
+    n = cfg.get("verify_lemma.n", 2)
+    seeds = cfg.get("verify_lemma.seeds", 10)
+    draws = cfg.get("verify_lemma.draws", 20_000)
+    cfg.reject_unread()
 
     rows = []
     worst_incl = worst_mass = worst_diag = 0.0
@@ -172,6 +176,7 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
 
 
 def cmd_walsh(cfg: RunConfig) -> int:
+    cfg.reject_unread()
     rep = walsh_counterexample_report()
     report = json.loads(rep.to_json())
     ok = (report["covariance_adjacent_cells"] == -0.25
@@ -190,13 +195,14 @@ def cmd_walsh(cfg: RunConfig) -> int:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    count = cfg.get_int("bounds.count", 20)
-    dim = cfg.get_int("bounds.dim", 6)
-    n = cfg.get_int("bounds.n", 2)
-    mode = cfg.get_str("bounds.mode", "exact")
-    mixed = cfg.get_int("bounds.mixed_eigenvalues", 0)
-    budget = cfg.get_int("bounds.budget", 20_000)
-    resamples = cfg.get_int("bounds.bootstrap_resamples", 1000)
+    count = cfg.get("bounds.count", 20)
+    dim = cfg.get("bounds.dim", 6)
+    n = cfg.get("bounds.n", 2)
+    mode = cfg.get("bounds.mode", "exact")
+    mixed = cfg.get("bounds.mixed_eigenvalues", 0)
+    budget = cfg.get("bounds.budget", 20_000)
+    resamples = cfg.get("bounds.bootstrap_resamples", 1000)
+    cfg.reject_unread()
     if mode not in ("exact", "empirical"):
         raise ValueError(f"unknown bounds.mode {mode!r}")
 
@@ -237,12 +243,13 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
-    seeds = cfg.get_int("rdm.seeds", 20)
-    dim = cfg.get_int("rdm.dim", 4)
-    n = cfg.get_int("rdm.n", 2)
-    tol = cfg.get_float("w1.tol", 1e-5)
-    max_iter = cfg.get_int("w1.max_iter", 50_000)
-    verdict_tol = 2 * cfg.get_float("rdm.verdict_tol", 1e-4)
+    seeds = cfg.get("rdm.seeds", 20)
+    dim = cfg.get("rdm.dim", 4)
+    n = cfg.get("rdm.n", 2)
+    tol = cfg.get("w1.tol", 1e-5)
+    max_iter = cfg.get("w1.max_iter", 50_000)
+    verdict_tol = 2 * cfg.get("rdm.verdict_tol", 1e-4)
+    cfg.reject_unread()
 
     rows = []
     any_violation = False
@@ -280,7 +287,8 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
 
 
 def cmd_example_gap(cfg: RunConfig) -> int:
-    n_max = cfg.get_int("gap.n_max", 20)
+    n_max = cfg.get("gap.n_max", 20)
+    cfg.reject_unread()
     rows = example_gap_table(n_max)
     report = {"n_max": n_max, "rows": [
         {"n": r.n, "determinant": r.determinant,
@@ -295,7 +303,8 @@ def cmd_example_gap(cfg: RunConfig) -> int:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    only = cfg.get_str("selftest.only", "")
+    only = cfg.get("selftest.only", "")
+    cfg.reject_unread()
     names = [s.strip() for s in only.split(",") if s.strip()] or None
     results = run_all(names)
     for res in results:

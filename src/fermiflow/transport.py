@@ -1,29 +1,46 @@
 """Exact distances between finitely supported distributions.
 
-Total variation, Hamming and symmetric-difference ground costs, and exact
-optimal transport as linear programs solved by HiGHS: `ot_cost` gives one
-plan with dual potentials on any cost, `metric_transport_values` the values
-of a batch of pairs on one metric cost. scipy is imported at the first
-solve, which keeps `import fermiflow` light.
+Total variation, and exact optimal transport as min-cost-flow LPs solved by
+HiGHS. Under the shortest-path metric of a sparse graph, W1 is the cheapest
+flow along the arcs whose divergence is p - q (Beckmann's form): one
+nonnegative variable per arc, priced by its length, and one row per vertex
+but the last. `metric_transport_values` solves a batch of pairs on one
+`FlowGraph` so; two builders give the graphs:
+
+- `subset_graph`: configurations joined by adding or removing one point, at
+  length 1/2, so the metric is (1/2) card(A delta B). Its vertices are the
+  subsets of the support's points with sizes in the band of the support's
+  sizes, one size lower when all are equal. A shortest path from A to B
+  alternates removing a point of A not in B with adding one of B not in A,
+  so it stays between |A| and |B|, or within one of them when |A| = |B|:
+  it never leaves the band, and a swap needs no arc of its own.
+- `hamming_graph`: the outcome grid of a few sites, joined at length 1 by
+  changing one site's outcome, so the metric is the Hamming distance.
+
+`ot_cost` solves the same LP, whole, on the complete bipartite graph of any
+cost, with dual potentials. Every LP is held to VARIABLE_CAP variables before
+it is built. scipy is imported at the first solve, keeping `import fermiflow` light.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-SUPPORT_CAP = 2000
 # HiGHS primal and dual feasibility tolerance, its smallest allowed value: at
 # its default of 1e-7, plan marginals drift by up to 1e-7, above the 1e-9
 # that the selftest allows
 LP_TOL = 1e-10
-# cells per HiGHS call (HiGHS takes about 1 kB per variable), and the
-# cheapest cells of each row and column that every block starts from
-LP_CELLS = 1_000
-START_CELLS = 3
+# variables per HiGHS call into which the flow LPs of a batch are packed
+LP_VARIABLES = 2_000
+# variables of one pair's LP: HiGHS takes about 1 kB per variable, so one LP
+# stays within about 256 MB
+VARIABLE_CAP = 250_000
 
 
 def total_variation(p, q) -> float:
@@ -34,18 +51,6 @@ def total_variation(p, q) -> float:
                 raise ValueError(f"negative mass {mass} at {key}")
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def hamming_cost(x, y) -> int:
-    """Number of coordinates where the two equal-length tuples differ."""
-    if len(x) != len(y):
-        raise ValueError("tuples must have equal length")
-    return sum(1 for a, b in zip(x, y) if a != b)
-
-
-def symmetric_difference_cost(a, b) -> int:
-    """Size of the symmetric difference of two point sets."""
-    return len(set(a) ^ set(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +76,6 @@ class CostMatrix:
         rows = tuple(row_labels)
         cols = tuple(col_labels)
         vals = np.array([[float(fn(r, c)) for c in cols] for r in rows])
-        return cls(vals, rows, cols)
-
-    @classmethod
-    def symmetric_difference(cls, row_configs, col_configs) -> "CostMatrix":
-        """`symmetric_difference_cost` between configurations, without a call per cell.
-
-        With 0/1 memberships x, card(A delta B) = |A| + |B| - 2 x_A . x_B, a sum
-        of small integers, so the values are exact.
-        """
-        rows, cols = tuple(row_configs), tuple(col_configs)
-        n_points = 1 + max((max(c) for c in rows + cols if c), default=-1)
-        xa, xb = np.zeros((len(rows), n_points)), np.zeros((len(cols), n_points))
-        for x, configs in ((xa, rows), (xb, cols)):
-            for i, config in enumerate(configs):
-                x[i, list(config)] = 1.0
-        vals = xa @ xb.T  # in place from here: one matrix, no temporaries
-        vals *= -2.0
-        vals += xa.sum(axis=1)[:, None]
-        vals += xb.sum(axis=1)[None, :]
         return cls(vals, rows, cols)
 
 
@@ -134,96 +120,108 @@ def _masses(dist, labels) -> np.ndarray:
     return masses / masses.sum()
 
 
-def _start_cells(cost, supply, demand) -> np.ndarray:
-    """The START_CELLS cheapest cells of every row and column, and the
-    northwest-corner staircase, a feasible plan, so every restricted LP is feasible."""
-    cells = np.zeros(cost.shape, dtype=bool)
-    for axis in (0, 1):
-        k = min(START_CELLS, cost.shape[axis])
-        cheapest = np.argpartition(cost, k - 1, axis=axis).take(np.arange(k), axis=axis)
-        np.put_along_axis(cells, cheapest, True, axis=axis)
-    cuts = np.concatenate([np.cumsum(supply)[:-1], np.cumsum(demand)[:-1]])
-    right = (np.arange(cuts.size) >= supply.size - 1)[np.argsort(cuts, kind="stable")]
-    cells[np.cumsum(np.append(0, ~right)), np.cumsum(np.append(0, right))] = True
-    return cells
+def _check_variables(count: int) -> None:
+    if count > VARIABLE_CAP:
+        raise ValueError(f"transport LP needs {count} variables, past the variable cap "
+                         f"{VARIABLE_CAP}")
 
 
-def _restricted_lp(blocks, cells) -> list:
-    """One HiGHS LP over the given cells of every block (cost, supply, demand).
+@dataclass(frozen=True, eq=False)
+class FlowGraph:
+    """Arcs tail -> head of nonnegative length on `n_vertices` vertices.
 
-    A block's constraints are its row sums and every column sum but the last,
-    which the others imply: kept, HiGHS presolve calls some balanced problems
-    infeasible (presolve is off all the same; here it costs time and memory).
-    Returns per block the flow and the potentials (u, v), the dropped v being 0.
+    The first len(labels) vertices carry the labels that masses are given
+    on; the others only pass flow.
     """
+
+    labels: tuple
+    n_vertices: int
+    tail: np.ndarray
+    head: np.ndarray
+    length: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, dtype in (("tail", np.intp), ("head", np.intp), ("length", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if (not self.tail.shape == self.head.shape == self.length.shape
+                or len(self.labels) > self.n_vertices or np.any(self.length < 0)):
+            raise ValueError("need one tail, head and nonnegative length per arc, "
+                             "and no more labels than vertices")
+
+
+def subset_graph(configs) -> FlowGraph:
+    """Configurations (sorted tuples of points) joined by adding or removing one point.
+
+    Arcs have length 1/2, so the shortest-path metric is (1/2) card(A delta B).
+    The given configurations come first; then every other subset of their
+    points in the band of sizes (see the module docstring). The arcs are
+    counted against VARIABLE_CAP before any subset is listed.
+    """
+    labels = tuple(configs)
+    points = sorted(set().union(*labels))
+    lo, hi = min(map(len, labels)), max(map(len, labels))
+    if lo == hi > 0:
+        lo -= 1
+    _check_variables(2 * sum(k * math.comb(len(points), k) for k in range(lo + 1, hi + 1)))
+    index = dict(zip(labels, itertools.count()))
+    for size in range(lo, hi + 1):
+        for subset in itertools.combinations(points, size):
+            index.setdefault(subset, len(index))
+    down = np.array([(i, index[c[:j] + c[j + 1:]]) for c, i in index.items() if len(c) > lo
+                     for j in range(len(c))], dtype=np.intp).reshape(-1, 2).T
+    return FlowGraph(labels, len(index), down.ravel(), down[::-1].ravel(),
+                     np.full(down.size, 0.5))
+
+
+def hamming_graph(dims) -> FlowGraph:
+    """Outcome tuples of sites with `dims` outcomes, in `itertools.product` order,
+    joined at length 1 by changing one site's outcome: the metric is the Hamming distance."""
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    _check_variables(grid.size * sum(d - 1 for d in dims))
+    heads = np.array([np.roll(grid, shift, axis=site).ravel()
+                      for site, d in enumerate(dims) for shift in range(1, d)], dtype=np.intp)
+    return FlowGraph(tuple(itertools.product(*map(range, dims))), grid.size,
+                     np.tile(grid.ravel(), len(heads)), heads.ravel(), np.ones(heads.size))
+
+
+def _min_cost_flows(graph: FlowGraph, excess: np.ndarray) -> tuple:
+    """Cheapest flows on the graph whose divergences are the rows of `excess`.
+
+    Each row is one LP; rows share HiGHS calls of about LP_VARIABLES
+    variables, one block each. A block's constraints are the divergences of
+    every vertex but the last, which the others imply: kept, HiGHS presolve
+    calls some balanced problems infeasible (presolve is off all the same;
+    here it costs time and memory). Returns per row the arc flows and the
+    vertex potentials y, with y[tail] - y[head] <= length and y = 0 at the
+    last vertex.
+    """
+    _check_variables(graph.tail.size)
     from scipy import sparse
     from scipy.optimize import linprog
 
-    rows, cols, rhs, var0, con0 = [], [], [], [0], [0]
-    for (cost, supply, demand), active in zip(blocks, cells):
-        i, j = np.nonzero(active)
-        variables, kept = var0[-1] + np.arange(i.size), j < cost.shape[1] - 1
-        rows += [con0[-1] + i, con0[-1] + cost.shape[0] + j[kept]]
-        cols += [variables, variables[kept]]
-        rhs += [supply, demand[:-1]]
-        var0.append(var0[-1] + i.size)
-        con0.append(con0[-1] + sum(cost.shape) - 1)
-    rows = np.concatenate(rows)
-    a_eq = sparse.coo_array((np.ones(rows.size), (rows, np.concatenate(cols))),
-                            shape=(con0[-1], var0[-1]))
-    objective = np.concatenate([cost[active] for (cost, _, _), active in zip(blocks, cells)])
-    res = linprog(objective, A_eq=a_eq, b_eq=np.concatenate(rhs), bounds=(0, None),
-                  method="highs", options={"presolve": False,
-                                           "primal_feasibility_tolerance": LP_TOL,
-                                           "dual_feasibility_tolerance": LP_TOL})
-    if res.status != 0:
-        raise ConvergenceError(f"transport LP not solved: {res.message}")
-    out = []
-    for b, ((cost, _, _), active) in enumerate(zip(blocks, cells)):
-        flow = np.zeros(cost.shape)
-        flow[active] = res.x[var0[b]:var0[b + 1]]
-        duals = res.eqlin.marginals[con0[b]:con0[b + 1]]
-        out.append((flow, duals[:cost.shape[0]], np.append(duals[cost.shape[0]:], 0.0)))
-    return out
-
-
-def _solve_blocks(blocks) -> list:
-    """Optimal (flow, u, v) of independent transport problems (cost, supply, demand).
-
-    Blocks share LPs of about LP_CELLS cells, each over a changing set of cells
-    (column generation): every row and column adds its cell of most negative
-    reduced cost c - u - v, and cells off the plan with positive reduced cost
-    leave, which keeps HiGHS's memory small, until a cell comes back; from then
-    on cells only enter, so the loop ends, once no reduced cost is below -LP_TOL.
-    """
-    cells = [_start_cells(*block) for block in blocks]
-    entered = [np.zeros_like(active) for active in cells]
-    pruning = [True] * len(blocks)
-    chunk_of = np.cumsum([active.sum() for active in cells]) // LP_CELLS
-    out = []
-    for chunk in np.unique(chunk_of):
-        members = np.flatnonzero(chunk_of == chunk)
-        grew = True
-        while grew:
-            solved = _restricted_lp([blocks[b] for b in members], [cells[b] for b in members])
-            grew = False
-            for b, (flow, u, v) in zip(members, solved):
-                reduced = blocks[b][0] - u[:, None] - v
-                outside = np.where(cells[b], 0.0, reduced)
-                add = np.zeros(reduced.shape, dtype=bool)
-                for axis in (0, 1):
-                    np.put_along_axis(add, outside.argmin(axis=axis, keepdims=True), True, axis=axis)
-                add &= outside < -LP_TOL
-                if not add.any():
-                    continue
-                pruning[b] = pruning[b] and not (add & entered[b]).any()
-                entered[b] |= add
-                if pruning[b]:
-                    cells[b] &= (flow > 0) | (reduced <= LP_TOL)
-                cells[b] |= add
-                grew = True
-        out += solved
-    return out
+    n_arcs, n_rows = graph.tail.size, graph.n_vertices - 1
+    per_lp = min(len(excess), max(1, LP_VARIABLES // max(n_arcs, 1)))
+    incidence = sparse.csr_array((np.repeat([1.0, -1.0], n_arcs),
+                                  (np.concatenate([graph.tail, graph.head]),
+                                   np.tile(np.arange(n_arcs), 2))),
+                                 shape=(graph.n_vertices, n_arcs))[:-1]
+    packed = sparse.kron(sparse.eye_array(per_lp), incidence, format="csc")
+    flows, potentials = [], []
+    for start in range(0, len(excess), per_lp):
+        block = excess[start:start + per_lp]
+        res = linprog(np.tile(graph.length, len(block)),
+                      A_eq=packed[:len(block) * n_rows, :len(block) * n_arcs],
+                      b_eq=block[:, :-1].ravel(), bounds=(0, None),
+                      method="highs", options={"presolve": False,
+                                               "primal_feasibility_tolerance": LP_TOL,
+                                               "dual_feasibility_tolerance": LP_TOL})
+        if res.status != 0:
+            raise ConvergenceError(f"transport LP not solved: {res.message}")
+        flows.append(res.x.reshape(len(block), n_arcs))
+        duals = res.eqlin.marginals.reshape(len(block), n_rows)
+        potentials.append(np.hstack([duals, np.zeros((len(block), 1))]))
+    return np.vstack(flows), np.vstack(potentials)
 
 
 def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
@@ -231,12 +229,11 @@ def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
 
     `p` and `q` map labels to masses; their supports must be contained in
     the cost matrix labels and their totals must agree within 1e-8. Each is
-    normalized to total 1. HiGHS's simplex is deterministic, so repeated
+    normalized to total 1. One LP over every cell of the cost, a flow from
+    row to column vertices; HiGHS's simplex is deterministic, so repeated
     calls return the same plan.
     """
     rows, cols = cost.row_labels, cost.col_labels
-    if max(cost.values.shape) > SUPPORT_CAP:
-        raise ValueError(f"support cap {SUPPORT_CAP} exceeded")
     missing = set(p) - set(rows)
     if missing:
         raise ValueError(f"source atoms missing from cost rows: {sorted(map(str, missing))[:3]}")
@@ -247,7 +244,12 @@ def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
         raise ValueError("total masses differ by more than 1e-8")
 
     supply, demand = _masses(p, rows), _masses(q, cols)
-    [(flow, u, v)] = _solve_blocks([(cost.values, supply, demand)])
+    n_rows, n_cols = cost.values.shape
+    i, j = np.divmod(np.arange(cost.values.size), n_cols)
+    graph = FlowGraph(rows + cols, n_rows + n_cols, i, n_rows + j, cost.values.ravel())
+    flows, y = _min_cost_flows(graph, np.concatenate([supply, -demand])[None])
+    flow = flows[0].reshape(cost.values.shape)
+    u, v = y[0, :n_rows], -y[0, n_rows:]
     plan = tuple((int(i), int(j), float(flow[i, j])) for i, j in np.argwhere(flow > 0))
     value = float(sum(mass * cost.values[i, j] for i, j, mass in plan))
     return TransportPlan(
@@ -261,34 +263,26 @@ def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
     )
 
 
-def metric_transport_values(p_rows, q_rows, cost: CostMatrix) -> np.ndarray:
-    """Optimal transport values of the pairs (p_rows[k], q_rows[k]) on one metric cost.
+def metric_transport_values(p_rows, q_rows, graph: FlowGraph) -> np.ndarray:
+    """Optimal transport values of the pairs (p_rows[k], q_rows[k]) under the
+    graph's shortest-path metric.
 
-    Rows hold masses over the cost's labels, taken as given; each pair's totals
-    must agree within 1e-8. On a metric the common mass min(p, q) stays put, so
-    a pair moves only its excess (p - q)+ onto (p - q)-, one block of a shared
-    LP; pairs with p == q cost 0.
+    Rows hold masses over `graph.labels`, taken as given; each pair's totals
+    must agree within 1e-8. Each pair is one min-cost-flow LP whose
+    divergence is p - q on the labels and 0 at every other vertex; pairs with
+    p == q cost 0 without one.
     """
-    p, q, c = np.atleast_2d(p_rows), np.atleast_2d(q_rows), cost.values
-    if max(c.shape) > SUPPORT_CAP:
-        raise ValueError(f"support cap {SUPPORT_CAP} exceeded")
-    # symmetric, zero on the diagonal, c[i, k] <= c[i, j] + c[j, k]
-    if (cost.row_labels != cost.col_labels or not np.array_equal(c, c.T) or c.diagonal().any()
-            or not all(np.all(c <= c[:, [j]] + c[j]) for j in range(len(c)))):
-        raise ValueError("cost must be a metric on one set of labels")
-    if p.shape != q.shape or p.shape[1] != len(c):
-        raise ValueError("mass rows must match each other and the cost labels")
+    p, q = np.atleast_2d(p_rows), np.atleast_2d(q_rows)
+    if p.shape != q.shape or p.shape[1] != len(graph.labels):
+        raise ValueError("mass rows must match each other and the graph labels")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("negative mass in distribution")
     if np.any(np.abs(p.sum(axis=1) - q.sum(axis=1)) > 1e-8):
         raise ValueError("total masses differ by more than 1e-8")
-    moving, blocks = [], []
-    for k, d in enumerate(p - q):
-        src, dst = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
-        if src.size and dst.size:
-            moving.append(k)
-            blocks.append((c[np.ix_(src, dst)], d[src], -d[dst]))
+    excess = np.zeros((len(p), graph.n_vertices))
+    excess[:, :p.shape[1]] = p - q
+    moving = np.flatnonzero((excess > 0).any(axis=1) & (excess < 0).any(axis=1))
     values = np.zeros(len(p))
-    values[moving] = [np.sum(flow * block[0])
-                      for (flow, _, _), block in zip(_solve_blocks(blocks), blocks)]
+    if moving.size:
+        values[moving] = _min_cost_flows(graph, excess[moving])[0] @ graph.length
     return values

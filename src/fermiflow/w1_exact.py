@@ -30,7 +30,6 @@ distance lies in an interval of width at most `tol`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ from .ground import OrthonormalFamily
 from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
                      reduced_density_matrix)
 # ot_cost is not called here, but perfbench/tracing.py looks it up by this name
-from .transport import CostMatrix, hamming_cost, metric_transport_values, ot_cost
+from .transport import hamming_graph, metric_transport_values, ot_cost
 
 DIM_CAP = 64
 # ADMM over-relaxation factor
@@ -170,10 +169,8 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
     witness. The solver does not use it; it is an independent reference
     for the certified lower bound.
     """
-    grid = list(itertools.product(*(range(d) for d in rho.dims)))
-    cost = CostMatrix.from_function(grid, grid, hamming_cost)
     masses = np.maximum(np.real([np.diag(rho.matrix), np.diag(sigma.matrix)]), 0.0)
-    return float(metric_transport_values(masses[:1], masses[1:], cost)[0])
+    return float(metric_transport_values(masses[:1], masses[1:], hamming_graph(rho.dims))[0])
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,

@@ -200,6 +200,38 @@ def test_bounds_empirical_intervals_hold_their_values(tmp_path):
         assert lo <= inst[f"{name}_value"] <= hi
 
 
+def test_bounds_past_the_variable_cap_exits_2(tmp_path):
+    # 6 of 30 points: the bootstrap's subset graph has 2 * 6 * C(30, 6) arcs; the
+    # enumeration cap only keeps the sampler from listing 593,775 minors per law
+    cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=30\nbounds.n=6\n"
+                       "bounds.mode=empirical\nbounds.budget=200\n"
+                       "bounds.bootstrap_resamples=10\nenumeration_cap=1000\n")
+    code, out, err = run_cli(["bounds", "--config", cfg])
+    assert code == 2
+    assert "needs 7125300 variables, past the variable cap" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, text", [
+    ("rdm-monotonicity", "rdm.seeds=1\nw1.tolerance=1e-12\n"),
+    ("bounds", "bounds.count=1\nbounds.tolerance=5\nw1.rho_penalty=2\n"),
+])
+def test_unread_config_keys_exit_2(tmp_path, command, text, monkeypatch):
+    import fermiflow.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance ran despite an unread key")
+
+    monkeypatch.setattr(cli_module, "rdm_monotonicity_check", refuse)
+    monkeypatch.setattr(cli_module, "verify_instance", refuse)
+    code, out, err = run_cli([command, "--config", write_config(tmp_path, text)])
+    assert code == 2
+    unread = [line.partition("=")[0] for line in text.splitlines()
+              if not line.startswith(("rdm.seeds", "bounds.count"))]
+    assert f"config keys not used by this command: {', '.join(unread)}" in err
+    assert out == ""
+
+
 def test_rdm_monotonicity_run(tmp_path):
     cfg = write_config(tmp_path, "rdm.seeds=2\nrdm.dim=4\nrdm.n=2\n")
     code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg])

@@ -1,8 +1,9 @@
 """Exact transport layer: total variation three ways, the HiGHS solver and
-its certificates, batched values on a metric, Hamming and
-symmetric-difference ground costs."""
+its certificates, batched min-cost-flow values on the subset and Hamming
+graphs against the dense solver, and the variable cap."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fermiflow
-from fermiflow import (ConfigurationDistribution, ConvergenceError, CostMatrix,
-                       hamming_cost, metric_transport_values, ot_cost,
-                       symmetric_difference_cost, total_variation, wsharp_exact)
+import fermiflow.transport as transport_module
+from fermiflow import (ConfigurationDistribution, ConvergenceError, CostMatrix, DensityOperator,
+                       FlowGraph, classical_hamming_w1, hamming_graph, metric_transport_values,
+                       ot_cost, subset_graph, total_variation, wsharp_exact)
+
+
+def hamming_cost(x, y):
+    assert len(x) == len(y)
+    return sum(1 for a, b in zip(x, y) if a != b)
+
+
+def symmetric_difference_cost(a, b):
+    return len(set(a) ^ set(b))
+
+
+def half_symmetric_difference(configs):
+    return CostMatrix.from_function(configs, configs,
+                                    lambda a, b: 0.5 * symmetric_difference_cost(a, b))
+
+
+def point_mass_wsharp(a, b):
+    return wsharp_exact(ConfigurationDistribution([a], [1.0], "exact"),
+                        ConfigurationDistribution([b], [1.0], "exact"))
 
 
 def tv_sup_form(p, q):
@@ -155,17 +176,21 @@ def test_ot_nonoptimal_status_raises_convergence_error(monkeypatch):
 
 def test_metric_values_match_ot_cost():
     points, hamming = hamming_cube(4)
-    configs = [(), (0,), (1,), (0, 1), (0, 2), (1, 3), (0, 1, 2), (2, 3, 4)]
-    symdiff = CostMatrix.symmetric_difference(configs, configs)
+    mixed = [(), (0,), (1,), (0, 1), (0, 2), (1, 3), (0, 1, 2), (2, 3, 4)]
+    single = [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4), (1, 4)]
+    cases = [(hamming_graph((2, 2, 2, 2)), hamming)]
+    cases += [(subset_graph(configs), half_symmetric_difference(configs))
+              for configs in (mixed, single, [(), (1, 2, 3)])]
     rng = np.random.default_rng(31)
-    for cost in (hamming, symdiff):
+    for graph, cost in cases:
+        assert graph.labels == cost.row_labels
         n = len(cost.row_labels)
         p = rng.dirichlet(np.ones(n), size=12)
         q = rng.dirichlet(np.ones(n), size=12)
         q[[0, 5]] = p[[0, 5]]
         q[7] = p[7]
-        q[7, [1, 2]] = p[7, [2, 1]]
-        values = metric_transport_values(p, q, cost)
+        q[7, [0, 1]] = p[7, [1, 0]]
+        values = metric_transport_values(p, q, graph)
         labels = cost.row_labels
         expected = [ot_cost(dict(zip(labels, a)), dict(zip(labels, b)), cost).value
                     for a, b in zip(p, q)]
@@ -174,17 +199,76 @@ def test_metric_values_match_ot_cost():
         assert values[7] > 0.0
 
 
-def test_metric_values_reject_non_metric_cost():
+def test_subset_graph_band():
+    # one size: the band reaches one size lower, through the points in use only
+    graph = subset_graph([(0, 1), (2, 5)])
+    assert graph.n_vertices == 2 + math.comb(4, 2) - 2 + 4
+    assert graph.tail.size == 2 * 2 * math.comb(4, 2)
+    # the empty set alone needs no arc; mixed sizes keep their band
+    assert subset_graph([()]).tail.size == 0
+    assert subset_graph([(), (0, 1)]).n_vertices == 4
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 2, 2), (4, 4)])
+def test_classical_hamming_w1_matches_ot_cost(dims):
+    grid = list(itertools.product(*(range(d) for d in dims)))
+    cost = CostMatrix.from_function(grid, grid, hamming_cost)
+    rng = np.random.default_rng(len(grid))
+    for _ in range(3):
+        laws = rng.dirichlet(np.ones(len(grid)) * 0.5, size=2)
+        rho, sigma = (DensityOperator(dims, np.diag(law)) for law in laws)
+        expected = ot_cost(dict(zip(grid, laws[0])), dict(zip(grid, laws[1])), cost).value
+        assert classical_hamming_w1(rho, sigma) == pytest.approx(expected, abs=1e-10)
+
+
+def test_wsharp_exact_past_the_old_support_cap():
+    # p uniform on every 5-subset of 14 points, q moves mass eps from a to b: by
+    # Kantorovich-Rubinstein the distance is eps times the cost (1/2) #(a delta b)
+    support = list(itertools.combinations(range(14), 5))
+    assert len(support) == 2002
+    a, b, eps = support[0], support[-1], 1e-4
+    q = np.full(len(support), 1 / len(support))
+    q[0] -= eps
+    q[-1] += eps
+    value = wsharp_exact(ConfigurationDistribution(support, np.full(len(support), 1 / 2002),
+                                                   "exact"),
+                         ConfigurationDistribution(support, q, "exact"))
+    assert value == pytest.approx(eps * 0.5 * symmetric_difference_cost(a, b), abs=1e-12)
+
+
+def test_variable_cap_raises_before_any_lp(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called past the variable cap")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    cap = transport_module.VARIABLE_CAP
+    # 6-subsets of 30 points: the band [5, 6] has 2 * 6 * C(30, 6) arcs
+    support = [tuple(range(i, i + 6)) for i in range(0, 30, 6)]
+    dist = ConfigurationDistribution(support, np.full(5, 0.2), "exact")
+    other = ConfigurationDistribution(support[::-1], np.linspace(0.1, 0.3, 5), "exact")
+    arcs = 2 * 6 * math.comb(30, 6)
+    with pytest.raises(ValueError, match=f"needs {arcs} variables, past the variable cap {cap}"):
+        wsharp_exact(dist, other)
+    with pytest.raises(ValueError, match=f"variable cap {cap}"):
+        hamming_graph((2,) * 16)
+    labels = list(range(501))
+    with pytest.raises(ValueError, match=f"needs {501 * 501} variables"):
+        ot_cost({0: 1.0}, {1: 1.0}, CostMatrix(np.ones((501, 501)), labels, labels))
+    big = FlowGraph((0, 1), 2, np.zeros(cap + 1), np.ones(cap + 1), np.ones(cap + 1))
+    with pytest.raises(ValueError, match=f"needs {cap + 1} variables"):
+        metric_transport_values([[1.0, 0.0]], [[0.0, 1.0]], big)
+
+
+def test_metric_values_reject_unequal_totals():
     line = list(range(4))
-    squared = CostMatrix.from_function(line, line, lambda x, y: float((x - y) ** 2))
-    asymmetric = CostMatrix.from_function(line, line, lambda x, y: float(max(x - y, 0)))
+    graph = FlowGraph(line, 4, [0, 1, 2, 1, 2, 3], [1, 2, 3, 0, 1, 2], np.ones(6))
     p = np.full((1, 4), 0.25)
     q = np.array([[0.1, 0.2, 0.3, 0.4]])
-    for cost in (squared, asymmetric):
-        with pytest.raises(ValueError, match="metric"):
-            metric_transport_values(p, q, cost)
+    assert metric_transport_values(p, q, graph)[0] == pytest.approx(0.15 + 0.2 + 0.15, abs=1e-12)
     with pytest.raises(ValueError, match="differ"):
-        metric_transport_values(p, 2 * q, CostMatrix.from_function(line, line, lambda x, y: float(x != y)))
+        metric_transport_values(p, 2 * q, graph)
 
 
 def test_import_loads_no_solver_modules():
@@ -215,30 +299,27 @@ def test_ot_triangle_inequality_on_metric():
 
 
 def test_hamming_examples():
-    assert hamming_cost((1, 2, 3), (1, 2, 3)) == 0
-    assert hamming_cost((1, 2, 3), (4, 5, 6)) == 3
-    assert hamming_cost((1, 2, 3), (1, 9, 3)) == 1
+    # point masses on the Hamming graph are one transport path apart
+    graph = hamming_graph((10, 10, 10))
+    labels = graph.labels
+
+    def distance(x, y):
+        p, q = np.zeros((2, len(labels)))
+        p[labels.index(x)] = q[labels.index(y)] = 1.0
+        return metric_transport_values(p, q, graph)[0]
+
+    assert distance((1, 2, 3), (1, 2, 3)) == 0.0
+    assert distance((1, 2, 3), (4, 5, 6)) == pytest.approx(3.0, abs=1e-12)
+    assert distance((1, 2, 3), (1, 9, 3)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        hamming_cost((1,), (1, 2))
+        metric_transport_values(np.ones((1, 2)), np.ones((1, 2)), graph)
 
 
 def test_symmetric_difference_examples():
-    assert symmetric_difference_cost((1, 2), (1, 2)) == 0
-    assert symmetric_difference_cost((1, 2), (3, 4)) == 4
-    assert symmetric_difference_cost((), (5,)) == 1
-
-
-def test_symmetric_difference_matrix_matches_cellwise_cost():
-    rng = np.random.default_rng(37)
-    configs = [(), (0,), (1, 3), (0, 2, 5), (4,), (0, 1, 2, 3, 4, 5, 6)]
-    configs += [tuple(sorted(rng.choice(9, size=rng.integers(1, 9), replace=False)))
-                for _ in range(40)]
-    rows, cols = configs[:25], configs[10:]
-    fast = CostMatrix.symmetric_difference(rows, cols)
-    cellwise = CostMatrix.from_function(rows, cols, symmetric_difference_cost)
-    assert np.array_equal(fast.values, cellwise.values)
-    assert fast.row_labels == cellwise.row_labels
-    assert fast.col_labels == cellwise.col_labels
+    assert point_mass_wsharp((1, 2), (1, 2)) == 0.0
+    assert point_mass_wsharp((1, 2), (3, 4)) == pytest.approx(2.0, abs=1e-12)
+    assert point_mass_wsharp((), (5,)) == pytest.approx(0.5, abs=1e-12)
+    assert point_mass_wsharp((0, 1, 2), (5,)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_symmetric_difference_versus_hamming():
