@@ -29,7 +29,7 @@ from .selftest import (law_deviations_pass, measurement_law_deviations,
                        run_all, sampler_chi_square)
 from .slater import projection_kernel
 from .w1_bounds import example_gap_table
-from .w1_exact import DIM_CAP, rdm_monotonicity_check
+from .w1_exact import DIM_CAP, rdm_certificates
 
 SCHEMA_VERSION = 1
 
@@ -258,18 +258,18 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
         fam_a = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s))
         fam_b = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s + 1))
         try:
-            values = [v for _, v in rdm_monotonicity_check(
-                fam_a, fam_b, tol=tol, max_iter=max_iter, dim_cap=cfg.dim_cap)]
+            certs = rdm_certificates(fam_a, fam_b, tol=tol, max_iter=max_iter,
+                                     dim_cap=cfg.dim_cap)
         except ConvergenceError as exc:
             any_failure = True
-            rows.append({"seed": s, "values": None, "monotone": None,
-                         "error": str(exc)})
+            rows.append({"seed": s, "values": None, "iterations": None, "gap": None,
+                         "monotone": None, "error": str(exc)})
             continue
-        monotone = all(hi >= lo - verdict_tol
-                       for lo, hi in zip(values, values[1:]))
+        values = [cert.value / k for k, cert in enumerate(certs, start=1)]
+        monotone = all(hi >= lo - verdict_tol for lo, hi in zip(values, values[1:]))
         any_violation |= not monotone
-        rows.append({"seed": s, "values": values, "monotone": monotone,
-                     "error": None})
+        rows.append({"seed": s, "values": values, "iterations": [c.iterations for c in certs],
+                     "gap": [c.gap for c in certs], "monotone": monotone, "error": None})
 
     report = {"seeds": seeds, "dim": dim, "n": n,
               "verdict_tol": verdict_tol, "rows": rows,

@@ -203,8 +203,9 @@ def _random_density(dim: int, seed: int, *stream) -> np.ndarray:
 
 
 def _solver_summary(certs) -> str:
-    return (f"{sum(c.iterations for c in certs)} solver iterations, "
-            f"worst certified gap {max(c.gap for c in certs):.1e}")
+    return (f"{sum(c.iterations for c in certs)} solver iterations, worst certified gap "
+            f"{max(c.gap for c in certs):.1e}, {sum(c.symmetric_step for c in certs)} of "
+            f"{len(certs)} solves on the symmetric step")
 
 
 def check_transport_sandwich() -> CheckResult:

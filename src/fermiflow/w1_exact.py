@@ -26,10 +26,19 @@ L + M_i (x) I_i for one shared L. Scaled by -t into the norm ball, u is a
 dual point of value -t Re tr(L (rho - sigma)). The solver stops once the
 feasible iterate's value exceeds that dual value by at most `tol`, so the
 distance lies in an interval of width at most `tol`.
+
+Determinant states and their reduced states are antisymmetric: every site
+swap (0 i) fixes delta, and ADMM from the projection of 0 keeps block i the
+swap of block 0. For such delta the shrink step eigendecomposes block 0
+alone, first averaged over the permutations of sites 1..n-1 (which fix it
+in exact arithmetic; the projection's rounding does not, and the part
+outside their fixed subspace is otherwise never damped and can overflow),
+and swaps sites to form the rest. Projection and gap test use all n blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,12 +149,35 @@ def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
     return (vecs * shrunk[:, None, :]) @ _adjoint(vecs)
 
 
+def _symmetric_gathers(dims, delta: np.ndarray):
+    """Flat gathers of the symmetric shrink step, or None unless every swap (0 i) fixes delta.
+
+    Each row conjugates a flattened block by a site permutation: the first
+    array's by those of sites 1..n-1, the second's by the swaps (0 i).
+    """
+    n, total = len(dims), math.prod(dims)
+    if n < 2 or len(set(dims)) > 1:
+        return None
+
+    def gather(perm):
+        p = np.arange(total).reshape(dims).transpose(perm).ravel()
+        return (p[:, None] * total + p).ravel()
+
+    swaps = np.array([gather([i if j == 0 else 0 if j == i else j for j in range(n)])
+                      for i in range(n)])
+    flat = delta.ravel()
+    if np.max(np.abs(flat[swaps] - flat)) > 1e-12:
+        return None
+    return np.array([gather((0,) + p) for p in itertools.permutations(range(1, n))]), swaps
+
+
 @dataclass(frozen=True, eq=False)
 class W1Certificate:
     """Solver output: the certified interval [lower, value] holding the distance.
 
     `value` is the objective at the feasible iterate `primal_parts`, `lower`
     the dual value of the scaled multiplier, and gap = value - lower <= tol.
+    `symmetric_step` says whether the shrink step eigendecomposed block 0 alone.
     """
 
     value: float
@@ -157,6 +189,7 @@ class W1Certificate:
     primal_residual: float
     dual_residual: float
     feasibility_error: float
+    symmetric_step: bool
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -196,10 +229,15 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     n = len(dims)
 
     projector = _ConstraintProjector(dims, delta)
+    gathers = _symmetric_gathers(dims, delta)
     z = projector.project(np.zeros((n, total, total), dtype=delta.dtype))
     u = np.zeros_like(z)
     for iterations in range(1, max_iter + 1):
-        x = _shrink_eigenvalues(z - u, 0.5)
+        if gathers is None:
+            x = _shrink_eigenvalues(z - u, 0.5)
+        else:
+            block = (z[0] - u[0]).ravel()[gathers[0]].mean(axis=0).reshape(1, total, total)
+            x = _shrink_eigenvalues(block, 0.5).ravel()[gathers[1]].reshape(n, total, total)
         x_hat = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
         z_prev, z = z, projector.project(x_hat + u)
         u = u + x_hat - z
@@ -230,6 +268,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         primal_residual=r_norm,
         dual_residual=s_norm,
         feasibility_error=max(feas_sum, feas_tr),
+        symmetric_step=gathers is not None,
     )
 
 

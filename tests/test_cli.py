@@ -222,7 +222,7 @@ def test_unread_config_keys_exit_2(tmp_path, command, text, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an instance ran despite an unread key")
 
-    monkeypatch.setattr(cli_module, "rdm_monotonicity_check", refuse)
+    monkeypatch.setattr(cli_module, "rdm_certificates", refuse)
     monkeypatch.setattr(cli_module, "verify_instance", refuse)
     code, out, err = run_cli([command, "--config", write_config(tmp_path, text)])
     assert code == 2
@@ -242,6 +242,9 @@ def test_rdm_monotonicity_run(tmp_path):
         assert row["monotone"] is True
         values = row["values"]
         assert values[0] <= values[1] + rep["verdict_tol"]
+        assert len(row["iterations"]) == len(row["gap"]) == 2
+        assert all(isinstance(it, int) and it >= 1 for it in row["iterations"])
+        assert all(gap <= 1e-5 for gap in row["gap"])
 
 
 def test_rdm_monotonicity_default_config_certifies_every_pair():

@@ -280,3 +280,105 @@ def test_rdm_monotonicity_haar_pair():
     assert values[1] <= upper + 1e-4
     lower = trace_distance_slater(overlap_matrix(a, b)) / 2
     assert values[1] >= lower - 1e-4
+
+
+def slater_reduced_pair(seed, k, n_functions=3, n_points=4):
+    a = random_orthonormal(n_points, n_functions, seed)
+    b = random_orthonormal(n_points, n_functions, seed + 1, space=a.space)
+    return (reduced_density_matrix(full_state_vector(a), k),
+            reduced_density_matrix(full_state_vector(b), k))
+
+
+def general_step(patch):
+    """Make the swap detector report every difference as not swap-invariant."""
+    patch.setattr(w1_module, "_symmetric_gathers", lambda dims, delta: None)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symmetric_step_matches_general_step(k, monkeypatch):
+    # k-particle reduced states of 3 functions on 4 points: 2 and 3 sites
+    rho, sig = slater_reduced_pair(70, k)
+    project = _ConstraintProjector.project
+    general_iterates, deviations = [], []
+
+    def recording(self, blocks):
+        out = project(self, blocks)
+        general_iterates.append(out)
+        return out
+
+    def comparing(self, blocks):
+        out = project(self, blocks)
+        deviations.append(float(np.max(np.abs(out - general_iterates[len(deviations)]))))
+        return out
+
+    for wrapper in (recording, comparing):
+        with monkeypatch.context() as patch:
+            patch.setattr(_ConstraintProjector, "project", wrapper)
+            if wrapper is recording:
+                general_step(patch)
+            try:
+                w1_exact(rho, sig, tol=0.0, max_iter=300)
+            except ConvergenceError:
+                pass
+    # the projection of 0, then one projection per iteration
+    assert len(general_iterates) == len(deviations) == 301
+    assert max(deviations) <= 1e-10
+
+    with monkeypatch.context() as patch:
+        general_step(patch)
+        general = w1_exact(rho, sig)
+    symmetric = w1_exact(rho, sig)
+    assert (general.symmetric_step, symmetric.symmetric_step) == (False, True)
+    assert symmetric.iterations == general.iterations
+    assert symmetric.value == pytest.approx(general.value, abs=1e-9)
+    assert symmetric.gap <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("pair", [2, 4, 6, 7])
+def test_symmetric_step_certifies_three_site_slater_states(pair, monkeypatch):
+    # full states of 3 functions on 4 points, total dimension 64; shrinking
+    # block 0 without its average over the swap (1 2) overflows on these
+    a = random_orthonormal(4, 3, seed=400_000 + 2 * pair)
+    b = random_orthonormal(4, 3, seed=400_001 + 2 * pair)
+    rho, sig = full_state_vector(a), full_state_vector(b)
+    with monkeypatch.context() as patch:
+        general_step(patch)
+        general = w1_exact(rho, sig)
+    cert = w1_exact(rho, sig)
+    assert cert.symmetric_step
+    assert cert.iterations == general.iterations
+    assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
+    assert cert.feasibility_error <= 1e-10
+
+
+def product_case(d):
+    rho1, sigma1, tau = (random_density(d, 80 + 3 * d + j) for j in range(3))
+    return (DensityOperator((d, d), np.kron(rho1, tau)),
+            DensityOperator((d, d), np.kron(sigma1, tau)))
+
+
+def perturbed_slater_pair():
+    # mixing 1e-9 of a product state into a determinant state moves entries
+    # of rho - sigma by up to 2.5e-10 under the site swap
+    rho, sig = slater_reduced_pair(90, 2, n_functions=2)
+    product = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4) / 4)
+    return DensityOperator(rho.dims, (1 - 1e-9) * rho.matrix + 1e-9 * product), sig
+
+
+@pytest.mark.parametrize("pair", [
+    (DensityOperator((2, 3), random_density(6, 91)), DensityOperator((2, 3), random_density(6, 92))),
+    product_case(2),
+    product_case(3),
+    perturbed_slater_pair(),
+], ids=["unequal_dims", "product_d2", "product_d3", "perturbed_slater"])
+def test_swap_detection_falls_back_to_general_step(pair):
+    cert = w1_exact(*pair)
+    assert not cert.symmetric_step
+    assert cert.gap <= DEFAULT_TOL
+
+
+def test_identical_slater_states_on_the_symmetric_step():
+    rho, _ = slater_reduced_pair(93, 3)
+    cert = w1_exact(rho, rho)
+    assert cert.symmetric_step
+    assert (cert.value, cert.lower, cert.gap, cert.iterations) == (0.0, 0.0, 0.0, 1)
