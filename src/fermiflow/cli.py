@@ -47,7 +47,7 @@ _SUBCOMMAND_CODE = {
 @dataclass
 class RunConfig:
     seed: int = 0
-    fmt: str = "json"
+    fmt: str | None = None  # None: JSON, not asked for
     out: str | None = None
     enumeration_cap: int = ENUMERATION_CAP
     dim_cap: int = DIM_CAP
@@ -57,7 +57,7 @@ class RunConfig:
     def __post_init__(self):
         if self.enumeration_cap <= 0 or self.dim_cap <= 0:
             raise ValueError("caps must be positive")
-        if self.fmt not in ("json", "csv"):
+        if self.fmt not in (None, "json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
     def get(self, key: str, default):
@@ -95,7 +95,7 @@ def _load_config(args) -> RunConfig:
     extra = _parse_config_file(config_path) if config_path else {}
     seed = int(extra.pop("seed", 0))
     seed = getattr(args, "seed", seed)
-    fmt = extra.pop("format", "json")
+    fmt = extra.pop("format", None)
     fmt = getattr(args, "format", fmt)
     return RunConfig(
         seed=seed, fmt=fmt, out=getattr(args, "out", extra.pop("out", None)),
@@ -106,7 +106,7 @@ def _load_config(args) -> RunConfig:
 
 def _emit(cfg: RunConfig, command: str, report: dict, csv_header: list,
           csv_rows: list) -> None:
-    if cfg.fmt == "json":
+    if cfg.fmt != "csv":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -307,8 +307,10 @@ def cmd_selftest(cfg: RunConfig) -> int:
     cfg.reject_unread()
     names = [s.strip() for s in only.split(",") if s.strip()] or None
     results = run_all(names)
+    # with `format` but no `out` the report takes stdout, so the lines go to stderr
+    lines = sys.stderr if cfg.out is None and cfg.fmt is not None else sys.stdout
     for res in results:
-        print(res.line())
+        print(res.line(), file=lines)
     report = {"results": [{
         "name": r.name, "passed": r.passed, "elapsed_seconds": r.elapsed,
         "budget_seconds": r.budget, "detail": r.detail} for r in results],
@@ -316,7 +318,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
     header = ["name", "passed", "elapsed_seconds", "budget_seconds", "detail"]
     csv_rows = [[r.name, r.passed, r.elapsed, r.budget or "", r.detail]
                 for r in results]
-    if cfg.out is not None:
+    if cfg.out is not None or cfg.fmt is not None:
         _emit(cfg, "selftest", report, header, csv_rows)
     return 0 if report["passed"] else 1
 

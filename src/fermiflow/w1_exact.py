@@ -10,30 +10,45 @@ single site, never falls below the trace distance, and never exceeds n
 times it. The trace-norm convention is (1/2) tr |.| throughout, matching
 `trace_distance_slater`.
 
-The solver is an over-relaxed ADMM (Douglas-Rachford splitting) on the n
-blocks held as one (n, D, D) array: the objective's proximal map is one
-batched eigenvalue soft-thresholding, and the affine constraint set is
-handled by an exact orthogonal projection in closed form. In a product
+The solver is Douglas-Rachford splitting on the n blocks held as one
+(n, D, D) array. It iterates the over-relaxed map
+
+    T(v) = v + OVER_RELAX (prox(2 z - v) - z),   z = P(v),
+
+on the single variable v: prox, the objective's proximal map, is one
+batched eigenvalue soft-thresholding, and P is the exact orthogonal
+projection onto the affine constraint set, in closed form. In a product
 operator basis whose first element per site is the normalized identity
 (up to sign), tr_i X_i = 0 says block i vanishes wherever site i carries
-the identity, so the projection splits coefficient by coefficient.
+the identity, so the projection splits coefficient by coefficient. Plain
+iteration of T is over-relaxed ADMM with iterate z and scaled multiplier
+u = v - z; near a degenerate optimum it takes thousands of steps. So the
+iteration is accelerated by safeguarded type-II Anderson extrapolation
+(Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020) from the last
+ANDERSON_DEPTH residual differences, with real coefficients so that every
+point stays Hermitian. An extrapolated point is kept only if its residual
+||T(v) - v|| is no larger than the last kept point's, which a plain step
+never exceeds since T is averaged. Each iteration evaluates T once: one
+eigendecomposition and one projection.
 
 Every result is certified by a duality gap. The dual program maximizes
 tr(H (rho - sigma)) over H such that, for each i, some M_i makes
-||H + M_i (x) I_i||_op <= 1/2 (the Lipschitz dual). The ADMM's scaled
-multiplier u lies in the range of the constraint adjoint: its blocks are
-L + M_i (x) I_i for one shared L. Scaled by -t into the norm ball, u is a
-dual point of value -t Re tr(L (rho - sigma)). The solver stops once the
-feasible iterate's value exceeds that dual value by at most `tol`, so the
-distance lies in an interval of width at most `tol`.
+||H + M_i (x) I_i||_op <= 1/2 (the Lipschitz dual). For every v, u = v - P(v)
+lies in the range of the constraint adjoint, whatever the extrapolation
+did: its blocks are L + M_i (x) I_i for one shared L. Scaled by -t into
+the norm ball, u is a dual point of value -t Re tr(L (rho - sigma)). The
+solver stops once the value of the feasible point z exceeds that dual
+value by at most `tol`, so the distance lies in an interval of width at
+most `tol`.
 
 Determinant states and their reduced states are antisymmetric: every site
-swap (0 i) fixes delta, and ADMM from the projection of 0 keeps block i the
-swap of block 0. For such delta the shrink step eigendecomposes block 0
-alone, first averaged over the permutations of sites 1..n-1 (which fix it
-in exact arithmetic; the projection's rounding does not, and the part
-outside their fixed subspace is otherwise never damped and can overflow),
-and swaps sites to form the rest. Projection and gap test use all n blocks.
+swap (0 i) fixes delta and commutes with T, so from the projection of 0
+block i of every point, extrapolated or not, is the swap of block 0. For
+such delta the shrink step eigendecomposes block 0 alone, first averaged
+over the permutations of sites 1..n-1 (which fix it in exact arithmetic;
+the projection's rounding does not, and the part outside their fixed
+subspace is otherwise never damped and can overflow), and swaps sites to
+form the rest. Projection and gap test use all n blocks.
 """
 
 from __future__ import annotations
@@ -56,6 +71,10 @@ DIM_CAP = 64
 OVER_RELAX = 1.7
 # iterations between duality-gap tests; the first and last iterations are tested too
 GAP_EVERY = 10
+# residual differences kept for Anderson extrapolation
+ANDERSON_DEPTH = 5
+# Tikhonov weight of Anderson's normal equations, relative to their Gram matrix's trace
+ANDERSON_REG = 1e-10
 
 
 def _identity_first_reflection(d: int) -> np.ndarray:
@@ -171,13 +190,76 @@ def _symmetric_gathers(dims, delta: np.ndarray):
     return np.array([gather((0,) + p) for p in itertools.permutations(range(1, n))]), swaps
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point iteration v <- T(v).
+
+    Keeps the last accepted point's T(v) and residual g = T(v) - v, and
+    ring buffers of up to ANDERSON_DEPTH differences of g and of T(v)
+    between consecutive accepted points, as real vectors, with the Gram
+    matrix of the g differences. The next point is T(v) - dT gamma for the
+    real gamma minimizing ||g - dG gamma|| (Tikhonov-regularized normal
+    equations), taken Hermitian: large coefficients would amplify the
+    rounding outside the Hermitian stacks, which T never damps. An
+    extrapolated point is accepted only if its residual is no larger than
+    the last accepted point's; otherwise the differences are dropped and
+    the plain step T(v) is taken from the accepted point. The r-th
+    rejection in a row makes the next 2^(r-1) steps plain, so a run of
+    useless extrapolations wastes few evaluations of T.
+    """
+
+    def __init__(self, size: int):
+        self.dg = np.empty((ANDERSON_DEPTH, size))
+        self.dt = np.empty((ANDERSON_DEPTH, size))
+        self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.count = self.slot = 0
+        self.g = self.t = None
+        self.residual = math.inf
+        self.extrapolated = False
+        self.rejections = self.plain_steps = 0
+        self.accepted = 0  # extrapolated points accepted
+
+    def step(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The next point to evaluate, from the point v just evaluated and g = T(v) - v."""
+        g_flat = g.view(np.float64).ravel()
+        residual = float(np.linalg.norm(g_flat))
+        if self.extrapolated and residual > self.residual:
+            self.count = self.slot = 0
+            self.rejections += 1
+            self.plain_steps = 2 ** (self.rejections - 1)
+            self.extrapolated = False
+            return self.t
+        if self.extrapolated:
+            self.accepted += 1
+            self.rejections = 0
+        t = v + g
+        t_flat = t.view(np.float64).ravel()
+        if self.g is not None:
+            s, k = self.slot, min(self.count + 1, ANDERSON_DEPTH)
+            np.subtract(g_flat, self.g.view(np.float64).ravel(), out=self.dg[s])
+            np.subtract(t_flat, self.t.view(np.float64).ravel(), out=self.dt[s])
+            self.gram[s, :k] = self.gram[:k, s] = self.dg[:k] @ self.dg[s]
+            self.count, self.slot = k, (s + 1) % ANDERSON_DEPTH
+        self.g, self.t, self.residual = g, t, residual
+        self.plain_steps -= 1
+        k = self.count
+        scale = float(np.trace(self.gram[:k, :k]))
+        self.extrapolated = self.plain_steps <= 0 and scale > 0.0
+        if not self.extrapolated:
+            return t
+        gamma = np.linalg.solve(self.gram[:k, :k] + ANDERSON_REG * scale * np.eye(k),
+                                self.dg[:k] @ g_flat)
+        point = (t_flat - gamma @ self.dt[:k]).view(t.dtype).reshape(t.shape)
+        return 0.5 * (point + _adjoint(point))
+
+
 @dataclass(frozen=True, eq=False)
 class W1Certificate:
     """Solver output: the certified interval [lower, value] holding the distance.
 
     `value` is the objective at the feasible iterate `primal_parts`, `lower`
     the dual value of the scaled multiplier, and gap = value - lower <= tol.
-    `symmetric_step` says whether the shrink step eigendecomposed block 0 alone.
+    `symmetric_step` says whether the shrink step eigendecomposed block 0 alone;
+    `accelerated_steps` counts the extrapolated points the safeguard accepted.
     """
 
     value: float
@@ -190,6 +272,7 @@ class W1Certificate:
     dual_residual: float
     feasibility_error: float
     symmetric_step: bool
+    accelerated_steps: int
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -213,7 +296,8 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
 
     Iterates until the value of the feasible iterate exceeds the dual value
     of the multiplier by at most `tol`, testing that gap every GAP_EVERY
-    iterations; the distance lies in the returned [lower, value].
+    iterations; the distance lies in the returned [lower, value]. Each
+    iteration, up to `max_iter`, is one evaluation of the splitting map.
     """
     if rho.dims != sigma.dims:
         raise ValueError("operators live on different site structures")
@@ -230,21 +314,21 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
 
     projector = _ConstraintProjector(dims, delta)
     gathers = _symmetric_gathers(dims, delta)
-    z = projector.project(np.zeros((n, total, total), dtype=delta.dtype))
-    u = np.zeros_like(z)
+    # v = z + u, with u = 0 at the start
+    v = z = projector.project(np.zeros((n, total, total), dtype=delta.dtype))
+    anderson = _Anderson(z.view(np.float64).size)
     for iterations in range(1, max_iter + 1):
         if gathers is None:
-            x = _shrink_eigenvalues(z - u, 0.5)
+            x = _shrink_eigenvalues(2.0 * z - v, 0.5)
         else:
-            block = (z[0] - u[0]).ravel()[gathers[0]].mean(axis=0).reshape(1, total, total)
+            block = (2.0 * z[0] - v[0]).ravel()[gathers[0]].mean(axis=0).reshape(1, total, total)
             x = _shrink_eigenvalues(block, 0.5).ravel()[gathers[1]].reshape(n, total, total)
-        x_hat = OVER_RELAX * x + (1.0 - OVER_RELAX) * z
-        z_prev, z = z, projector.project(x_hat + u)
-        u = u + x_hat - z
+        v = anderson.step(v, OVER_RELAX * (x - z))
+        z_prev, z = z, projector.project(v)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
             weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
             value = float(weights.sum())
-            lower = projector.dual_value(u)
+            lower = projector.dual_value(v - z)
             if value - lower <= tol:
                 break
     r_norm = float(np.linalg.norm(x - z))
@@ -269,6 +353,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         dual_residual=s_norm,
         feasibility_error=max(feas_sum, feas_tr),
         symmetric_step=gathers is not None,
+        accelerated_steps=anderson.accepted,
     )
 
 

@@ -284,6 +284,23 @@ def test_selftest_single_check(tmp_path):
     assert "budget 1s" in out
 
 
+def test_selftest_format_without_out_prints_the_report(tmp_path):
+    # the report alone goes to stdout; the PASS lines move to stderr
+    cfg = write_config(tmp_path, "format=csv\nselftest.only=walsh_exhibit\n")
+    code, out, err = run_cli(["selftest", "--config", cfg])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "passed", "elapsed_seconds", "budget_seconds", "detail"]
+    assert [row[:2] for row in rows[1:]] == [["walsh_exhibit", "True"]]
+    assert err.startswith("PASS walsh_exhibit")
+
+    code, out, err = run_cli(["selftest", "--format", "json", "--config", cfg])
+    assert code == 0
+    results = parse_json(out)["report"]["results"]
+    assert [(r["name"], r["passed"]) for r in results] == [("walsh_exhibit", True)]
+    assert err.startswith("PASS walsh_exhibit")
+
+
 def test_selftest_unknown_name(tmp_path):
     cfg = write_config(tmp_path, "selftest.only=nonsense\n")
     code, _, err = run_cli(["selftest", "--config", cfg])

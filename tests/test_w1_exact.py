@@ -15,6 +15,7 @@ from fermiflow import (ConvergenceError, DensityOperator,
                        projection_kernel, random_orthonormal,
                        rdm_monotonicity_check, reduced_density_matrix,
                        trace_distance_slater, w1_exact, w1_upper_slater)
+from fermiflow.selftest import _random_density as check_density
 from fermiflow.slater import _partial_trace_matrix
 from fermiflow.w1_exact import _ConstraintProjector
 
@@ -382,3 +383,71 @@ def test_identical_slater_states_on_the_symmetric_step():
     cert = w1_exact(rho, rho)
     assert cert.symmetric_step
     assert (cert.value, cert.lower, cert.gap, cert.iterations) == (0.0, 0.0, 0.0, 1)
+
+
+def test_cli_pair_6_certifies_in_few_iterations():
+    # the unrotated pair 6 of `fermiflow rdm-monotonicity` at k = 2 took 7,790
+    # plain ADMM iterations; with extrapolation it takes under 200
+    a = random_orthonormal(4, 2, seed=400_012)
+    b = random_orthonormal(4, 2, seed=400_013)
+    rho, sig = (reduced_density_matrix(full_state_vector(f), 2) for f in (a, b))
+    cert = w1_exact(rho, sig)
+    assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
+    assert cert.iterations <= 1_000
+    assert cert.accelerated_steps > 0
+
+
+@pytest.mark.parametrize("pair", [slater_reduced_pair(70, 2), product_case(3)],
+                         ids=["symmetric_step", "general_step"])
+@pytest.mark.parametrize("max_iter", [1, 37])
+def test_each_iteration_evaluates_the_splitting_map_once(pair, max_iter, monkeypatch):
+    calls = {"project": 0, "shrink": 0}
+    project, shrink = _ConstraintProjector.project, w1_module._shrink_eigenvalues
+
+    def counting_project(self, blocks):
+        calls["project"] += 1
+        return project(self, blocks)
+
+    def counting_shrink(stack, amount):
+        calls["shrink"] += 1
+        return shrink(stack, amount)
+
+    monkeypatch.setattr(_ConstraintProjector, "project", counting_project)
+    monkeypatch.setattr(w1_module, "_shrink_eigenvalues", counting_shrink)
+    with pytest.raises(ConvergenceError):
+        w1_exact(*pair, tol=0.0, max_iter=max_iter)
+    # the projection of 0, then one projection and one shrink per iteration,
+    # rejected extrapolations included
+    assert calls == {"project": 1 + max_iter, "shrink": max_iter}
+
+
+def check5_product_case(d):
+    # the product cases of selftest check 5, built as the check builds them
+    rho1, sigma1, tau = (check_density(d, 55, d, j) for j in range(3))
+    return (DensityOperator((d, d), np.kron(rho1, tau)),
+            DensityOperator((d, d), np.kron(sigma1, tau)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rejected_extrapolations_still_certify(d, monkeypatch):
+    step = w1_module._Anderson.step
+    rejected, asymmetry = [], []
+
+    def recording(self, v, g):
+        was_extrapolated, accepted = self.extrapolated, self.accepted
+        out = step(self, v, g)
+        rejected.append(was_extrapolated and self.accepted == accepted)
+        asymmetry.append(float(np.max(np.abs(out - out.conj().swapaxes(1, 2)))))
+        return out
+
+    monkeypatch.setattr(w1_module._Anderson, "step", recording)
+    cert = w1_exact(*check5_product_case(d))
+    assert not cert.symmetric_step
+    # the safeguard turned extrapolated points down, and some were kept
+    assert any(rejected) and cert.accelerated_steps > 0
+    assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
+    assert cert.feasibility_error <= 1e-10
+    # every point evaluated stayed Hermitian, and so did the primal parts
+    assert max(asymmetry) <= 1e-12
+    for part in cert.primal_parts:
+        assert np.max(np.abs(part - part.conj().T)) <= 1e-12
