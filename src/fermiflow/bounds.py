@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,32 +188,6 @@ class DppBoundsReport:
     wsharp_ci: tuple | None = None
     coupling_exact: bool = True
 
-    def to_json(self) -> str:
-        doc = {
-            "n_indices": self.n_indices,
-            "n_points": self.n_points,
-            "mode": self.mode,
-            "tv_value": self.tv_value,
-            "wsharp_value": self.wsharp_value,
-            "tv_bound": self.tv_bound,
-            "wsharp_bound": self.wsharp_bound,
-            "tv_slack": self.tv_slack,
-            "wsharp_slack": self.wsharp_slack,
-            "coupling_exact": self.coupling_exact,
-        }
-        if self.mode == "empirical":
-            doc["sample_count"] = self.sample_count
-            doc["seed"] = self.seed
-            doc["tv_ci"] = list(self.tv_ci)
-            doc["wsharp_ci"] = list(self.wsharp_ci)
-        return json.dumps(doc, sort_keys=True)
-
-    def csv_row(self) -> list:
-        return [self.n_indices, self.n_points, self.mode,
-                self.tv_value, self.wsharp_value,
-                self.tv_bound, self.wsharp_bound,
-                self.tv_slack, self.wsharp_slack]
-
 
 def _bootstrap_resamples(counts, rng, resamples: int) -> np.ndarray:
     """Multinomial resamples of both count rows, as a (2, resamples, support) array."""
@@ -332,17 +305,6 @@ class WalshCounterexampleReport:
     wsharp_exact: float
     tv_bound: float
     wsharp_bound: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "covariance_adjacent_cells": self.covariance_adjacent_cells,
-            "covariance_adjacent_cells_alt": self.covariance_adjacent_cells_alt,
-            "density_transport_rhs": self.density_transport_rhs,
-            "tv_exact": self.tv_exact,
-            "wsharp_exact": self.wsharp_exact,
-            "tv_bound": self.tv_bound,
-            "wsharp_bound": self.wsharp_bound,
-        }, sort_keys=True)
 
 
 def walsh_counterexample_report() -> WalshCounterexampleReport:

@@ -3,8 +3,8 @@
 Every subcommand is deterministic given the config and the root seed:
 instance seeds are derived arithmetically from the root seed, so reruns
 produce identical output except for the timestamp field in the JSON
-envelope. Exit codes: 0 success, 1 mathematical-property violation,
-2 resource or configuration error.
+envelope and the timings of `selftest`. Exit codes: 0 success, 1
+mathematical-property violation, 2 resource or configuration error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .dpp import (ENUMERATION_CAP, MixedKernelSpec,
 from .errors import ConvergenceError, EnumerationCapError
 from .ground import random_orthonormal
 from .selftest import (law_deviations_pass, measurement_law_deviations,
-                       run_all, sampler_chi_square)
+                       monotonicity_margin, run_all, sampler_chi_square,
+                       walsh_exhibit_passed)
 from .slater import projection_kernel
 from .w1_bounds import example_gap_table
 from .w1_exact import DIM_CAP, rdm_certificates
@@ -49,14 +50,10 @@ class RunConfig:
     seed: int = 0
     fmt: str | None = None  # None: JSON, not asked for
     out: str | None = None
-    enumeration_cap: int = ENUMERATION_CAP
-    dim_cap: int = DIM_CAP
     extra: dict = field(default_factory=dict)
     read: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self):
-        if self.enumeration_cap <= 0 or self.dim_cap <= 0:
-            raise ValueError("caps must be positive")
         if self.fmt not in (None, "json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
@@ -64,6 +61,13 @@ class RunConfig:
         """The key's value, of the default's type; marks the key as read."""
         self.read.add(key)
         return type(default)(self.extra.get(key, default))
+
+    def get_cap(self, key: str, default: int) -> int:
+        """`get` for a resource cap, which must be positive."""
+        cap = self.get(key, default)
+        if cap <= 0:
+            raise ValueError(f"{key} must be positive, got {cap}")
+        return cap
 
     def reject_unread(self) -> None:
         """Refuse config keys the command has not read, before it runs anything."""
@@ -97,15 +101,16 @@ def _load_config(args) -> RunConfig:
     seed = getattr(args, "seed", seed)
     fmt = extra.pop("format", None)
     fmt = getattr(args, "format", fmt)
-    return RunConfig(
-        seed=seed, fmt=fmt, out=getattr(args, "out", extra.pop("out", None)),
-        enumeration_cap=int(extra.pop("enumeration_cap", ENUMERATION_CAP)),
-        dim_cap=int(extra.pop("dim_cap", DIM_CAP)),
-        extra=extra)
+    return RunConfig(seed=seed, fmt=fmt, out=getattr(args, "out", extra.pop("out", None)),
+                     extra=extra)
 
 
-def _emit(cfg: RunConfig, command: str, report: dict, csv_header: list,
-          csv_rows: list) -> None:
+def _emit(cfg: RunConfig, command: str, report: dict, columns: list,
+          rows: list) -> None:
+    """Write `report` in the JSON envelope, or `rows` (dicts) as CSV by `columns`.
+
+    A column a row lacks is an empty cell.
+    """
     if cfg.fmt != "csv":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -118,8 +123,8 @@ def _emit(cfg: RunConfig, command: str, report: dict, csv_header: list,
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(columns)
+        writer.writerows([row.get(c) for c in columns] for row in rows)
         text = buf.getvalue()
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as handle:
@@ -133,6 +138,7 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
     n = cfg.get("verify_lemma.n", 2)
     seeds = cfg.get("verify_lemma.seeds", 10)
     draws = cfg.get("verify_lemma.draws", 20_000)
+    cap = cfg.get_cap("enumeration_cap", ENUMERATION_CAP)
     cfg.reject_unread()
 
     rows = []
@@ -144,8 +150,7 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
             # negative control: break one off-diagonal entry and its mirror
             kmat[0, 1] += 0.5
             kmat[1, 0] += 0.5
-        incl_dev, mass_dev, diag_mass = measurement_law_deviations(
-            fam, kmat, cap=cfg.enumeration_cap)
+        incl_dev, mass_dev, diag_mass = measurement_law_deviations(fam, kmat, cap=cap)
         worst_incl = max(worst_incl, incl_dev)
         worst_mass = max(worst_mass, mass_dev)
         worst_diag = max(worst_diag, diag_mass)
@@ -153,7 +158,7 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
                      "mass_dev": mass_dev, "repeated_mass": diag_mass})
 
     fam = random_orthonormal(dim, n, seed=cfg.instance_seed("verify-lemma", 0))
-    dist = brute_force_configuration_distribution(fam, cap=cfg.enumeration_cap)
+    dist = brute_force_configuration_distribution(fam, cap=cap)
     rng = stream_generator(cfg.seed, _SUBCOMMAND_CODE["verify-lemma"], seeds)
     chi2, cutoff, _ = sampler_chi_square(fam, dist, draws, rng)
 
@@ -165,32 +170,22 @@ def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
         "chi2": chi2, "chi2_cutoff": cutoff, "sample_draws": draws,
         "passed": ok, "per_seed": rows,
     }
-    header = ["dim", "n", "seed", "inclusion_dev", "mass_dev",
-              "repeated_mass", "chi2", "chi2_cutoff"]
-    csv_rows = [[r["dim"], r["n"], r["seed"], r["inclusion_dev"],
-                 r["mass_dev"], r["repeated_mass"], "", ""] for r in rows]
-    csv_rows.append([dim, n, "all", worst_incl, worst_mass, worst_diag,
-                     chi2, cutoff])
-    _emit(cfg, "verify-lemma", report, header, csv_rows)
+    summary = {"dim": dim, "n": n, "seed": "all", "inclusion_dev": worst_incl,
+               "mass_dev": worst_mass, "repeated_mass": worst_diag,
+               "chi2": chi2, "chi2_cutoff": cutoff}
+    _emit(cfg, "verify-lemma", report,
+          ["dim", "n", "seed", "inclusion_dev", "mass_dev", "repeated_mass",
+           "chi2", "chi2_cutoff"], rows + [summary])
     return 0 if ok else 1
 
 
 def cmd_walsh(cfg: RunConfig) -> int:
     cfg.reject_unread()
     rep = walsh_counterexample_report()
-    report = json.loads(rep.to_json())
-    ok = (report["covariance_adjacent_cells"] == -0.25
-          and report["covariance_adjacent_cells_alt"] == 0.0
-          and report["density_transport_rhs"] == 0.0
-          and report["tv_exact"] > 0.0 and report["wsharp_exact"] > 0.0)
-    report["passed"] = ok
-    header = ["covariance_adjacent_cells", "covariance_adjacent_cells_alt",
-              "density_transport_rhs", "tv_exact", "wsharp_exact",
-              "tv_bound", "wsharp_bound"]
-    csv_rows = [[rep.covariance_adjacent_cells, rep.covariance_adjacent_cells_alt,
-                 rep.density_transport_rhs, rep.tv_exact, rep.wsharp_exact,
-                 rep.tv_bound, rep.wsharp_bound]]
-    _emit(cfg, "walsh", report, header, csv_rows)
+    report = asdict(rep)
+    columns = list(report)
+    report["passed"] = ok = walsh_exhibit_passed(rep)
+    _emit(cfg, "walsh", report, columns, [report])
     return 0 if ok else 1
 
 
@@ -202,11 +197,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
     mixed = cfg.get("bounds.mixed_eigenvalues", 0)
     budget = cfg.get("bounds.budget", 20_000)
     resamples = cfg.get("bounds.bootstrap_resamples", 1000)
+    cap = cfg.get_cap("enumeration_cap", ENUMERATION_CAP)
     cfg.reject_unread()
     if mode not in ("exact", "empirical"):
         raise ValueError(f"unknown bounds.mode {mode!r}")
 
-    reports = []
+    instances = []
     for i in range(count):
         seed_a = cfg.instance_seed("bounds", 2 * i)
         seed_b = cfg.instance_seed("bounds", 2 * i + 1)
@@ -220,25 +216,23 @@ def cmd_bounds(cfg: RunConfig) -> int:
         else:
             spec_a = MixedKernelSpec(np.ones(size), fam_a)
             spec_b = MixedKernelSpec(np.ones(size), fam_b)
-        reports.append(verify_instance(spec_a, spec_b, mode=mode,
-                                       budget=budget, seed=seed_a,
-                                       bootstrap_resamples=resamples,
-                                       enumeration_cap=cfg.enumeration_cap))
+        rep = verify_instance(spec_a, spec_b, mode=mode, budget=budget, seed=seed_a,
+                              bootstrap_resamples=resamples, enumeration_cap=cap)
+        instances.append({k: v for k, v in asdict(rep).items() if v is not None})
 
-    min_tv = min(r.tv_slack for r in reports)
-    min_ws = min(r.wsharp_slack for r in reports)
+    min_tv = min(r["tv_slack"] for r in instances)
+    min_ws = min(r["wsharp_slack"] for r in instances)
     ok = mode != "exact" or (min_tv >= -1e-9 and min_ws >= -1e-9)
     report = {
         "count": count, "dim": dim, "n": n, "mode": mode,
         "mixed_eigenvalues": mixed,
         "min_tv_slack": min_tv, "min_wsharp_slack": min_ws, "passed": ok,
-        "instances": [json.loads(r.to_json()) for r in reports],
+        "instances": instances,
     }
-    header = ["n_indices", "n_points", "mode", "tv_value", "wsharp_value",
-              "tv_bound", "wsharp_bound", "tv_slack", "wsharp_slack"]
-    csv_rows = [r.csv_row() for r in reports]
-    csv_rows.append(["", "", "summary", "", "", "", "", min_tv, min_ws])
-    _emit(cfg, "bounds", report, header, csv_rows)
+    summary = {"mode": "summary", "tv_slack": min_tv, "wsharp_slack": min_ws}
+    _emit(cfg, "bounds", report,
+          ["n_indices", "n_points", "mode", "tv_value", "wsharp_value",
+           "tv_bound", "wsharp_bound", "tv_slack", "wsharp_slack"], instances + [summary])
     return 0 if ok else 1
 
 
@@ -248,39 +242,31 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
     n = cfg.get("rdm.n", 2)
     tol = cfg.get("w1.tol", 1e-5)
     max_iter = cfg.get("w1.max_iter", 50_000)
-    verdict_tol = 2 * cfg.get("rdm.verdict_tol", 1e-4)
+    dim_cap = cfg.get_cap("dim_cap", DIM_CAP)
     cfg.reject_unread()
 
     rows = []
-    any_violation = False
-    any_failure = False
     for s in range(seeds):
         fam_a = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s))
         fam_b = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s + 1))
         try:
             certs = rdm_certificates(fam_a, fam_b, tol=tol, max_iter=max_iter,
-                                     dim_cap=cfg.dim_cap)
+                                     dim_cap=dim_cap)
         except ConvergenceError as exc:
-            any_failure = True
             rows.append({"seed": s, "values": None, "iterations": None, "gap": None,
                          "monotone": None, "error": str(exc)})
             continue
-        values = [cert.value / k for k, cert in enumerate(certs, start=1)]
-        monotone = all(hi >= lo - verdict_tol for lo, hi in zip(values, values[1:]))
-        any_violation |= not monotone
-        rows.append({"seed": s, "values": values, "iterations": [c.iterations for c in certs],
-                     "gap": [c.gap for c in certs], "monotone": monotone, "error": None})
+        rows.append({"seed": s, "values": [c.value / k for k, c in enumerate(certs, start=1)],
+                     "iterations": [c.iterations for c in certs], "gap": [c.gap for c in certs],
+                     "monotone": monotonicity_margin(certs) >= 0.0, "error": None})
 
-    report = {"seeds": seeds, "dim": dim, "n": n,
-              "verdict_tol": verdict_tol, "rows": rows,
+    any_failure = any(r["error"] is not None for r in rows)
+    any_violation = any(r["monotone"] is False for r in rows)
+    report = {"seeds": seeds, "dim": dim, "n": n, "rows": rows,
               "passed": not any_violation and not any_failure}
-    header = ["seed"] + [f"value_{k}" for k in range(1, n + 1)] + \
-        ["monotone", "error"]
-    csv_rows = []
-    for r in rows:
-        vals = r["values"] if r["values"] is not None else [""] * n
-        csv_rows.append([r["seed"], *vals, r["monotone"], r["error"] or ""])
-    _emit(cfg, "rdm-monotonicity", report, header, csv_rows)
+    value_columns = [f"value_{k}" for k in range(1, n + 1)]
+    _emit(cfg, "rdm-monotonicity", report, ["seed", *value_columns, "monotone", "error"],
+          [{**r, **dict(zip(value_columns, r["values"] or ()))} for r in rows])
     if any_failure:
         return 2
     return 0 if not any_violation else 1
@@ -289,16 +275,9 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
 def cmd_example_gap(cfg: RunConfig) -> int:
     n_max = cfg.get("gap.n_max", 20)
     cfg.reject_unread()
-    rows = example_gap_table(n_max)
-    report = {"n_max": n_max, "rows": [
-        {"n": r.n, "determinant": r.determinant,
-         "mean_overlap": r.mean_overlap, "trace_distance": r.trace_distance,
-         "w1_upper_over_n": r.w1_upper_over_n} for r in rows]}
-    header = ["n", "determinant", "mean_overlap", "trace_distance",
-              "w1_upper_over_n"]
-    csv_rows = [[r.n, r.determinant, r.mean_overlap, r.trace_distance,
-                 r.w1_upper_over_n] for r in rows]
-    _emit(cfg, "example-gap", report, header, csv_rows)
+    rows = [asdict(r) for r in example_gap_table(n_max)]
+    _emit(cfg, "example-gap", {"n_max": n_max, "rows": rows},
+          ["n", "determinant", "mean_overlap", "trace_distance", "w1_upper_over_n"], rows)
     return 0
 
 
@@ -311,16 +290,13 @@ def cmd_selftest(cfg: RunConfig) -> int:
     lines = sys.stderr if cfg.out is None and cfg.fmt is not None else sys.stdout
     for res in results:
         print(res.line(), file=lines)
-    report = {"results": [{
-        "name": r.name, "passed": r.passed, "elapsed_seconds": r.elapsed,
-        "budget_seconds": r.budget, "detail": r.detail} for r in results],
-        "passed": all(r.passed for r in results)}
-    header = ["name", "passed", "elapsed_seconds", "budget_seconds", "detail"]
-    csv_rows = [[r.name, r.passed, r.elapsed, r.budget or "", r.detail]
-                for r in results]
+    rows = [{"name": r.name, "passed": r.passed, "elapsed_seconds": r.elapsed,
+             "budget_seconds": r.budget, "detail": r.detail} for r in results]
+    passed = all(r.passed for r in results)
     if cfg.out is not None or cfg.fmt is not None:
-        _emit(cfg, "selftest", report, header, csv_rows)
-    return 0 if report["passed"] else 1
+        _emit(cfg, "selftest", {"results": rows, "passed": passed},
+              ["name", "passed", "elapsed_seconds", "budget_seconds", "detail"], rows)
+    return 0 if passed else 1
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

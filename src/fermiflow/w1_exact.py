@@ -372,8 +372,8 @@ def rdm_monotonicity_check(a: OrthonormalFamily, b: OrthonormalFamily,
     """Per-size distances (k, W1(reduced_k) / k) for k = 1..n.
 
     The sequence is non-decreasing in exact arithmetic; each value is within
-    the solver's `tol` / k above the distance, so callers should allow
-    twice `tol` when asserting that.
+    the solver's `tol` / k above the distance. A monotonicity verdict should
+    compare the certified intervals of `rdm_certificates` instead.
     """
     certs = rdm_certificates(a, b, **solver_kwargs)
     return [(k, cert.value / k) for k, cert in enumerate(certs, start=1)]

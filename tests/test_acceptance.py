@@ -31,7 +31,7 @@ def test_criterion_1_measurement_law_matches_kernel_minors():
 
 def test_criterion_2_walsh_covariance_exhibit():
     # rational-arithmetic covariances -1/4 and 0, vanishing quadratic
-    # transport term next to strictly positive exact TV; under 1 s
+    # transport term next to strictly positive exact TV and W#; under 1 s
     report(check_walsh_exhibit())
 
 

@@ -2,7 +2,6 @@
 sides, certified truncation, exact verification reports, the Walsh exhibit."""
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -241,12 +240,7 @@ def test_verify_instance_walsh_exact_values():
     assert report.tv_bound == pytest.approx(1.0, abs=1e-12)
     assert report.wsharp_bound == pytest.approx(SQRT3, abs=1e-12)
     assert report.tv_slack >= 0 and report.wsharp_slack >= 0
-    payload = json.loads(report.to_json())
-    assert payload["tv_value"] == pytest.approx(0.5)
-    row = report.csv_row()
-    assert row[:3] == [2, 4, "exact"]
-    assert row[3:5] == [report.tv_value, report.wsharp_value]
-    assert row[7:] == [report.tv_slack, report.wsharp_slack]
+    assert (report.n_indices, report.n_points) == (2, 4)
 
 
 def test_verify_instance_empirical_mode():
@@ -279,7 +273,6 @@ def test_verify_instance_reports_coupling_past_the_cap():
                            bootstrap_resamples=50, enumeration_cap=10)
     assert not past.coupling_exact
     assert past.tv_value > 0.0
-    assert json.loads(past.to_json())["coupling_exact"] is False
 
 
 def test_bound_validity_small_sweep():
@@ -315,8 +308,6 @@ def test_walsh_counterexample_report_frozen():
     # the point of the exhibit: a vanishing right-hand side next to
     # genuinely different laws
     assert report.tv_exact > 0
-    payload = json.loads(report.to_json())
-    assert payload["covariance_adjacent_cells"] == -0.25
 
 
 def test_exact_walsh_laws_differ_only_across_families():

@@ -57,6 +57,19 @@ def test_verify_lemma_corrupt_kernel_fails(tmp_path):
     assert json.loads(out)["report"]["passed"] is False
 
 
+def test_verify_lemma_csv_per_seed_rows_and_summary(tmp_path):
+    cfg = write_config(tmp_path, SMALL_LEMMA)
+    code, out, _ = run_cli(["verify-lemma", "--config", cfg, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["dim", "n", "seed", "inclusion_dev", "mass_dev",
+                       "repeated_mass", "chi2", "chi2_cutoff"]
+    # per-seed rows leave the chi-square cells empty; the `all` row fills them
+    assert [row[:3] for row in rows[1:]] == [["4", "2", "0"], ["4", "2", "1"], ["4", "2", "all"]]
+    assert all(row[6:] == ["", ""] for row in rows[1:-1])
+    assert float(rows[-1][6]) <= float(rows[-1][7])
+
+
 def test_verify_lemma_cap_exceeded(tmp_path):
     cfg = write_config(tmp_path, SMALL_LEMMA + "enumeration_cap=10\n")
     code, out, err = run_cli(["verify-lemma", "--config", cfg])
@@ -88,9 +101,13 @@ def test_config_rejects_bad_format(tmp_path):
 
 
 def test_config_rejects_nonpositive_cap(tmp_path):
-    cfg = write_config(tmp_path, "enumeration_cap=0\n")
-    code, _, err = run_cli(["walsh", "--config", cfg])
-    assert code == 2
+    for command, key in [("verify-lemma", "enumeration_cap"), ("bounds", "enumeration_cap"),
+                         ("rdm-monotonicity", "dim_cap")]:
+        cfg = write_config(tmp_path, f"{key}=0\n")
+        code, out, err = run_cli([command, "--config", cfg])
+        assert code == 2
+        assert f"{key} must be positive, got 0" in err
+        assert out == ""
 
 
 def test_unknown_flag_is_a_usage_error():
@@ -123,10 +140,29 @@ def test_walsh_csv_golden_header():
     assert len(rows) == 2
 
 
-def test_walsh_deterministic_output():
-    _, first, _ = run_cli(["walsh"])
-    _, second, _ = run_cli(["walsh"])
-    assert strip_timestamp(first) == strip_timestamp(second)
+SMALL_CONFIGS = {
+    "verify-lemma": SMALL_LEMMA,
+    "walsh": "",
+    "bounds": "bounds.count=2\nbounds.dim=5\n",
+    "rdm-monotonicity": "rdm.seeds=1\n",
+    "example-gap": "gap.n_max=3\n",
+    "selftest": "selftest.only=walsh_exhibit,gap_table\n",
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_CONFIGS))
+def test_deterministic_output(tmp_path, command):
+    cfg = write_config(tmp_path, SMALL_CONFIGS[command])
+    docs = []
+    for _ in range(2):
+        code, out, _ = run_cli([command, "--config", cfg, "--format", "json"])
+        assert code == 0
+        doc = parse_json(out)
+        del doc["timestamp"]
+        for result in doc["report"].get("results", ()):
+            del result["elapsed_seconds"]  # selftest wall clock
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_common_flags_accepted_before_and_after_subcommand():
@@ -174,6 +210,17 @@ def test_bounds_csv_summary_row(tmp_path):
     assert len(rows) == 4
 
 
+def test_bounds_csv_rows_match_the_json_instances(tmp_path):
+    cfg = write_config(tmp_path, "bounds.count=2\nbounds.dim=5\nbounds.n=2\n")
+    _, out, _ = run_cli(["bounds", "--config", cfg])
+    instances = parse_json(out)["report"]["instances"]
+    _, out, _ = run_cli(["bounds", "--config", cfg, "--format", "csv"])
+    header, *rows, _ = list(csv.reader(io.StringIO(out)))
+    assert header[:3] == ["n_indices", "n_points", "mode"]
+    assert [row[:3] for row in rows] == [["2", "5", "exact"]] * 2
+    assert rows == [[str(inst[column]) for column in header] for inst in instances]
+
+
 def test_bounds_empirical_mode_reports_cis(tmp_path):
     cfg = write_config(tmp_path, "bounds.count=2\nbounds.dim=5\nbounds.n=2\n"
                        "bounds.mode=empirical\nbounds.budget=500\n"
@@ -184,6 +231,18 @@ def test_bounds_empirical_mode_reports_cis(tmp_path):
         assert inst["mode"] == "empirical"
         assert inst["tv_ci"] is not None
         assert inst["wsharp_ci"] is not None
+
+
+def test_bounds_empirical_json_reports_inexact_coupling_past_the_cap(tmp_path):
+    # C(6, 2) = 15 minors per index set: past a cap of 10 the draws are independent
+    cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=6\nbounds.n=2\n"
+                       "bounds.mode=empirical\nbounds.budget=500\n"
+                       "bounds.bootstrap_resamples=20\nenumeration_cap=10\n")
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 0
+    inst = parse_json(out)["report"]["instances"][0]
+    assert inst["coupling_exact"] is False
+    assert inst["sample_count"] == 500
 
 
 def test_bounds_empirical_intervals_hold_their_values(tmp_path):
@@ -215,6 +274,12 @@ def test_bounds_past_the_variable_cap_exits_2(tmp_path):
 @pytest.mark.parametrize("command, text", [
     ("rdm-monotonicity", "rdm.seeds=1\nw1.tolerance=1e-12\n"),
     ("bounds", "bounds.count=1\nbounds.tolerance=5\nw1.rho_penalty=2\n"),
+    # each cap is a key only of the commands that honor it
+    ("rdm-monotonicity", "rdm.seeds=1\nenumeration_cap=5\n"),
+    ("bounds", "bounds.count=1\ndim_cap=5\n"),
+    ("walsh", "enumeration_cap=3\n"),
+    ("example-gap", "dim_cap=1\n"),
+    ("selftest", "dim_cap=1\n"),
 ])
 def test_unread_config_keys_exit_2(tmp_path, command, text, monkeypatch):
     import fermiflow.cli as cli_module
@@ -241,7 +306,8 @@ def test_rdm_monotonicity_run(tmp_path):
     for row in rep["rows"]:
         assert row["monotone"] is True
         values = row["values"]
-        assert values[0] <= values[1] + rep["verdict_tol"]
+        # the certified interval of size 1 reaches down to value - gap
+        assert values[1] >= values[0] - row["gap"][0]
         assert len(row["iterations"]) == len(row["gap"]) == 2
         assert all(isinstance(it, int) and it >= 1 for it in row["iterations"])
         assert all(gap <= 1e-5 for gap in row["gap"])
@@ -264,6 +330,16 @@ def test_rdm_monotonicity_csv_columns(tmp_path):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["seed", "value_1", "value_2", "monotone", "error"]
+
+
+def test_example_gap_csv_columns(tmp_path):
+    cfg = write_config(tmp_path, "gap.n_max=3\n")
+    code, out, _ = run_cli(["example-gap", "--config", cfg, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["n", "determinant", "mean_overlap", "trace_distance",
+                       "w1_upper_over_n"]
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
 
 
 def test_example_gap_table(tmp_path):
@@ -299,6 +375,15 @@ def test_selftest_format_without_out_prints_the_report(tmp_path):
     results = parse_json(out)["report"]["results"]
     assert [(r["name"], r["passed"]) for r in results] == [("walsh_exhibit", True)]
     assert err.startswith("PASS walsh_exhibit")
+
+
+def test_selftest_csv_leaves_an_unbudgeted_budget_empty(tmp_path):
+    cfg = write_config(tmp_path, "selftest.only=walsh_exhibit,gap_table\n")
+    code, out, _ = run_cli(["selftest", "--config", cfg, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(row[0], row[3]) for row in rows[1:]] == [("walsh_exhibit", "1.0"),
+                                                      ("gap_table", "")]
 
 
 def test_selftest_unknown_name(tmp_path):
