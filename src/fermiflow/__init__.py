@@ -8,13 +8,12 @@ convention, (1/2) tr |rho - sigma|, matching half-L1 for classical laws.
 from ._rng import stream_generator
 from .bounds import (DppBoundsReport, WalshCounterexampleReport,
                      count_covariance_exact, density_transport_rhs,
-                     tv_bound_general, tv_bound_projection, verify_instance,
+                     tv_bound_general, verify_instance,
                      walsh_counterexample_report, weight_w,
-                     wsharp_bound_general, wsharp_bound_projection,
-                     wsharp_exact)
+                     wsharp_bound_general, wsharp_exact)
 from .dpp import (ConfigurationDistribution, MixedKernelSpec,
                   brute_force_configuration_distribution, correlation_function,
-                  count_covariance, coupled_sample_counts, coupled_sample_pair,
+                  coupled_sample_counts, coupled_sample_pair,
                   exact_mixed_distribution,
                   expected_count, ordered_measurement_distribution,
                   sample_projection_dpp)
@@ -22,11 +21,9 @@ from .errors import (ConvergenceError, EnumerationCapError, RankCollapseError,
                      RankDeficiencyError)
 from .ground import (GroundSpace, OrthonormalFamily, gram_matrix, inner_product,
                      orthonormalize, random_orthonormal, walsh_family)
-from .slater import (DensityOperator, OverlapMatrix, ProjectionKernel,
-                     full_state_vector, overlap_determinant, overlap_matrix,
-                     projection_kernel, reduced_density_matrix,
-                     slater_amplitude, slater_fidelity, slater_state_vector,
-                     trace_distance_slater)
+from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
+                     overlap_determinant, overlap_matrix, reduced_density_matrix,
+                     slater_fidelity, slater_state_vector, trace_distance_slater)
 from .transport import (CostMatrix, FlowGraph, TransportPlan, hamming_graph,
                         metric_transport_values, ot_cost, subset_graph, total_variation)
 from .w1_bounds import (GapRow, example_gap_table, stabilizer_max_overlap,
@@ -49,7 +46,6 @@ __all__ = [
     "MixedKernelSpec",
     "OrthonormalFamily",
     "OverlapMatrix",
-    "ProjectionKernel",
     "RankCollapseError",
     "RankDeficiencyError",
     "TransportPlan",
@@ -58,7 +54,6 @@ __all__ = [
     "brute_force_configuration_distribution",
     "classical_hamming_w1",
     "correlation_function",
-    "count_covariance",
     "count_covariance_exact",
     "coupled_sample_counts",
     "coupled_sample_pair",
@@ -76,12 +71,10 @@ __all__ = [
     "ot_cost",
     "overlap_determinant",
     "overlap_matrix",
-    "projection_kernel",
     "random_orthonormal",
     "rdm_monotonicity_check",
     "reduced_density_matrix",
     "sample_projection_dpp",
-    "slater_amplitude",
     "slater_fidelity",
     "slater_state_vector",
     "stabilizer_max_overlap",
@@ -91,7 +84,6 @@ __all__ = [
     "total_variation",
     "trace_distance_slater",
     "tv_bound_general",
-    "tv_bound_projection",
     "verify_instance",
     "w1_exact",
     "w1_upper_slater",
@@ -99,6 +91,5 @@ __all__ = [
     "walsh_family",
     "weight_w",
     "wsharp_bound_general",
-    "wsharp_bound_projection",
     "wsharp_exact",
 ]

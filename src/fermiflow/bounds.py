@@ -4,9 +4,10 @@ For projection kernels built from families (psi_i) and (phi_i) with
 overlap matrix M, the total variation of the two configuration laws is at
 most sqrt(1 - |det M|^2), and the transport distance with ground cost
 (1/2) card(A delta B) is at most n sqrt(1 - s^2) with s the
-stabilizer-maximized mean overlap. The half on the cost mirrors the
-half-L1 convention of every other distance here; without it each
-transport bound picks up a factor 2.
+stabilizer-maximized mean overlap (`trace_distance_slater` and
+`w1_upper_slater` of M). The half on the cost mirrors the half-L1
+convention of every other distance here; without it each transport
+bound picks up a factor 2.
 
 For mixed kernels with eigenvalues lambda, lambda' on a shared index set,
 the bounds average the projection bounds over coupled Bernoulli index
@@ -37,22 +38,12 @@ from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
                   coupled_sample_counts, coupled_sample_pair, exact_mixed_distribution,
                   index_set_blocks, weighted_index_sets)
 from .ground import OrthonormalFamily, walsh_family
-from .slater import OverlapMatrix, _fidelities, slater_fidelity, trace_distance_slater
+from .slater import OverlapMatrix, _fidelities, slater_fidelity
 from .transport import CostMatrix, metric_transport_values, ot_cost, subset_graph, total_variation
-from .w1_bounds import _mean_overlaps, w1_upper_slater
+from .w1_bounds import _mean_overlaps
 
 SUBSET_CAP = 20
 TRUNCATION_LIMIT = 100_000
-
-
-def tv_bound_projection(m: OverlapMatrix) -> float:
-    """Total-variation bound sqrt(1 - |det M|^2) for two projection laws."""
-    return trace_distance_slater(m)
-
-
-def wsharp_bound_projection(m: OverlapMatrix) -> float:
-    """Symmetric-difference transport bound n sqrt(1 - s^2)."""
-    return w1_upper_slater(m)
 
 
 def weight_w(lambdas, lambdas_prime, subset) -> float:

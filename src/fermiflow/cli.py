@@ -28,7 +28,6 @@ from .ground import random_orthonormal
 from .selftest import (law_deviations_pass, measurement_law_deviations,
                        monotonicity_margin, run_all, sampler_chi_square,
                        walsh_exhibit_passed)
-from .slater import projection_kernel
 from .w1_bounds import example_gap_table
 from .w1_exact import DIM_CAP, rdm_certificates
 
@@ -62,12 +61,12 @@ class RunConfig:
         self.read.add(key)
         return type(default)(self.extra.get(key, default))
 
-    def get_cap(self, key: str, default: int) -> int:
-        """`get` for a resource cap, which must be positive."""
-        cap = self.get(key, default)
-        if cap <= 0:
-            raise ValueError(f"{key} must be positive, got {cap}")
-        return cap
+    def get_positive(self, key: str, default: int) -> int:
+        """`get` for a cap or a count, which must be positive."""
+        value = self.get(key, default)
+        if value <= 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+        return value
 
     def reject_unread(self) -> None:
         """Refuse config keys the command has not read, before it runs anything."""
@@ -136,16 +135,16 @@ def _emit(cfg: RunConfig, command: str, report: dict, columns: list,
 def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
     dim = cfg.get("verify_lemma.dim", 6)
     n = cfg.get("verify_lemma.n", 2)
-    seeds = cfg.get("verify_lemma.seeds", 10)
-    draws = cfg.get("verify_lemma.draws", 20_000)
-    cap = cfg.get_cap("enumeration_cap", ENUMERATION_CAP)
+    seeds = cfg.get_positive("verify_lemma.seeds", 10)
+    draws = cfg.get_positive("verify_lemma.draws", 20_000)
+    cap = cfg.get_positive("enumeration_cap", ENUMERATION_CAP)
     cfg.reject_unread()
 
     rows = []
     worst_incl = worst_mass = worst_diag = 0.0
     for s in range(seeds):
         fam = random_orthonormal(dim, n, seed=cfg.instance_seed("verify-lemma", s))
-        kmat = projection_kernel(fam).matrix.copy()
+        kmat = MixedKernelSpec(np.ones(n), fam).kernel_matrix()
         if corrupt:
             # negative control: break one off-diagonal entry and its mirror
             kmat[0, 1] += 0.5
@@ -190,14 +189,14 @@ def cmd_walsh(cfg: RunConfig) -> int:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    count = cfg.get("bounds.count", 20)
+    count = cfg.get_positive("bounds.count", 20)
     dim = cfg.get("bounds.dim", 6)
     n = cfg.get("bounds.n", 2)
     mode = cfg.get("bounds.mode", "exact")
     mixed = cfg.get("bounds.mixed_eigenvalues", 0)
-    budget = cfg.get("bounds.budget", 20_000)
-    resamples = cfg.get("bounds.bootstrap_resamples", 1000)
-    cap = cfg.get_cap("enumeration_cap", ENUMERATION_CAP)
+    budget = cfg.get_positive("bounds.budget", 20_000)
+    resamples = cfg.get_positive("bounds.bootstrap_resamples", 1000)
+    cap = cfg.get_positive("enumeration_cap", ENUMERATION_CAP)
     cfg.reject_unread()
     if mode not in ("exact", "empirical"):
         raise ValueError(f"unknown bounds.mode {mode!r}")
@@ -237,12 +236,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
-    seeds = cfg.get("rdm.seeds", 20)
+    seeds = cfg.get_positive("rdm.seeds", 20)
     dim = cfg.get("rdm.dim", 4)
     n = cfg.get("rdm.n", 2)
     tol = cfg.get("w1.tol", 1e-5)
     max_iter = cfg.get("w1.max_iter", 50_000)
-    dim_cap = cfg.get_cap("dim_cap", DIM_CAP)
+    dim_cap = cfg.get_positive("dim_cap", DIM_CAP)
     cfg.reject_unread()
 
     rows = []

@@ -7,8 +7,8 @@ K(x, y) = sum_l conj(psi_l(x)) psi_l(y) times the point weights.
 
 Exact laws are sums over unordered configurations by Cauchy-Binet, with
 brute-force enumeration over all ordered tuples kept as an independent
-oracle; kernel-side quantities (correlation minors, expected counts, count
-covariances) and exact samplers for projection and mixed kernels follow.
+oracle; kernel-side quantities (correlation minors, expected counts) and
+exact samplers for projection and mixed kernels follow.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EnumerationCapError, RankCollapseError
 from .ground import OrthonormalFamily
-from .slater import ProjectionKernel, slater_state_vector
+from .slater import slater_state_vector
 
 ENUMERATION_CAP = 1_000_000
 # index sets per block: at 20 indices, blocks of 64 to 4,096 ran equally fast and
@@ -59,71 +59,38 @@ class MixedKernelSpec:
         return (fns.conj().T * self.lambdas) @ fns
 
 
-def _kernel_matrix(kernel) -> tuple[np.ndarray, "object"]:
-    if isinstance(kernel, ProjectionKernel):
-        return kernel.matrix, kernel.space
-    if isinstance(kernel, MixedKernelSpec):
-        return kernel.kernel_matrix(), kernel.family.space
-    raise TypeError("expected a ProjectionKernel or MixedKernelSpec")
-
-
-def correlation_function(kernel, points) -> float:
+def correlation_function(spec: MixedKernelSpec, points) -> float:
     """m-point correlation: determinant of the kernel minor at the points.
 
-    Points must be distinct indices. For a projection kernel of rank n the
-    value is zero whenever m exceeds n.
+    Points must be distinct indices. The kernel's rank is at most its number
+    of nonzero eigenvalues, so past that many points the value is exactly zero.
     """
     idx = list(points)
     if len(set(idx)) != len(idx):
         raise ValueError("correlation points must be distinct")
-    mat, _ = _kernel_matrix(kernel)
-    if isinstance(kernel, ProjectionKernel) and len(idx) > kernel.rank:
+    if len(idx) > np.count_nonzero(spec.lambdas):
         return 0.0
     if not idx:
         return 1.0
-    minor = mat[np.ix_(idx, idx)]
+    minor = spec.kernel_matrix()[np.ix_(idx, idx)]
     return float(np.linalg.det(minor).real)
 
 
-def expected_count(kernel, subset) -> float:
+def expected_count(spec: MixedKernelSpec, subset) -> float:
     """Mean number of points falling in the subset: sum of K(x,x) mu(x)."""
-    mat, space = _kernel_matrix(kernel)
     idx = list(subset)
     if not idx:
         return 0.0
-    return float(np.sum(np.real(np.diag(mat))[idx] * space.weights[idx]))
-
-
-def count_covariance(kernel, subset_a, subset_b) -> float:
-    """Covariance of the point counts in two disjoint subsets.
-
-    Computed from the two-point correlation minus the product of one-point
-    correlations; for a determinantal kernel this equals
-    -sum |K(x,y)|^2 mu(x) mu(y), hence is never positive.
-    """
-    a = list(subset_a)
-    b = list(subset_b)
-    if set(a) & set(b):
-        raise ValueError("subsets must be disjoint")
-    _, space = _kernel_matrix(kernel)
-    total = 0.0
-    for x in a:
-        for y in b:
-            pair = correlation_function(kernel, (x, y))
-            single = correlation_function(kernel, (x,)) * correlation_function(kernel, (y,))
-            total += (pair - single) * space.weights[x] * space.weights[y]
-    return total
+    diag = np.real(np.diag(spec.kernel_matrix()))
+    return float(np.sum(diag[idx] * spec.family.space.weights[idx]))
 
 
 @dataclass(frozen=True, eq=False)
 class ConfigurationDistribution:
-    """Distribution over point configurations (sorted index tuples)."""
+    """Exact distribution over point configurations (sorted index tuples)."""
 
     support: tuple
     probs: np.ndarray
-    kind: str = "exact"
-    sample_count: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(tuple(c) for c in self.support))
@@ -135,10 +102,6 @@ class ConfigurationDistribution:
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {p.sum():.12f}")
-        if self.kind not in ("exact", "empirical"):
-            raise ValueError("kind must be 'exact' or 'empirical'")
-        if self.kind == "empirical" and self.sample_count is None:
-            raise ValueError("empirical distributions must record sample_count")
 
     def as_dict(self) -> dict:
         return {config: float(p) for config, p in zip(self.support, self.probs)}
@@ -148,19 +111,6 @@ class ConfigurationDistribution:
         wanted = set(points)
         return float(sum(p for config, p in zip(self.support, self.probs)
                          if wanted <= set(config)))
-
-    @classmethod
-    def from_samples(cls, samples, seed: int | None = None) -> "ConfigurationDistribution":
-        counts: dict = {}
-        total = 0
-        for config in samples:
-            key = tuple(sorted(config))
-            counts[key] = counts.get(key, 0) + 1
-            total += 1
-        support = sorted(counts)
-        probs = np.array([counts[c] / total for c in support])
-        return cls(tuple(support), probs, kind="empirical",
-                   sample_count=total, seed=seed)
 
 
 def ordered_measurement_distribution(family: OrthonormalFamily,
@@ -193,7 +143,7 @@ def brute_force_configuration_distribution(family: OrthonormalFamily,
     keep = mass > 1e-14  # discard enumeration dust, not genuine support
     support = [c for c, k in zip(support, keep) if k]
     mass = mass[keep]
-    return ConfigurationDistribution(tuple(support), mass / mass.sum(), kind="exact")
+    return ConfigurationDistribution(tuple(support), mass / mass.sum())
 
 
 def sample_projection_dpp(family: OrthonormalFamily,
@@ -289,7 +239,7 @@ def exact_mixed_distribution(spec: MixedKernelSpec,
     keep = probs > 1e-14  # discard cancellation dust, not genuine support
     support = [c for c, k in zip(support, keep) if k]
     probs = probs[keep]
-    return ConfigurationDistribution(tuple(support), probs / probs.sum(), kind="exact")
+    return ConfigurationDistribution(tuple(support), probs / probs.sum())
 
 
 def coupled_sample_counts(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,

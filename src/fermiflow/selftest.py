@@ -22,11 +22,11 @@ from ._rng import stream_generator
 from .bounds import WalshCounterexampleReport, verify_instance, walsh_counterexample_report
 from .dpp import (ENUMERATION_CAP, MixedKernelSpec,
                   brute_force_configuration_distribution,
-                  exact_mixed_distribution, ordered_measurement_distribution,
-                  sample_projection_dpp)
+                  exact_mixed_distribution, expected_count,
+                  ordered_measurement_distribution, sample_projection_dpp)
 from .ground import random_orthonormal
 from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
-                     overlap_matrix, projection_kernel, trace_distance_slater)
+                     overlap_matrix, trace_distance_slater)
 from .transport import CostMatrix, ot_cost, total_variation
 from .w1_bounds import (example_gap_table, stabilizer_max_overlap,
                         stabilizer_max_overlap_ascent, w1_upper_slater)
@@ -94,7 +94,8 @@ def check_measurement_matches_kernel() -> CheckResult:
         for n in (2, 3):
             for s in range(10):
                 fam = random_orthonormal(dim, n, seed=10_000 + 100 * dim + 10 * n + s)
-                devs = measurement_law_deviations(fam, projection_kernel(fam).matrix)
+                kmat = MixedKernelSpec(np.ones(n), fam).kernel_matrix()
+                devs = measurement_law_deviations(fam, kmat)
                 worst = np.maximum(worst, devs)
     worst_incl, worst_total, worst_diag = map(float, worst)
     elapsed = time.perf_counter() - start
@@ -144,15 +145,15 @@ def check_sampler_statistics() -> CheckResult:
     start = time.perf_counter()
     draws = 50_000
     fam = random_orthonormal(6, 2, seed=33)
-    dist = exact_mixed_distribution(MixedKernelSpec(np.ones(2), fam))
-    kern = projection_kernel(fam)
+    spec = MixedKernelSpec(np.ones(2), fam)
+    dist = exact_mixed_distribution(spec)
     chi2, threshold, counts = sampler_chi_square(fam, dist, draws,
                                                  stream_generator(33, 3))
     covered = sum(counts[c] for c in dist.support)
 
     worst_se = 0.0
     for x in range(6):
-        p = float(kern.matrix[x, x].real) * float(fam.space.weights[x])
+        p = expected_count(spec, [x])
         seen = sum(c for config, c in counts.items() if x in config)
         se = math.sqrt(draws * p * (1.0 - p))
         worst_se = max(worst_se, abs(seen - draws * p) / se)

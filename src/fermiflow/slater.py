@@ -1,4 +1,4 @@
-"""Determinant states built from orthonormal families, and their kernels.
+"""Determinant states built from orthonormal families, and their overlaps.
 
 An orthonormal family (psi_1..psi_n) on a ground space defines the
 antisymmetric n-point pure state with amplitudes
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationCapError
-from .ground import GroundSpace, OrthonormalFamily
+from .ground import OrthonormalFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,63 +87,6 @@ def slater_fidelity(m: OverlapMatrix) -> float:
 def trace_distance_slater(m: OverlapMatrix) -> float:
     """Trace distance of the two pure determinant states, sqrt(1 - |det M|^2)."""
     return math.sqrt(max(0.0, 1.0 - slater_fidelity(m)))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionKernel:
-    """Kernel K(x, y) = sum_l conj(psi_l(x)) psi_l(y) of rank n.
-
-    Reproduces itself under the weighted product, sum_y K(x,y) mu(y) K(y,z)
-    = K(x,z), and has weighted trace equal to the rank.
-    """
-
-    space: GroundSpace
-    matrix: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        k = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", k)
-        m = self.space.n_points
-        if k.shape != (m, m):
-            raise ValueError("kernel size must match the space")
-        scale = max(1.0, float(np.max(np.abs(k))))
-        if np.max(np.abs(k - k.conj().T)) > 1e-9 * scale:
-            raise ValueError("kernel must be Hermitian")
-        kdk = k @ (self.space.weights[:, None] * k)
-        if np.max(np.abs(kdk - k)) > 1e-8 * scale:
-            raise ValueError("kernel is not a projection under the weighted product")
-        tr = float(np.sum(np.real(np.diag(k)) * self.space.weights))
-        if abs(tr - self.rank) > 1e-8:
-            raise ValueError(f"weighted trace {tr:.9f} does not equal rank {self.rank}")
-
-    def operator_matrix(self) -> np.ndarray:
-        """The kernel as a weight-folded operator matrix.
-
-        Entry (x, y) is sqrt(mu(x)) K(y, x) sqrt(mu(y)); this is the rank-n
-        orthogonal projector onto the folded family in the plain inner
-        product, with eigenvalues one (n times) and zero.
-        """
-        root = np.sqrt(self.space.weights)
-        return root[:, None] * self.matrix.conj() * root[None, :]
-
-
-def projection_kernel(family: OrthonormalFamily) -> ProjectionKernel:
-    fns = family.functions
-    return ProjectionKernel(family.space, fns.conj().T @ fns, family.n)
-
-
-def slater_amplitude(family: OrthonormalFamily, points) -> complex:
-    """Amplitude det(psi_i(x_j)) / sqrt(n!) of one ordered tuple of points.
-
-    Points are given by index into the ground space; repeats give zero.
-    Swapping two points flips the sign.
-    """
-    idx = list(points)
-    if len(idx) != family.n:
-        raise ValueError(f"need {family.n} points, got {len(idx)}")
-    mat = family.functions[:, idx]
-    return complex(np.linalg.det(mat) / math.sqrt(math.factorial(family.n)))
 
 
 @dataclass(frozen=True, eq=False)

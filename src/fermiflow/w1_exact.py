@@ -359,7 +359,13 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
 
 def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily,
                      **solver_kwargs) -> list[W1Certificate]:
-    """`w1_exact` certificates of the k-particle reduced states, k = 1..n."""
+    """`w1_exact` certificates of the k-particle reduced states, k = 1..n.
+
+    The largest solve, on m**n, is held to `dim_cap` before any state is built.
+    """
+    total, cap = a.space.n_points ** a.n, solver_kwargs.get("dim_cap", DIM_CAP)
+    if total > cap:
+        raise ValueError(f"total dimension {total} exceeds cap {cap}")
     state_a = full_state_vector(a)
     state_b = full_state_vector(b)
     return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),

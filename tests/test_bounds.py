@@ -14,10 +14,9 @@ from fermiflow import (ConfigurationDistribution, EnumerationCapError, MixedKern
                        OverlapMatrix, count_covariance_exact,
                        density_transport_rhs, exact_mixed_distribution,
                        orthonormalize, overlap_matrix, random_orthonormal,
-                       total_variation, tv_bound_general, tv_bound_projection,
-                       verify_instance, walsh_counterexample_report,
-                       walsh_family, weight_w, wsharp_bound_general,
-                       wsharp_bound_projection, wsharp_exact)
+                       total_variation, trace_distance_slater, tv_bound_general,
+                       verify_instance, w1_upper_slater, walsh_counterexample_report,
+                       walsh_family, weight_w, wsharp_bound_general, wsharp_exact)
 
 SQRT3 = 1.7320508075688772
 
@@ -38,8 +37,8 @@ def haar_spec_pair(dim, n, seed):
 
 def test_projection_bounds_identity():
     m = OverlapMatrix(np.eye(3))
-    assert tv_bound_projection(m) == 0.0
-    assert wsharp_bound_projection(m) == pytest.approx(0.0, abs=1e-7)
+    assert trace_distance_slater(m) == 0.0
+    assert w1_upper_slater(m) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_projection_bounds_walsh_pair():
@@ -47,22 +46,22 @@ def test_projection_bounds_walsh_pair():
     m = overlap_matrix(spec_a.family, spec_b.family)
     # overlap matrix has singular values 1 and 0: determinant term dies,
     # mean overlap is 1/2
-    assert tv_bound_projection(m) == pytest.approx(1.0, abs=1e-12)
-    assert wsharp_bound_projection(m) == pytest.approx(SQRT3, abs=1e-12)
+    assert trace_distance_slater(m) == pytest.approx(1.0, abs=1e-12)
+    assert w1_upper_slater(m) == pytest.approx(SQRT3, abs=1e-12)
 
 
 def test_projection_bounds_single_index():
     c = 0.8
     m = OverlapMatrix(np.array([[c]]))
-    assert tv_bound_projection(m) == pytest.approx(0.6, abs=1e-12)
-    assert wsharp_bound_projection(m) == pytest.approx(0.6, abs=1e-12)
+    assert trace_distance_slater(m) == pytest.approx(0.6, abs=1e-12)
+    assert w1_upper_slater(m) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_wsharp_bound_dominated_by_n_times_tv_bound():
     for seed in range(20):
         spec_a, spec_b = haar_spec_pair(6, 3, 900 + 2 * seed)
         m = overlap_matrix(spec_a.family, spec_b.family)
-        assert wsharp_bound_projection(m) <= 3 * tv_bound_projection(m) + 1e-9
+        assert w1_upper_slater(m) <= 3 * trace_distance_slater(m) + 1e-9
 
 
 def test_weight_full_support():
@@ -112,9 +111,9 @@ def test_general_bounds_reduce_to_projection():
     spec_a, spec_b = haar_spec_pair(6, 3, 31)
     m = overlap_matrix(spec_a.family, spec_b.family)
     assert tv_bound_general(spec_a, spec_b) == pytest.approx(
-        tv_bound_projection(m), abs=1e-12)
+        trace_distance_slater(m), abs=1e-12)
     assert wsharp_bound_general(spec_a, spec_b) == pytest.approx(
-        wsharp_bound_projection(m), abs=1e-12)
+        w1_upper_slater(m), abs=1e-12)
 
 
 def test_general_tv_bound_dropped_eigenvalue():
@@ -167,8 +166,8 @@ def subset_definition_bounds(spec_a, spec_b):
         for subset in itertools.combinations(range(lam.size), r):
             minor = OverlapMatrix(cross[np.ix_(subset, subset)])
             w = weight_w(lam, lam_p, subset)
-            tv += w * tv_bound_projection(minor)
-            ws += w * wsharp_bound_projection(minor)
+            tv += w * trace_distance_slater(minor)
+            ws += w * w1_upper_slater(minor)
     mismatch = float(np.abs(lam - lam_p).sum())
     head = (2.0 + lam.sum() + lam_p.sum()) * math.sqrt(mismatch)
     return mismatch + tv, head + ws
@@ -214,8 +213,8 @@ def test_exact_mode_enforces_the_law_cap_before_any_bound(monkeypatch):
 
 
 def test_wsharp_exact_point_masses():
-    da = ConfigurationDistribution([(0, 1)], [1.0], "exact")
-    db = ConfigurationDistribution([(2, 3)], [1.0], "exact")
+    da = ConfigurationDistribution([(0, 1)], [1.0])
+    db = ConfigurationDistribution([(2, 3)], [1.0])
     assert wsharp_exact(da, da) == 0.0
     # disjoint pairs: symmetric difference 4, halved
     assert wsharp_exact(da, db) == pytest.approx(2.0, abs=1e-12)

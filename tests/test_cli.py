@@ -110,6 +110,37 @@ def test_config_rejects_nonpositive_cap(tmp_path):
         assert out == ""
 
 
+@pytest.mark.parametrize("command, key, value, text", [
+    ("verify-lemma", "verify_lemma.seeds", 0, ""),
+    ("verify-lemma", "verify_lemma.draws", 0, ""),
+    ("bounds", "bounds.count", 0, ""),
+    ("bounds", "bounds.budget", 0, "bounds.mode=empirical\n"),
+    ("bounds", "bounds.bootstrap_resamples", 0, "bounds.mode=empirical\n"),
+    ("bounds", "bounds.bootstrap_resamples", -3, "bounds.mode=empirical\n"),
+    ("rdm-monotonicity", "rdm.seeds", 0, ""),
+])
+def test_config_rejects_nonpositive_count(tmp_path, monkeypatch, command, key, value, text):
+    import fermiflow.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built despite a non-positive count")
+
+    monkeypatch.setattr(cli_module, "random_orthonormal", refuse)
+    cfg = write_config(tmp_path, f"{text}{key}={value}\n")
+    code, out, err = run_cli([command, "--config", cfg])
+    assert code == 2
+    assert f"{key} must be positive, got {value}" in err
+    assert out == ""
+
+
+def test_rdm_monotonicity_past_the_dim_cap_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "rdm.dim=8\nrdm.n=4\nrdm.seeds=1\n")
+    code, out, err = run_cli(["rdm-monotonicity", "--config", cfg])
+    assert code == 2
+    assert "total dimension 4096 exceeds cap 64" in err
+    assert out == ""
+
+
 def test_unknown_flag_is_a_usage_error():
     code, _, _ = run_cli(["walsh", "--frobnicate"])
     assert code == 2

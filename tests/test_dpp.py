@@ -4,23 +4,19 @@ their Cauchy-Binet laws."""
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fermiflow import dpp
 from fermiflow.bounds import weight_w
-from fermiflow import (ConfigurationDistribution, EnumerationCapError,
-                       GroundSpace, MixedKernelSpec,
+from fermiflow import (EnumerationCapError, GroundSpace, MixedKernelSpec,
                        brute_force_configuration_distribution,
-                       correlation_function, count_covariance,
-                       coupled_sample_counts, coupled_sample_pair,
-                       exact_mixed_distribution,
+                       correlation_function, coupled_sample_counts,
+                       coupled_sample_pair, exact_mixed_distribution,
                        expected_count, ordered_measurement_distribution,
-                       orthonormalize, projection_kernel, random_orthonormal,
-                       sample_projection_dpp,
-                       stream_generator, walsh_family)
+                       orthonormalize, random_orthonormal,
+                       sample_projection_dpp, stream_generator, walsh_family)
 
 
 def walsh_pair_family():
@@ -28,23 +24,37 @@ def walsh_pair_family():
     return orthonormalize(fns[:2], space)
 
 
+def projection_spec(fam):
+    return MixedKernelSpec(np.ones(fam.n), fam)
+
+
 def test_correlation_single_point_is_diagonal():
     fam = random_orthonormal(5, 2, 1)
-    k = projection_kernel(fam)
+    k = projection_spec(fam)
+    kmat = k.kernel_matrix()
     for x in range(5):
-        assert correlation_function(k, [x]) == pytest.approx(k.matrix[x, x].real, abs=1e-12)
+        assert correlation_function(k, [x]) == pytest.approx(kmat[x, x].real, abs=1e-12)
 
 
 def test_correlation_above_rank_vanishes():
     fam = random_orthonormal(5, 2, 2)
-    k = projection_kernel(fam)
+    k = projection_spec(fam)
     assert correlation_function(k, [0, 1, 2]) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_correlation_past_the_nonzero_eigenvalues_is_exactly_zero():
+    fam = random_orthonormal(6, 4, 12)
+    spec = MixedKernelSpec(np.array([0.7, 0.0, 0.4, 0.0]), fam)
+    assert correlation_function(spec, [0, 3]) > 0.0
+    assert correlation_function(spec, [0, 3, 5]) == 0.0
+    assert correlation_function(spec, [0, 1, 3, 5]) == 0.0
+    assert correlation_function(MixedKernelSpec(np.zeros(4), fam), [2]) == 0.0
 
 
 def test_correlation_walsh_cross_half():
     # kernel diagonal is 2, cross-half off-diagonal is 0, so the two-point
     # minor across halves is 2*2 - 0 = 4
-    k = projection_kernel(walsh_pair_family())
+    k = projection_spec(walsh_pair_family())
     assert correlation_function(k, [0, 2]) == pytest.approx(4.0, abs=1e-12)
     # same half: rows proportional, determinant 0
     assert correlation_function(k, [0, 1]) == pytest.approx(0.0, abs=1e-12)
@@ -53,19 +63,28 @@ def test_correlation_walsh_cross_half():
 def test_correlation_rejects_repeats():
     fam = random_orthonormal(4, 2, 3)
     with pytest.raises(ValueError):
-        correlation_function(projection_kernel(fam), [1, 1])
+        correlation_function(projection_spec(fam), [1, 1])
 
 
 def test_expected_count_whole_space_is_rank():
     fam = random_orthonormal(6, 3, 4)
-    k = projection_kernel(fam)
+    k = projection_spec(fam)
     assert expected_count(k, list(range(6))) == pytest.approx(3.0, abs=1e-10)
     assert expected_count(k, []) == 0.0
 
 
 def test_expected_count_walsh_half():
-    k = projection_kernel(walsh_pair_family())
+    k = projection_spec(walsh_pair_family())
     assert expected_count(k, [0, 1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def count_covariance(spec, subset_a, subset_b):
+    """Covariance of the counts in two disjoint subsets, from one- and two-point
+    correlations: sum of (rho2(x, y) - rho1(x) rho1(y)) mu(x) mu(y)."""
+    mu = spec.family.space.weights
+    return sum((correlation_function(spec, (x, y))
+                - correlation_function(spec, (x,)) * correlation_function(spec, (y,)))
+               * mu[x] * mu[y] for x in subset_a for y in subset_b)
 
 
 def test_count_covariance_walsh_values():
@@ -73,31 +92,25 @@ def test_count_covariance_walsh_values():
     fam_01 = orthonormalize(fns[:2], space)
     fam_02 = orthonormalize(fns[[0, 2]], space)
     # adjacent quarter cells (0,1/4) and (1/4,1/2) are single grid points
-    assert count_covariance(projection_kernel(fam_01), [0], [1]) == pytest.approx(-0.25, abs=1e-12)
-    assert count_covariance(projection_kernel(fam_02), [0], [1]) == pytest.approx(0.0, abs=1e-12)
-    assert count_covariance(projection_kernel(fam_01), [], [1]) == 0.0
+    assert count_covariance(projection_spec(fam_01), [0], [1]) == pytest.approx(-0.25, abs=1e-12)
+    assert count_covariance(projection_spec(fam_02), [0], [1]) == pytest.approx(0.0, abs=1e-12)
+    assert count_covariance(projection_spec(fam_01), [], [1]) == 0.0
 
 
 def test_count_covariance_never_positive():
+    # for a determinantal kernel the covariance is -sum |K(x,y)|^2 mu(x) mu(y)
     rng = np.random.default_rng(11)
     for seed in range(10):
         fam = random_orthonormal(6, 3, 500 + seed)
-        k = projection_kernel(fam)
+        k = MixedKernelSpec(np.ones(3) if seed % 2 else rng.random(3), fam)
         pts = rng.permutation(6)
         a, b = list(pts[:2]), list(pts[2:4])
         assert count_covariance(k, a, b) <= 1e-12
 
 
-def test_count_covariance_rejects_overlap():
-    fam = random_orthonormal(4, 2, 5)
-    with pytest.raises(ValueError):
-        count_covariance(projection_kernel(fam), [0, 1], [1, 2])
-
-
 def test_brute_force_total_mass_and_support():
     fam = random_orthonormal(6, 2, 6)
     dist = brute_force_configuration_distribution(fam)
-    assert dist.kind == "exact"
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert all(len(cfg) == 2 and cfg[0] < cfg[1] for cfg in dist.support)
 
@@ -122,13 +135,13 @@ def test_ordered_distribution_exchangeable():
 def test_inclusion_statistics_match_kernel_minors():
     fam = random_orthonormal(5, 2, 9)
     dist = brute_force_configuration_distribution(fam)
-    k = projection_kernel(fam)
+    k = projection_spec(fam)
     mu = np.asarray(fam.space.weights)
     for pts in itertools.combinations(range(5), 2):
         target = correlation_function(k, list(pts)) * mu[list(pts)].prod()
         assert dist.inclusion_probability(pts) == pytest.approx(target, abs=1e-9)
     for x in range(5):
-        target = k.matrix[x, x].real * mu[x]
+        target = k.kernel_matrix()[x, x].real * mu[x]
         assert dist.inclusion_probability((x,)) == pytest.approx(target, abs=1e-9)
 
 
@@ -153,7 +166,7 @@ def test_permutation_sum_reduces_to_kernel_minor():
                     mat[i, j] = np.conj(psi[tau[i], pts[i]]) * psi[tau[i], pts[j]]
             total += np.linalg.det(mat)
         lhs = total / math.factorial(n - m)
-        kmat = projection_kernel(fam).matrix
+        kmat = projection_spec(fam).kernel_matrix()
         rhs = np.linalg.det(kmat[np.ix_(pts, pts)])
         assert lhs.real == pytest.approx(rhs.real, abs=1e-9)
         assert lhs.imag == pytest.approx(rhs.imag, abs=1e-9)
@@ -403,16 +416,6 @@ def test_coupled_counts_match_exact_laws():
         for config, k in zip(support, row):
             p = law.get(config, 0.0)
             assert abs(k / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws) + 1e-12
-
-
-def test_from_samples_normalizes_counts():
-    samples = [(0, 1), (0, 1), (2, 3), (0, 1)]
-    dist = ConfigurationDistribution.from_samples(samples, seed=5)
-    assert dist.kind == "empirical"
-    assert dist.sample_count == 4
-    assert dist.seed == 5
-    assert dict(zip(dist.support, dist.probs)) == pytest.approx(
-        {(0, 1): 0.75, (2, 3): 0.25})
 
 
 def test_enumeration_cap_error_payload():

@@ -4,12 +4,11 @@ kernels, amplitudes, and the tiny-scale state-vector oracle."""
 import numpy as np
 import pytest
 
-from fermiflow import (DensityOperator, EnumerationCapError, GroundSpace,
-                       full_state_vector, inner_product, orthonormalize,
-                       overlap_determinant, overlap_matrix, projection_kernel,
-                       random_orthonormal, reduced_density_matrix,
-                       slater_amplitude, slater_fidelity, slater_state_vector,
-                       trace_distance_slater, walsh_family, OverlapMatrix)
+from fermiflow import (DensityOperator, EnumerationCapError, MixedKernelSpec,
+                       OverlapMatrix, full_state_vector, orthonormalize,
+                       overlap_determinant, overlap_matrix, random_orthonormal,
+                       reduced_density_matrix, slater_fidelity,
+                       slater_state_vector, trace_distance_slater, walsh_family)
 
 # frozen: prod_{i=1..20} (1 - 2^-i), squared
 DET_PROD_20 = 0.28878837049656664
@@ -81,46 +80,60 @@ def test_trace_distance_edge_cases():
     assert trace_distance_slater(OverlapMatrix(np.array([[c]]))) == pytest.approx(0.8, abs=1e-14)
 
 
+def projection_kernel(fam):
+    """The rank-n projection kernel K(x, y) = sum_l conj(psi_l(x)) psi_l(y)."""
+    return MixedKernelSpec(np.ones(fam.n), fam).kernel_matrix()
+
+
+def amplitude(fam, points):
+    """det(psi_i(x_j)) / sqrt(n!): the state vector's entry for `points`, unfolded."""
+    m = fam.space.n_points
+    fold = np.prod(np.sqrt(np.asarray(fam.space.weights)[list(points)]))
+    return slater_state_vector(fam)[np.ravel_multi_index(points, (m,) * fam.n)] / fold
+
+
 def test_projection_kernel_walsh_blocks():
     space, fns = walsh_family(2)
     fam = orthonormalize(fns[:2], space)
     k = projection_kernel(fam)
-    assert k.rank == 2
+    assert np.linalg.matrix_rank(k) == 2
     expected = np.array([[2, 2, 0, 0], [2, 2, 0, 0], [0, 0, 2, 2], [0, 0, 2, 2]], dtype=float)
-    np.testing.assert_allclose(k.matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(k, expected, atol=1e-12)
 
 
 def test_projection_kernel_full_frame_completeness():
     fam = random_orthonormal(5, 5, 2)
     k = projection_kernel(fam)
     mu = np.asarray(fam.space.weights)
-    np.testing.assert_allclose(np.diag(k.matrix).real * mu, np.ones(5), atol=1e-10)
-    np.testing.assert_allclose(k.operator_matrix(), np.eye(5), atol=1e-10)
+    np.testing.assert_allclose(np.diag(k).real * mu, np.ones(5), atol=1e-10)
+    # weight-folded, the kernel is the identity operator
+    root = np.sqrt(mu)
+    np.testing.assert_allclose(root[:, None] * k * root[None, :], np.eye(5), atol=1e-10)
 
 
 def test_projection_kernel_idempotent_weighted():
     fam = random_orthonormal(7, 3, 8)
     k = projection_kernel(fam)
     d = np.diag(np.asarray(fam.space.weights))
-    np.testing.assert_allclose(k.matrix @ d @ k.matrix, k.matrix, atol=1e-9)
-    np.testing.assert_allclose(k.matrix, k.matrix.conj().T, atol=1e-12)
-    assert np.sum(np.diag(k.matrix).real * np.asarray(fam.space.weights)) == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(k @ d @ k, k, atol=1e-9)
+    np.testing.assert_allclose(k, k.conj().T, atol=1e-12)
+    assert np.sum(np.diag(k).real * np.asarray(fam.space.weights)) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_amplitude_repeated_point_vanishes():
     fam = random_orthonormal(5, 2, 3)
-    assert abs(slater_amplitude(fam, (2, 2))) <= 1e-12
+    assert abs(amplitude(fam, (2, 2))) <= 1e-12
 
 
 def test_amplitude_single_particle():
     fam = random_orthonormal(4, 1, 9)
-    assert slater_amplitude(fam, (2,)) == pytest.approx(fam.functions[0][2], abs=1e-14)
+    assert amplitude(fam, (2,)) == pytest.approx(fam.functions[0][2], abs=1e-14)
 
 
 def test_amplitude_antisymmetry():
     fam = random_orthonormal(6, 3, 21)
-    v1 = slater_amplitude(fam, (0, 2, 5))
-    v2 = slater_amplitude(fam, (2, 0, 5))
+    v1 = amplitude(fam, (0, 2, 5))
+    v2 = amplitude(fam, (2, 0, 5))
     assert v1 == pytest.approx(-v2, abs=1e-14)
 
 
@@ -164,7 +177,7 @@ def test_one_particle_rdm_is_kernel_over_n():
     rdm1 = reduced_density_matrix(state, 1)
     k = projection_kernel(fam)
     root = np.sqrt(np.asarray(fam.space.weights))
-    expected = 0.5 * np.outer(root, root) * k.matrix.conj()
+    expected = 0.5 * np.outer(root, root) * k.conj()
     np.testing.assert_allclose(rdm1.matrix, expected, atol=1e-10)
     assert np.trace(rdm1.matrix).real == pytest.approx(1.0, abs=1e-12)
 

@@ -34,8 +34,8 @@ def half_symmetric_difference(configs):
 
 
 def point_mass_wsharp(a, b):
-    return wsharp_exact(ConfigurationDistribution([a], [1.0], "exact"),
-                        ConfigurationDistribution([b], [1.0], "exact"))
+    return wsharp_exact(ConfigurationDistribution([a], [1.0]),
+                        ConfigurationDistribution([b], [1.0]))
 
 
 def tv_sup_form(p, q):
@@ -230,9 +230,8 @@ def test_wsharp_exact_past_the_old_support_cap():
     q = np.full(len(support), 1 / len(support))
     q[0] -= eps
     q[-1] += eps
-    value = wsharp_exact(ConfigurationDistribution(support, np.full(len(support), 1 / 2002),
-                                                   "exact"),
-                         ConfigurationDistribution(support, q, "exact"))
+    value = wsharp_exact(ConfigurationDistribution(support, np.full(len(support), 1 / 2002)),
+                         ConfigurationDistribution(support, q))
     assert value == pytest.approx(eps * 0.5 * symmetric_difference_cost(a, b), abs=1e-12)
 
 
@@ -246,8 +245,8 @@ def test_variable_cap_raises_before_any_lp(monkeypatch):
     cap = transport_module.VARIABLE_CAP
     # 6-subsets of 30 points: the band [5, 6] has 2 * 6 * C(30, 6) arcs
     support = [tuple(range(i, i + 6)) for i in range(0, 30, 6)]
-    dist = ConfigurationDistribution(support, np.full(5, 0.2), "exact")
-    other = ConfigurationDistribution(support[::-1], np.linspace(0.1, 0.3, 5), "exact")
+    dist = ConfigurationDistribution(support, np.full(5, 0.2))
+    other = ConfigurationDistribution(support[::-1], np.linspace(0.1, 0.3, 5))
     arcs = 2 * 6 * math.comb(30, 6)
     with pytest.raises(ValueError, match=f"needs {arcs} variables, past the variable cap {cap}"):
         wsharp_exact(dist, other)
@@ -353,7 +352,7 @@ def test_wsharp_contracts_ordered_hamming_transport():
                 key = tuple(sorted(t))
                 acc[key] = acc.get(key, 0.0) + mass
             support = sorted(acc)
-            return ConfigurationDistribution(support, [acc[s] for s in support], "exact")
+            return ConfigurationDistribution(support, [acc[s] for s in support])
 
         set_value = wsharp_exact(push(p), push(q))
         assert set_value <= ordered_value + 1e-10

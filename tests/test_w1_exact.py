@@ -10,9 +10,9 @@ import re
 import numpy as np
 import pytest
 
-from fermiflow import (ConvergenceError, DensityOperator,
+from fermiflow import (ConvergenceError, DensityOperator, MixedKernelSpec,
                        classical_hamming_w1, full_state_vector, overlap_matrix,
-                       projection_kernel, random_orthonormal,
+                       random_orthonormal,
                        rdm_monotonicity_check, reduced_density_matrix,
                        trace_distance_slater, w1_exact, w1_upper_slater)
 from fermiflow.selftest import _random_density as check_density
@@ -63,9 +63,9 @@ def test_partial_trace_slater_pair_gives_kernel():
     direct = _partial_trace_matrix(state.matrix, state.dims, (1,))
     via_rdm = reduced_density_matrix(state, 1)
     np.testing.assert_allclose(direct, via_rdm.matrix, atol=1e-12)
-    k = projection_kernel(fam)
+    k = MixedKernelSpec(np.ones(2), fam).kernel_matrix()
     root = np.sqrt(np.asarray(fam.space.weights))
-    np.testing.assert_allclose(direct, 0.5 * np.outer(root, root) * k.matrix.conj(),
+    np.testing.assert_allclose(direct, 0.5 * np.outer(root, root) * k.conj(),
                                atol=1e-10)
 
 
@@ -281,6 +281,18 @@ def test_rdm_monotonicity_haar_pair():
     assert values[1] <= upper + 1e-4
     lower = trace_distance_slater(overlap_matrix(a, b)) / 2
     assert values[1] >= lower - 1e-4
+
+
+def test_rdm_dimension_cap_applies_before_any_state(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError("a state was built before the cap check")
+    monkeypatch.setattr(w1_module, "full_state_vector", refuse)
+    a = random_orthonormal(8, 4, 22)
+    b = random_orthonormal(8, 4, 23, space=a.space)
+    with pytest.raises(ValueError, match="total dimension 4096 exceeds cap 64"):
+        w1_module.rdm_certificates(a, b)
+    with pytest.raises(ValueError, match="total dimension 4096 exceeds cap 4095"):
+        rdm_monotonicity_check(a, b, dim_cap=4095)
 
 
 def slater_reduced_pair(seed, k, n_functions=3, n_points=4):
