@@ -16,7 +16,7 @@ w(I) = prod_{i in I} min(l_i, l'_i) * prod_{i not in I} (1 - max(l_i, l'_i)),
 plus a term charging the eigenvalue mismatch sum |l_i - l'_i|.
 
 `verify_instance` computes both sides, exactly from the two laws or
-empirically by coupled sampling, and reports slacks. The Walsh pair
+empirically from their maximal coupling, and reports slacks. The Walsh pair
 {w0, w1} versus {w0, w2} is packaged as a named exhibit: their laws
 differ while every per-function density is identical, which refutes any
 bound built only on the densities |psi_i|^2.
@@ -39,7 +39,8 @@ from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
                   index_set_blocks, weighted_index_sets)
 from .ground import OrthonormalFamily, walsh_family
 from .slater import OverlapMatrix, _fidelities, slater_fidelity
-from .transport import CostMatrix, metric_transport_values, ot_cost, subset_graph, total_variation
+from .transport import (CostMatrix, check_subset_graph, metric_transport_values, ot_cost,
+                        subset_graph, total_variation)
 from .w1_bounds import _mean_overlaps
 
 SUBSET_CAP = 20
@@ -177,15 +178,14 @@ class DppBoundsReport:
     seed: int | None = None
     tv_ci: tuple | None = None
     wsharp_ci: tuple | None = None
-    coupling_exact: bool = True
 
 
-def _bootstrap_resamples(counts, rng, resamples: int) -> np.ndarray:
-    """Multinomial resamples of both count rows, as a (2, resamples, support) array."""
-    totals = counts.sum(axis=1)
-    draws = [[rng.multinomial(n, row / n) for row, n in zip(counts, totals)]
-             for _ in range(resamples)]
-    return np.transpose(draws, (1, 0, 2)) / totals[:, None, None]
+def _clopper_pearson(k: int, n: int) -> tuple:
+    """Exact two-sided 95% interval of a binomial probability, from k successes in n trials."""
+    from scipy.special import betaincinv
+
+    return (float(betaincinv(k, n - k + 1, 0.025)) if k else 0.0,
+            float(betaincinv(k + 1, n - k, 0.975)) if k < n else 1.0)
 
 
 def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
@@ -195,13 +195,21 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
                     enumeration_cap: int = ENUMERATION_CAP) -> DppBoundsReport:
     """Measure both distances for a pair of kernels and check the bounds.
 
-    Exact mode computes both laws; empirical mode draws `budget` coupled
-    samples and attaches bootstrap confidence intervals; `enumeration_cap`
-    bounds the minors of each exact law or exactly coupled draw. Values come
-    before bounds, so a law past the cap raises before any bound is computed.
-    Slack is bound minus value and should never be negative beyond
-    numerical tolerance.
+    Exact mode computes both laws. Empirical mode draws `budget` pairs from
+    the maximal coupling of `coupled_sample_counts`: TV is the share of
+    differing pairs, with a Clopper-Pearson interval, and the transport
+    distance that of the two count rows, with a bootstrap interval. The
+    transport's largest subset graph is held to its variable cap before
+    anything runs, and an exact law past `enumeration_cap` raises before
+    any bound. Slack is bound minus value and should never be negative
+    beyond numerical tolerance.
     """
+    # that graph spans the points either kernel reaches, sizes from one below
+    # the fewest eigenvalues 1 to the most nonzero ones
+    lams = np.array([spec_a.lambdas, spec_b.lambdas])
+    reached = sum(np.abs(spec.family.folded()) ** 2 @ spec.lambdas for spec in (spec_a, spec_b))
+    check_subset_graph(np.count_nonzero(reached), int((lams == 1.0).sum(axis=1).min()) - 1,
+                       int(np.count_nonzero(lams, axis=1).max()))
     sampled = {}
     if mode == "exact":
         dist_a = exact_mixed_distribution(spec_a, cap=enumeration_cap)
@@ -210,25 +218,21 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
         ws_v = wsharp_exact(dist_a, dist_b)
     elif mode == "empirical":
         rng = stream_generator(0 if seed is None else seed, 7)
-        support, counts, coupling_exact = coupled_sample_counts(
+        support, counts, disagreements = coupled_sample_counts(
             spec_a, spec_b, budget, rng, cap=enumeration_cap)
+        tv_v = disagreements / budget
         pa, pb = counts / budget
-        tv_v = 0.5 * float(np.abs(pa - pb).sum())
-        graph = subset_graph(support)
-
         boot = stream_generator(0 if seed is None else seed, 11)
-        tv_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
-        ws_boot = _bootstrap_resamples(counts, boot, bootstrap_resamples)
-        ws = metric_transport_values(np.vstack([pa, ws_boot[0]]), np.vstack([pb, ws_boot[1]]),
-                                     graph)
+        resampled = np.array([[boot.multinomial(budget, row) for row in (pa, pb)]
+                              for _ in range(bootstrap_resamples)]) / budget
+        ws = metric_transport_values(np.vstack([pa, resampled[:, 0]]),
+                                     np.vstack([pb, resampled[:, 1]]), subset_graph(support))
         ws_v = float(ws[0])
-        tv_stats = 0.5 * np.abs(tv_boot[0] - tv_boot[1]).sum(axis=1)
-        # the plug-in distances are biased upward and their resamples again, so
+        # the plug-in distance is biased upward and its resamples again, so
         # both percentile ends move down by the bootstrap's estimate of that bias
-        tv_ci, ws_ci = (tuple((np.quantile(s, [0.025, 0.975]) - (s.mean() - v)).tolist())
-                        for s, v in ((tv_stats, tv_v), (ws[1:], ws_v)))
-        sampled = dict(sample_count=budget, seed=seed, tv_ci=tv_ci, wsharp_ci=ws_ci,
-                       coupling_exact=coupling_exact)
+        ws_ci = tuple((np.quantile(ws[1:], [0.025, 0.975]) - (ws[1:].mean() - ws_v)).tolist())
+        sampled = dict(sample_count=budget, seed=seed,
+                       tv_ci=_clopper_pearson(disagreements, budget), wsharp_ci=ws_ci)
     else:
         raise ValueError("mode must be 'exact' or 'empirical'")
     tv_b = tv_bound_general(spec_a, spec_b)

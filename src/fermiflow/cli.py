@@ -133,8 +133,8 @@ def _emit(cfg: RunConfig, command: str, report: dict, columns: list,
 
 
 def cmd_verify_lemma(cfg: RunConfig, corrupt: bool = False) -> int:
-    dim = cfg.get("verify_lemma.dim", 6)
-    n = cfg.get("verify_lemma.n", 2)
+    dim = cfg.get_positive("verify_lemma.dim", 6)
+    n = cfg.get_positive("verify_lemma.n", 2)
     seeds = cfg.get_positive("verify_lemma.seeds", 10)
     draws = cfg.get_positive("verify_lemma.draws", 20_000)
     cap = cfg.get_positive("enumeration_cap", ENUMERATION_CAP)
@@ -190,8 +190,8 @@ def cmd_walsh(cfg: RunConfig) -> int:
 
 def cmd_bounds(cfg: RunConfig) -> int:
     count = cfg.get_positive("bounds.count", 20)
-    dim = cfg.get("bounds.dim", 6)
-    n = cfg.get("bounds.n", 2)
+    dim = cfg.get_positive("bounds.dim", 6)
+    n = cfg.get_positive("bounds.n", 2)
     mode = cfg.get("bounds.mode", "exact")
     mixed = cfg.get("bounds.mixed_eigenvalues", 0)
     budget = cfg.get_positive("bounds.budget", 20_000)
@@ -200,6 +200,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
     cfg.reject_unread()
     if mode not in ("exact", "empirical"):
         raise ValueError(f"unknown bounds.mode {mode!r}")
+    if mixed < 0:
+        raise ValueError(f"bounds.mixed_eigenvalues must not be negative, got {mixed}")
 
     instances = []
     for i in range(count):
@@ -237,8 +239,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
     seeds = cfg.get_positive("rdm.seeds", 20)
-    dim = cfg.get("rdm.dim", 4)
-    n = cfg.get("rdm.n", 2)
+    dim = cfg.get_positive("rdm.dim", 4)
+    n = cfg.get_positive("rdm.n", 2)
     tol = cfg.get("w1.tol", 1e-5)
     max_iter = cfg.get("w1.max_iter", 50_000)
     dim_cap = cfg.get_positive("dim_cap", DIM_CAP)
@@ -272,7 +274,7 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
 
 
 def cmd_example_gap(cfg: RunConfig) -> int:
-    n_max = cfg.get("gap.n_max", 20)
+    n_max = cfg.get_positive("gap.n_max", 20)
     cfg.reject_unread()
     rows = [asdict(r) for r in example_gap_table(n_max)]
     _emit(cfg, "example-gap", {"n_max": n_max, "rows": rows},

@@ -7,12 +7,13 @@ K(x, y) = sum_l conj(psi_l(x)) psi_l(y) times the point weights.
 
 Exact laws are sums over unordered configurations by Cauchy-Binet, with
 brute-force enumeration over all ordered tuples kept as an independent
-oracle; kernel-side quantities (correlation minors, expected counts) and
-exact samplers for projection and mixed kernels follow.
+oracle; kernel-side quantities (correlation minors, expected counts),
+exact samplers and the maximal coupling of two mixed laws follow.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -245,65 +246,83 @@ def exact_mixed_distribution(spec: MixedKernelSpec,
 def coupled_sample_counts(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
                           draws: int, rng: np.random.Generator,
                           cap: int = ENUMERATION_CAP) -> tuple:
-    """Configuration counts of `draws` draws from the coupling of `coupled_sample_pair`.
+    """Counts of `draws` pairs from the maximal coupling of the two laws, whose
+    two configurations differ with probability exactly the laws' total variation.
 
-    The index-set uniforms of all draws come first; draws are grouped by their
-    pair of index sets. For k draws on one index set I whose C(m, |I|) minors
-    fit the cap, the count pair is drawn from its joint law: Binomial(k, s)
-    draws, s = sum_S min(P_a(S), P_b(S)), share configurations split by one
-    multinomial over the overlap; the rest follow independent multinomials
-    over the two excesses. Other groups are drawn one by one, independently.
+    When both laws enumerate within the cap, the count pair is drawn at once:
+    Binomial(draws, sum_S min(P_a(S), P_b(S))) shared pairs split by one
+    multinomial over the overlap, the rest by one multinomial over each
+    side's excess. Otherwise each pair is drawn by rejection (Thorisson):
+    X ~ P_a is kept as Y when U P_a(X) <= P_b(X), else Y ~ P_b is redrawn
+    until U P_b(Y) > P_a(Y).
 
-    Returns (support, counts, exact): configurations ordered by (size, points),
-    a (2, len(support)) count array, and whether every draw whose index sets
-    agreed fell within the cap, so was coupled exactly.
+    Returns (support, counts, disagreements): the drawn configurations by
+    (size, points), a (2, len(support)) count array, and the number of
+    pairs whose two configurations differ.
     """
-    n = spec_a.n_indices
-    if spec_b.n_indices != n:
+    specs = (spec_a, spec_b)
+    if spec_b.n_indices != spec_a.n_indices:
         raise ValueError("specs must share an index set")
-    us = rng.random((draws, n))
-    groups, sizes = np.unique(np.hstack([us < spec_a.lambdas, us < spec_b.lambdas]),
-                              axis=0, return_counts=True)
-    tallies = (Counter(), Counter())
-    exact = True
-    for group, k in zip(groups, sizes):
-        keeps = np.flatnonzero(group[:n]), np.flatnonzero(group[n:])
-        agree = np.array_equal(*keeps)
-        if agree and math.comb(spec_a.family.space.n_points, keeps[0].size) <= cap:
-            laws = [exact_mixed_distribution(MixedKernelSpec(
-                np.ones(keeps[0].size), spec.family.subset(keeps[0])), cap=cap).as_dict()
-                if keeps[0].size else {(): 1.0} for spec in (spec_a, spec_b)]
-            configs = sorted(set(laws[0]) | set(laws[1]), key=lambda c: (len(c), c))
-            laws = np.array([[law.get(c, 0.0) for c in configs] for law in laws])
-            overlap = laws.min(axis=0)
-            shared = k if overlap.sum() >= 1.0 - 1e-12 else rng.binomial(k, overlap.sum())
-            both = rng.multinomial(shared, overlap / (overlap.sum() or 1.0))
-            for tally, law in zip(tallies, laws):
-                excess = law - overlap
-                drawn = both + rng.multinomial(k - shared, excess / (excess.sum() or 1.0))
-                tally.update(dict(zip(configs, drawn)))
-            continue
-        exact = exact and not agree
-        families = [spec.family.subset(keep) if keep.size else None
-                    for spec, keep in zip((spec_a, spec_b), keeps)]
-        for _ in range(k):
-            for tally, family in zip(tallies, families):
-                tally[sample_projection_dpp(family, rng) if family is not None else ()] += 1
-    support = sorted(set(+tallies[0]) | set(+tallies[1]), key=lambda c: (len(c), c))
-    counts = np.array([[tally[c] for c in support] for tally in tallies], dtype=np.int64)
-    return tuple(support), counts.reshape(2, -1), exact
+    try:
+        laws = [exact_mixed_distribution(spec, cap=cap).as_dict() for spec in specs]
+    except EnumerationCapError:
+        tallies, disagreements = _rejection_coupling(specs, draws, rng)
+    else:
+        configs = sorted(set(laws[0]) | set(laws[1]), key=lambda c: (len(c), c))
+        probs = np.array([[law.get(c, 0.0) for c in configs] for law in laws])
+        overlap = probs.min(axis=0)
+        shared = draws if overlap.sum() >= 1.0 - 1e-12 else rng.binomial(draws, overlap.sum())
+        both = rng.multinomial(shared, overlap / (overlap.sum() or 1.0))
+        tallies = [dict(zip(configs, both + rng.multinomial(
+            draws - shared, excess / (excess.sum() or 1.0)))) for excess in probs - overlap]
+        disagreements = draws - shared
+    support = sorted({c for tally in tallies for c, k in tally.items() if k},
+                     key=lambda c: (len(c), c))
+    counts = np.array([[tally.get(c, 0) for c in support] for tally in tallies], dtype=np.int64)
+    return tuple(support), counts, int(disagreements)
+
+
+def _configuration_probability(spec: MixedKernelSpec, config) -> float:
+    """P(S) = |det(K - diag(1_{S^c}))| for the weight-folded kernel K
+    (Kulesza & Taskar, Found. Trends ML 2012, 2.2)."""
+    root = np.sqrt(spec.family.space.weights)
+    outside = np.ones(root.size)
+    outside[list(config)] = 0.0
+    kernel = root[:, None] * spec.kernel_matrix() * root
+    return float(abs(np.linalg.det(kernel - np.diag(outside))))
+
+
+def _rejection_coupling(specs, draws: int, rng: np.random.Generator) -> tuple:
+    """Per-side Counters of `draws` maximally coupled pairs, and their disagreements."""
+    # each kept index set's family, and each configuration's (P_a, P_b), built once
+    family = functools.cache(lambda side, keep: specs[side].family.subset(keep))
+    law = functools.cache(lambda config: [_configuration_probability(s, config) for s in specs])
+
+    def draw(side):
+        keep = tuple(np.flatnonzero(rng.random(specs[side].n_indices) < specs[side].lambdas))
+        config = sample_projection_dpp(family(side, keep), rng) if keep else ()
+        return config, law(config)
+
+    tallies, disagreements = (Counter(), Counter()), 0
+    for _ in range(draws):
+        x, (p, q) = draw(0)
+        y = x
+        if rng.random() * p > q:
+            disagreements += 1
+            y, (p, q) = draw(1)
+            while rng.random() * q <= p:
+                y, (p, q) = draw(1)
+        tallies[0][x] += 1
+        tallies[1][y] += 1
+    return tallies, disagreements
 
 
 def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
                         rng: np.random.Generator, cap: int = ENUMERATION_CAP) -> tuple:
-    """One draw from a coupling of the two mixed processes.
+    """One draw from the maximal coupling of `coupled_sample_counts`.
 
-    Index sets are coupled through shared uniforms, so the sets agree with
-    the maximal probability prod min(.., ..). When the index sets agree
-    and their C(m, |I|) minors fit the cap, the two configurations are drawn
-    from an optimal total-variation coupling; otherwise they are independent.
-    Identical specs therefore return identical configurations within the
-    cap; beyond it they need not.
+    The two configurations differ with probability exactly the total
+    variation of the two laws, so identical specs always agree.
     """
     support, counts, _ = coupled_sample_counts(spec_a, spec_b, 1, rng, cap)
     return tuple(support[int(np.argmax(side))] for side in counts)

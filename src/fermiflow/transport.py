@@ -150,6 +150,12 @@ class FlowGraph:
                              "and no more labels than vertices")
 
 
+def check_subset_graph(n_points: int, lo: int, hi: int) -> None:
+    """Hold the arcs of the subset graph on `n_points` points with sizes `lo` to
+    `hi` to VARIABLE_CAP: each subset above `lo` has one arc down per point, and back."""
+    _check_variables(2 * sum(k * math.comb(n_points, k) for k in range(lo + 1, hi + 1)))
+
+
 def subset_graph(configs) -> FlowGraph:
     """Configurations (sorted tuples of points) joined by adding or removing one point.
 
@@ -163,7 +169,7 @@ def subset_graph(configs) -> FlowGraph:
     lo, hi = min(map(len, labels)), max(map(len, labels))
     if lo == hi > 0:
         lo -= 1
-    _check_variables(2 * sum(k * math.comb(len(points), k) for k in range(lo + 1, hi + 1)))
+    check_subset_graph(len(points), lo, hi)
     index = dict(zip(labels, itertools.count()))
     for size in range(lo, hi + 1):
         for subset in itertools.combinations(points, size):

@@ -260,18 +260,31 @@ def test_verify_instance_empirical_mode():
     assert again.tv_ci == report.tv_ci
 
 
-def test_verify_instance_reports_coupling_past_the_cap():
-    # C(6, 2) = 15 minors: within a cap of 15 identical specs are coupled
-    # exactly, past a cap of 10 every draw is independent
+def test_verify_instance_empirical_identical_specs_at_any_cap():
+    # C(6, 2) = 15 minors: the default cap draws from the enumerated laws,
+    # a cap of 10 by rejection; the maximal coupling never separates the two
     spec, _ = haar_spec_pair(6, 2, 45)
-    exact = verify_instance(spec, spec, mode="empirical", budget=2000, seed=3,
-                            bootstrap_resamples=50, enumeration_cap=15)
-    assert exact.coupling_exact
-    assert exact.tv_value == 0.0 and exact.wsharp_value == 0.0
-    past = verify_instance(spec, spec, mode="empirical", budget=2000, seed=3,
-                           bootstrap_resamples=50, enumeration_cap=10)
-    assert not past.coupling_exact
-    assert past.tv_value > 0.0
+    for cap in (dpp.ENUMERATION_CAP, 10):
+        report = verify_instance(spec, spec, mode="empirical", budget=2000, seed=3,
+                                 bootstrap_resamples=50, enumeration_cap=cap)
+        assert report.tv_value == 0.0 and report.wsharp_value == 0.0
+        assert report.tv_ci[0] == 0.0
+
+
+def test_verify_instance_tv_interval_is_clopper_pearson():
+    from scipy.stats import binom
+
+    spec_a, spec_b = haar_spec_pair(5, 2, 41)
+    budget = 600
+    report = verify_instance(spec_a, spec_b, mode="empirical", budget=budget,
+                             seed=7, bootstrap_resamples=20)
+    k = round(report.tv_value * budget)
+    assert 0 < k < budget
+    lo, hi = report.tv_ci
+    # each end is the success probability at which the observed count sits
+    # at the 2.5% tail of its binomial law
+    assert binom.sf(k - 1, budget, lo) == pytest.approx(0.025, abs=1e-9)
+    assert binom.cdf(k, budget, hi) == pytest.approx(0.025, abs=1e-9)
 
 
 def test_bound_validity_small_sweep():

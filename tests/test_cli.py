@@ -118,6 +118,14 @@ def test_config_rejects_nonpositive_cap(tmp_path):
     ("bounds", "bounds.bootstrap_resamples", 0, "bounds.mode=empirical\n"),
     ("bounds", "bounds.bootstrap_resamples", -3, "bounds.mode=empirical\n"),
     ("rdm-monotonicity", "rdm.seeds", 0, ""),
+    ("verify-lemma", "verify_lemma.dim", 0, ""),
+    ("verify-lemma", "verify_lemma.n", 0, ""),
+    ("bounds", "bounds.dim", 0, ""),
+    ("bounds", "bounds.n", 0, ""),
+    ("bounds", "bounds.n", -2, "bounds.mixed_eigenvalues=3\n"),
+    ("rdm-monotonicity", "rdm.dim", 0, ""),
+    ("rdm-monotonicity", "rdm.n", 0, ""),
+    ("example-gap", "gap.n_max", 0, ""),
 ])
 def test_config_rejects_nonpositive_count(tmp_path, monkeypatch, command, key, value, text):
     import fermiflow.cli as cli_module
@@ -130,6 +138,20 @@ def test_config_rejects_nonpositive_count(tmp_path, monkeypatch, command, key, v
     code, out, err = run_cli([command, "--config", cfg])
     assert code == 2
     assert f"{key} must be positive, got {value}" in err
+    assert out == ""
+
+
+def test_bounds_rejects_negative_mixed_eigenvalues(tmp_path, monkeypatch):
+    import fermiflow.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built despite a negative count")
+
+    monkeypatch.setattr(cli_module, "random_orthonormal", refuse)
+    cfg = write_config(tmp_path, "bounds.mixed_eigenvalues=-1\n")
+    code, out, err = run_cli(["bounds", "--config", cfg])
+    assert code == 2
+    assert "bounds.mixed_eigenvalues must not be negative, got -1" in err
     assert out == ""
 
 
@@ -262,22 +284,11 @@ def test_bounds_empirical_mode_reports_cis(tmp_path):
         assert inst["mode"] == "empirical"
         assert inst["tv_ci"] is not None
         assert inst["wsharp_ci"] is not None
-
-
-def test_bounds_empirical_json_reports_inexact_coupling_past_the_cap(tmp_path):
-    # C(6, 2) = 15 minors per index set: past a cap of 10 the draws are independent
-    cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=6\nbounds.n=2\n"
-                       "bounds.mode=empirical\nbounds.budget=500\n"
-                       "bounds.bootstrap_resamples=20\nenumeration_cap=10\n")
-    code, out, _ = run_cli(["bounds", "--config", cfg])
-    assert code == 0
-    inst = parse_json(out)["report"]["instances"][0]
-    assert inst["coupling_exact"] is False
-    assert inst["sample_count"] == 500
+        assert "coupling_exact" not in inst
 
 
 def test_bounds_empirical_intervals_hold_their_values(tmp_path):
-    # plain percentile intervals here gave tv 0.402 outside [0.4045, 0.4471]:
+    # a plain percentile bootstrap here gave tv 0.402 outside [0.4045, 0.4471]:
     # the resampled distances sit above the upward-biased plug-in value
     cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=8\n"
                        "bounds.mixed_eigenvalues=5\nbounds.mode=empirical\n"
@@ -290,16 +301,26 @@ def test_bounds_empirical_intervals_hold_their_values(tmp_path):
         assert lo <= inst[f"{name}_value"] <= hi
 
 
-def test_bounds_past_the_variable_cap_exits_2(tmp_path):
-    # 6 of 30 points: the bootstrap's subset graph has 2 * 6 * C(30, 6) arcs; the
-    # enumeration cap only keeps the sampler from listing 593,775 minors per law
-    cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=30\nbounds.n=6\n"
-                       "bounds.mode=empirical\nbounds.budget=200\n"
-                       "bounds.bootstrap_resamples=10\nenumeration_cap=1000\n")
-    code, out, err = run_cli(["bounds", "--config", cfg])
-    assert code == 2
-    assert "needs 7125300 variables, past the variable cap" in err
-    assert out == ""
+def test_bounds_past_the_variable_cap_exits_2(tmp_path, monkeypatch):
+    # 6 of 30 points: the subset graph has 2 * 6 * C(30, 6) arcs, refused before
+    # either law (593,775 minors each) is enumerated or sampled
+    import fermiflow.bounds as bounds_module
+    import fermiflow.dpp as dpp_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was enumerated or sampled past the variable cap")
+
+    monkeypatch.setattr(bounds_module, "exact_mixed_distribution", refuse)
+    monkeypatch.setattr(dpp_module, "exact_mixed_distribution", refuse)
+    monkeypatch.setattr(dpp_module, "sample_projection_dpp", refuse)
+    for mode in ("exact", "empirical"):
+        cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=30\nbounds.n=6\n"
+                           f"bounds.mode={mode}\nbounds.budget=200\n"
+                           "bounds.bootstrap_resamples=10\n")
+        code, out, err = run_cli(["bounds", "--config", cfg])
+        assert code == 2
+        assert "needs 7125300 variables, past the variable cap" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("command, text", [

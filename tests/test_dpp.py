@@ -361,27 +361,22 @@ def test_coupled_pair_index_mismatch_rate():
     assert abs(rate - 0.3) <= 4 * se
 
 
-def test_coupled_pair_identical_specs_past_the_cap_may_differ():
-    # C(6, 2) = 15 minors exceed a cap of 10: the two configurations are
-    # drawn independently even for identical specs
-    spec = MixedKernelSpec(np.ones(2), random_orthonormal(6, 2, 18))
-    rng = stream_generator(106, 0)
-    draws = [coupled_sample_pair(spec, spec, rng, cap=10) for _ in range(50)]
-    assert any(a != b for a, b in draws)
-    assert all(a == b for a, b in (coupled_sample_pair(spec, spec, rng, cap=15)
-                                   for _ in range(50)))
-
-
 def test_coupled_counts_identical_specs():
-    spec = MixedKernelSpec(np.array([0.7, 0.6, 0.9]), random_orthonormal(6, 3, 19))
-    support, counts, exact = coupled_sample_counts(spec, spec, 5000, stream_generator(107, 0))
-    assert exact
-    assert counts.sum(axis=1).tolist() == [5000, 5000]
-    assert np.array_equal(counts[0], counts[1])
-    assert support == tuple(sorted(support, key=lambda c: (len(c), c)))
-    _, counts, exact = coupled_sample_counts(spec, spec, 5000, stream_generator(107, 0), cap=10)
-    assert not exact
-    assert not np.array_equal(counts[0], counts[1])
+    # a cap of 10 is below both laws' minors (C(6, 2) = 15 for the projection),
+    # so the second half runs the rejection path
+    mixed = MixedKernelSpec(np.array([0.7, 0.6, 0.9]), random_orthonormal(6, 3, 19))
+    projection = MixedKernelSpec(np.ones(2), random_orthonormal(6, 2, 18))
+    for spec in (mixed, projection):
+        for cap in (dpp.ENUMERATION_CAP, 10):
+            support, counts, disagreements = coupled_sample_counts(
+                spec, spec, 2000, stream_generator(107, 0), cap=cap)
+            assert disagreements == 0
+            assert counts.sum(axis=1).tolist() == [2000, 2000]
+            assert np.array_equal(counts[0], counts[1])
+            assert support == tuple(sorted(support, key=lambda c: (len(c), c)))
+    rng = stream_generator(106, 0)
+    assert all(a == b for a, b in (coupled_sample_pair(projection, projection, rng, cap=10)
+                                   for _ in range(50)))
 
 
 def test_coupled_counts_index_mismatch_rate():
@@ -393,14 +388,15 @@ def test_coupled_counts_index_mismatch_rate():
     spec_a = MixedKernelSpec(np.array([1.0, 0.8]), fam)
     spec_b = MixedKernelSpec(np.array([1.0, 0.5]), fam)
     draws = 4000
-    support, counts, exact = coupled_sample_counts(spec_a, spec_b, draws,
-                                                   stream_generator(108, 0))
-    assert exact
+    support, counts, disagreements = coupled_sample_counts(spec_a, spec_b, draws,
+                                                           stream_generator(108, 0))
     pairs = np.array([len(c) == 2 for c in support])
     assert np.all(counts[0, pairs] >= counts[1, pairs])
-    rate = (counts[0, pairs] - counts[1, pairs]).sum() / draws
+    surplus = (counts[0, pairs] - counts[1, pairs]).sum()
     se = math.sqrt(0.3 * 0.7 / draws)
-    assert abs(rate - 0.3) <= 4 * se
+    assert abs(surplus / draws - 0.3) <= 4 * se
+    # under the maximal coupling a pair differs only when a draws two points and b one
+    assert disagreements == surplus
 
 
 def test_coupled_counts_match_exact_laws():
@@ -416,6 +412,45 @@ def test_coupled_counts_match_exact_laws():
         for config, k in zip(support, row):
             p = law.get(config, 0.0)
             assert abs(k / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws) + 1e-12
+
+
+def coupling_pair(kind):
+    fam_a = random_orthonormal(6, 3, 23)
+    fam_b = random_orthonormal(6, 3, 24, space=fam_a.space)
+    if kind == "projection":
+        return projection_spec(fam_a), projection_spec(fam_b)
+    return (MixedKernelSpec(np.array([0.9, 0.4, 0.7]), fam_a),
+            MixedKernelSpec(np.array([0.5, 0.8, 1.0]), fam_b))
+
+
+@pytest.mark.parametrize("kind", ["projection", "mixed"])
+@pytest.mark.parametrize("cap", [dpp.ENUMERATION_CAP, 10])
+def test_coupled_counts_disagreements_estimate_tv(kind, cap):
+    # C(6, 3) = 20 minors or more per law: a cap of 10 runs the rejection path
+    spec_a, spec_b = coupling_pair(kind)
+    laws = [exact_mixed_distribution(spec).as_dict() for spec in (spec_a, spec_b)]
+    tv = 0.5 * sum(abs(laws[0].get(c, 0.0) - laws[1].get(c, 0.0))
+                   for c in set(laws[0]) | set(laws[1]))
+    draws = 4000
+    support, counts, disagreements = coupled_sample_counts(
+        spec_a, spec_b, draws, stream_generator(110, 0), cap=cap)
+    assert abs(disagreements / draws - tv) <= 4 * math.sqrt(tv * (1 - tv) / draws)
+    for law, row in zip(laws, counts):
+        assert row.sum() == draws
+        assert set(c for c, k in zip(support, row) if k) <= set(law)
+        for config, k in zip(support, row):
+            p = law.get(config, 0.0)
+            assert abs(k / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws) + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["projection", "mixed"])
+def test_configuration_probability_matches_exact_law(kind):
+    for spec in coupling_pair(kind):
+        law = exact_mixed_distribution(spec).as_dict()
+        for r in range(7):
+            for config in itertools.combinations(range(6), r):
+                assert dpp._configuration_probability(spec, config) == pytest.approx(
+                    law.get(config, 0.0), abs=1e-12)
 
 
 def test_enumeration_cap_error_payload():

@@ -270,14 +270,24 @@ def test_metric_values_reject_unequal_totals():
         metric_transport_values(p, 2 * q, graph)
 
 
-def test_import_loads_no_solver_modules():
+def loaded_modules(module: str, candidates) -> list:
+    """Which of `candidates` a fresh interpreter has loaded after importing `module`."""
     src = os.path.dirname(os.path.dirname(fermiflow.__file__))
-    code = ("import sys, fermiflow; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    code = (f"import sys, {module}; "
+            f"print(*(m for m in {tuple(candidates)!r} if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_import_loads_no_solver_modules():
+    assert loaded_modules("fermiflow", ["scipy.optimize", "scipy.sparse", "scipy.special",
+                                        "scipy.stats"]) == []
+
+
+def test_cli_import_loads_no_scipy_stats():
+    assert loaded_modules("fermiflow.cli", ["scipy.stats"]) == []
 
 
 def test_ot_triangle_inequality_on_metric():
