@@ -24,7 +24,6 @@ bound built only on the densities |psi_i|^2.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,15 +35,14 @@ from ._rng import stream_generator
 # perfbench/tracing.py looks up coupled_sample_pair and slater_fidelity here; neither is called
 from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
                   coupled_sample_counts, coupled_sample_pair, exact_mixed_distribution,
-                  index_set_blocks, weighted_index_sets)
+                  weighted_index_sets)
 from .ground import OrthonormalFamily, walsh_family
 from .slater import OverlapMatrix, _fidelities, slater_fidelity
 from .transport import (CostMatrix, check_subset_graph, metric_transport_values, ot_cost,
                         subset_graph, total_variation)
 from .w1_bounds import _mean_overlaps
 
-SUBSET_CAP = 20
-TRUNCATION_LIMIT = 100_000
+SUBSET_CAP = 20  # free indices of the mixture bounds, 2^20 index sets
 
 
 def weight_w(lambdas, lambdas_prime, subset) -> float:
@@ -66,83 +64,47 @@ def weight_w(lambdas, lambdas_prime, subset) -> float:
     return float(out)
 
 
-def _iter_subsets_by_weight(inside: np.ndarray, outside: np.ndarray, limit: int):
-    """Yield (subset tuple, weight) in non-increasing weight order.
-
-    Best-first search over the binary choice tree; the bound at a partial
-    assignment is its weight times the largest attainable factor of every
-    undecided index, so the first completed node popped is always maximal
-    among the remaining ones.
-    """
-    m = inside.size
-    best = np.maximum(inside, outside)
-    suffix = np.ones(m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * best[i]
-    heap = [(-suffix[0], ())]
-    emitted = 0
-    while heap and emitted < limit:
-        neg_bound, choices = heapq.heappop(heap)
-        depth = len(choices)
-        if depth == m:
-            weight = -neg_bound
-            if weight <= 0.0:
-                break
-            yield tuple(i for i, c in enumerate(choices) if c), weight
-            emitted += 1
-            continue
-        partial = -neg_bound / suffix[depth] if suffix[depth] > 0 else 0.0
-        for choice, factor in ((1, inside[depth]), (0, outside[depth])):
-            child = partial * factor * suffix[depth + 1]
-            if child > 0.0:
-                heapq.heappush(heap, (-child, choices + (choice,)))
+def _shared_lambdas(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> tuple:
+    """Both eigenvalue arrays, once the specs are known to share an index set."""
+    if spec_a.n_indices != spec_b.n_indices:
+        raise ValueError(f"specs must share an index set, got {spec_a.n_indices} "
+                         f"and {spec_b.n_indices} indices")
+    return spec_a.lambdas, spec_b.lambdas
 
 
-def _general_bound(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                   per_minor, tail_factor: float) -> float:
-    """Sum over index sets I of w(I) times `per_minor` of the cross overlaps' minor on I."""
-    lam = spec_a.lambdas
-    lam_p = spec_b.lambdas
-    if lam.size != lam_p.size:
-        raise ValueError("specs must share an index set")
+def _general_bound(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec, per_minor) -> float:
+    """Sum over index sets I of w(I) times `per_minor` of the cross overlaps' minor on I;
+    past SUBSET_CAP free indices, inside (0, 1) on both sides, raises before any minor."""
+    lam, lam_p = spec_a.lambdas, spec_b.lambdas
+    inside, outside = np.minimum(lam, lam_p), 1.0 - np.maximum(lam, lam_p)
+    free = int(np.count_nonzero((inside > 0.0) & (outside > 0.0)))
+    if free > SUBSET_CAP:
+        raise ValueError(f"the mixture bounds sum 2^{free} index sets: {free} free "
+                         f"indices, cap is {SUBSET_CAP}")
     # no principal minor has a larger singular value than the whole: one check covers all
     cross = OverlapMatrix(spec_a.family.folded().conj().T @ spec_b.family.folded()).entries
-    inside = np.minimum(lam, lam_p)
-    outside = 1.0 - np.maximum(lam, lam_p)
-    if lam.size <= SUBSET_CAP:
-        blocks, tail = weighted_index_sets(inside, outside), 0.0
-    else:
-        # beyond the cap: heaviest subsets first, conservative remainder for the tail
-        heaviest = list(_iter_subsets_by_weight(inside, outside, TRUNCATION_LIMIT))
-        covered = sum(w for _, w in heaviest)
-        tail = max(0.0, float(np.prod(inside + outside)) - covered) * tail_factor
-        by_size = itertools.groupby(sorted(heaviest, key=lambda item: len(item[0])),
-                                    key=lambda item: len(item[0]))
-        blocks = (block for size, group in by_size for block in
-                  index_set_blocks((subset for subset, _ in group), size, inside, outside))
     total = 0.0
-    for sets, weights in blocks:
+    for sets, weights in weighted_index_sets(inside, outside):
         total += float(per_minor(cross[sets[:, :, None], sets[:, None, :]]) @ weights)
-    return total + tail
+    return total
 
 
 def tv_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
     """Total-variation bound for two mixed determinantal laws."""
-    mismatch = float(np.sum(np.abs(spec_a.lambdas - spec_b.lambdas)))
+    lam, lam_p = _shared_lambdas(spec_a, spec_b)
+    mismatch = float(np.sum(np.abs(lam - lam_p)))
     return mismatch + _general_bound(
-        spec_a, spec_b, lambda minors: np.sqrt(1.0 - _fidelities(minors)), 1.0)
+        spec_a, spec_b, lambda minors: np.sqrt(1.0 - _fidelities(minors)))
 
 
 def wsharp_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
     """Symmetric-difference transport bound for two mixed determinantal laws."""
-    lam = spec_a.lambdas
-    lam_p = spec_b.lambdas
+    lam, lam_p = _shared_lambdas(spec_a, spec_b)
     mismatch = float(np.sum(np.abs(lam - lam_p)))
     head = (2.0 + float(lam.sum()) + float(lam_p.sum())) * math.sqrt(mismatch)
     return head + _general_bound(
         spec_a, spec_b,
-        lambda minors: minors.shape[-1] * np.sqrt(1.0 - _mean_overlaps(minors) ** 2),
-        float(lam.size))
+        lambda minors: minors.shape[-1] * np.sqrt(1.0 - _mean_overlaps(minors) ** 2))
 
 
 def wsharp_exact(dist_a: ConfigurationDistribution,
@@ -206,7 +168,7 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
     """
     # that graph spans the points either kernel reaches, sizes from one below
     # the fewest eigenvalues 1 to the most nonzero ones
-    lams = np.array([spec_a.lambdas, spec_b.lambdas])
+    lams = np.array(_shared_lambdas(spec_a, spec_b))
     reached = sum(np.abs(spec.family.folded()) ** 2 @ spec.lambdas for spec in (spec_a, spec_b))
     check_subset_graph(np.count_nonzero(reached), int((lams == 1.0).sum(axis=1).min()) - 1,
                        int(np.count_nonzero(lams, axis=1).max()))

@@ -181,31 +181,27 @@ def sample_projection_dpp(family: OrthonormalFamily,
     return tuple(sorted(chosen))
 
 
-def index_set_blocks(sets, size: int, inside: np.ndarray, outside: np.ndarray):
-    """Index sets of one size as (sets, weights) blocks of up to INDEX_SET_BLOCK sorted
-    int rows, set I weighing prod_{i in I} inside_i prod_{i not in I} outside_i."""
-    sets = iter(sets)
-    while chunk := list(itertools.islice(sets, INDEX_SET_BLOCK)):
-        member = np.zeros((len(chunk), inside.size), dtype=bool)
-        picked = np.array(chunk, dtype=int).reshape(len(chunk), size)
-        member[np.arange(len(chunk))[:, None], picked] = True
-        yield (np.nonzero(member)[1].reshape(len(chunk), size),
-               np.where(member, inside, outside).prod(axis=1))
-
-
 def weighted_index_sets(inside: np.ndarray, outside: np.ndarray):
-    """`index_set_blocks` of every index set of positive weight, sizes ascending.
+    """Every index set of positive weight, sizes ascending, as (sets, weights)
+    blocks of up to INDEX_SET_BLOCK sorted int rows of one size, set I
+    weighing prod_{i in I} inside_i prod_{i not in I} outside_i.
 
     An index with outside 0 is in every such set and one with inside 0 in
-    none; an index where both are 0 leaves no set of positive weight.
+    none; an index where both are 0 leaves no set of positive weight. So
+    only the free indices, both factors positive, are chosen: 2^free sets.
     """
     if np.any((inside == 0.0) & (outside == 0.0)):
         return
-    sure = tuple(np.flatnonzero(outside == 0.0))
+    sure = np.flatnonzero(outside == 0.0)
     free = np.flatnonzero((inside > 0.0) & (outside > 0.0))
     for r in range(free.size + 1):
-        yield from index_set_blocks((sure + extra for extra in itertools.combinations(free, r)),
-                                    len(sure) + r, inside, outside)
+        extras = itertools.combinations(free, r)
+        while chunk := list(itertools.islice(extras, INDEX_SET_BLOCK)):
+            member = np.zeros((len(chunk), inside.size), dtype=bool)
+            member[:, sure] = True
+            member[np.arange(len(chunk))[:, None], np.array(chunk, dtype=int)] = True
+            yield (np.nonzero(member)[1].reshape(len(chunk), sure.size + r),
+                   np.where(member, inside, outside).prod(axis=1))
 
 
 def exact_mixed_distribution(spec: MixedKernelSpec,

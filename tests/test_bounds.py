@@ -1,5 +1,5 @@
 """Distance bounds for determinantal laws: projection and mixture right-hand
-sides, certified truncation, exact verification reports, the Walsh exhibit."""
+sides, the free-index cap, exact verification reports, the Walsh exhibit."""
 
 import itertools
 import math
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermiflow import bounds, dpp
 from fermiflow import (ConfigurationDistribution, EnumerationCapError, MixedKernelSpec,
-                       OverlapMatrix, count_covariance_exact,
+                       OrthonormalFamily, OverlapMatrix, count_covariance_exact,
                        density_transport_rhs, exact_mixed_distribution,
                        orthonormalize, overlap_matrix, random_orthonormal,
                        total_variation, trace_distance_slater, tv_bound_general,
@@ -135,28 +135,6 @@ def test_general_wsharp_single_index():
         math.sqrt(1 - c * c), abs=1e-12)
 
 
-def test_truncated_enumeration_stays_conservative(monkeypatch):
-    rng = np.random.default_rng(35)
-    lam = rng.random(6)
-    fam = random_orthonormal(8, 6, 36)
-    fam_b = random_orthonormal(8, 6, 37, space=fam.space)
-    spec_a = MixedKernelSpec(lam, fam)
-    spec_b = MixedKernelSpec(lam, fam_b)
-    exact_tv = tv_bound_general(spec_a, spec_b)
-    exact_ws = wsharp_bound_general(spec_a, spec_b)
-    # forcing the heap path with a tight budget may only grow the bound
-    monkeypatch.setattr(bounds, "SUBSET_CAP", 3)
-    monkeypatch.setattr(bounds, "TRUNCATION_LIMIT", 10)
-    rough_tv = tv_bound_general(spec_a, spec_b)
-    rough_ws = wsharp_bound_general(spec_a, spec_b)
-    assert rough_tv >= exact_tv - 1e-12
-    assert rough_ws >= exact_ws - 1e-12
-    # with the budget covering every subset the two paths agree
-    monkeypatch.setattr(bounds, "TRUNCATION_LIMIT", 64)
-    full_tv = tv_bound_general(spec_a, spec_b)
-    assert full_tv == pytest.approx(exact_tv, abs=1e-12)
-
-
 def subset_definition_bounds(spec_a, spec_b):
     """Both general bounds summed subset by subset, straight from their definition."""
     lam, lam_p = spec_a.lambdas, spec_b.lambdas
@@ -180,21 +158,75 @@ def subset_definition_bounds(spec_a, spec_b):
     ([1.0, 0.0, 0.4, 1.0, 0.8], [0.5, 0.3, 0.4, 1.0, 0.0]),
     ([1.0, 1.0, 0.2, 0.6, 0.9, 0.1], [0.7, 1.0, 0.25, 0.6, 0.8, 0.3]),
 ])
-@pytest.mark.parametrize("heap", [False, True])
-def test_general_bounds_match_subset_definition(monkeypatch, lam, lam_p, heap):
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_general_bounds_match_subset_definition(monkeypatch, lam, lam_p, small_blocks):
+    if small_blocks:
+        # blocks of three index sets: most sizes span several blocks, whose sums add up
+        monkeypatch.setattr(dpp, "INDEX_SET_BLOCK", 3)
     n = len(lam)
     fam = random_orthonormal(n + 2, n, 60 + n)
     fam_b = random_orthonormal(n + 2, n, 61 + n, space=fam.space)
     spec_a = MixedKernelSpec(np.array(lam), fam)
     spec_b = MixedKernelSpec(np.array(lam_p), fam_b)
-    if heap:
-        # every subset through the heavy-first search, none left to the tail
-        monkeypatch.setattr(bounds, "SUBSET_CAP", 1)
-        monkeypatch.setattr(bounds, "TRUNCATION_LIMIT", 2 ** n)
-        monkeypatch.setattr(dpp, "INDEX_SET_BLOCK", 3)
     tv, ws = subset_definition_bounds(spec_a, spec_b)
     assert tv_bound_general(spec_a, spec_b) == pytest.approx(tv, abs=1e-12)
     assert wsharp_bound_general(spec_a, spec_b) == pytest.approx(ws, abs=1e-12)
+
+
+def test_general_bounds_refuse_past_the_free_index_cap(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("minor evaluated before the free-index cap was checked")
+
+    fam = random_orthonormal(6, 4, 65)
+    fam_b = random_orthonormal(6, 4, 66, space=fam.space)
+    # index 0 is in every set of positive weight and index 3 in none: 2 free
+    two_free = (MixedKernelSpec(np.array([1.0, 0.4, 0.7, 0.0]), fam),
+                MixedKernelSpec(np.array([1.0, 0.6, 0.2, 0.3]), fam_b))
+    three_free = (MixedKernelSpec(np.array([0.9, 0.4, 0.7, 0.0]), fam),
+                  MixedKernelSpec(np.array([0.8, 0.6, 0.2, 0.3]), fam_b))
+    monkeypatch.setattr(bounds, "SUBSET_CAP", 2)
+    expected = subset_definition_bounds(*two_free)
+    assert tv_bound_general(*two_free) == pytest.approx(expected[0], abs=1e-12)
+    assert wsharp_bound_general(*two_free) == pytest.approx(expected[1], abs=1e-12)
+    monkeypatch.setattr(bounds, "_fidelities", unreachable)
+    monkeypatch.setattr(bounds, "_mean_overlaps", unreachable)
+    monkeypatch.setattr(bounds, "weighted_index_sets", unreachable)
+    for bound in (tv_bound_general, wsharp_bound_general):
+        with pytest.raises(ValueError, match="3 free indices, cap is 2"):
+            bound(*three_free)
+
+
+def test_general_bounds_of_a_22_index_projection_pair():
+    spec_a, spec_b = haar_spec_pair(24, 22, 67)
+    m = overlap_matrix(spec_a.family, spec_b.family)
+    assert tv_bound_general(spec_a, spec_b) == trace_distance_slater(m)
+    assert wsharp_bound_general(spec_a, spec_b) == w1_upper_slater(m)
+
+
+def test_general_bounds_ignore_indices_dead_on_both_sides():
+    # 21 indices, 18 of them with eigenvalue 0 on both sides: the bounds are
+    # those of the pair restricted to the other 3
+    rng = np.random.default_rng(68)
+    fam = random_orthonormal(23, 21, 69)
+    fam_b = random_orthonormal(23, 21, 70, space=fam.space)
+    live = np.array([2, 9, 17])
+    lam, lam_p = np.zeros(21), np.zeros(21)
+    lam[live], lam_p[live] = rng.random(3), rng.random(3)
+    whole = (MixedKernelSpec(lam, fam), MixedKernelSpec(lam_p, fam_b))
+    part = (MixedKernelSpec(lam[live], OrthonormalFamily(fam.space, fam.functions[live])),
+            MixedKernelSpec(lam_p[live], OrthonormalFamily(fam.space, fam_b.functions[live])))
+    for bound in (tv_bound_general, wsharp_bound_general):
+        assert bound(*whole) == pytest.approx(bound(*part), abs=1e-12)
+
+
+def test_specs_of_different_index_counts_are_refused():
+    fam = random_orthonormal(6, 3, 71)
+    fam_b = random_orthonormal(6, 4, 72, space=fam.space)
+    spec_a = MixedKernelSpec(np.full(3, 0.5), fam)
+    spec_b = MixedKernelSpec(np.full(4, 0.5), fam_b)
+    for entry in (tv_bound_general, wsharp_bound_general, verify_instance):
+        with pytest.raises(ValueError, match="specs must share an index set, got 3 and 4"):
+            entry(spec_a, spec_b)
 
 
 def test_exact_mode_enforces_the_law_cap_before_any_bound(monkeypatch):

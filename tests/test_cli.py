@@ -8,6 +8,7 @@ import contextlib
 
 import pytest
 
+from fermiflow import overlap_matrix, random_orthonormal, trace_distance_slater
 from fermiflow.cli import RunConfig, main
 
 
@@ -272,6 +273,20 @@ def test_bounds_csv_rows_match_the_json_instances(tmp_path):
     assert header[:3] == ["n_indices", "n_points", "mode"]
     assert [row[:3] for row in rows] == [["2", "5", "exact"]] * 2
     assert rows == [[str(inst[column]) for column in header] for inst in instances]
+
+
+def test_bounds_past_20_indices_match_the_projection_bound(tmp_path):
+    # 21 indices of eigenvalue 1: no free index, one index set, one minor
+    cfg = write_config(tmp_path, "bounds.count=2\nbounds.n=21\nbounds.dim=22\n")
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 0
+    instances = parse_json(out)["report"]["instances"]
+    config = RunConfig()
+    for i, inst in enumerate(instances):
+        fam_a, fam_b = (random_orthonormal(22, 21, config.instance_seed("bounds", 2 * i + j))
+                        for j in (0, 1))
+        assert inst["n_indices"] == 21
+        assert inst["tv_bound"] == trace_distance_slater(overlap_matrix(fam_a, fam_b))
 
 
 def test_bounds_empirical_mode_reports_cis(tmp_path):
