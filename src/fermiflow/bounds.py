@@ -185,8 +185,8 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
         tv_v = disagreements / budget
         pa, pb = counts / budget
         boot = stream_generator(0 if seed is None else seed, 11)
-        resampled = np.array([[boot.multinomial(budget, row) for row in (pa, pb)]
-                              for _ in range(bootstrap_resamples)]) / budget
+        resampled = boot.multinomial(budget, np.stack([pa, pb]),
+                                     size=(bootstrap_resamples, 2)) / budget
         ws = metric_transport_values(np.vstack([pa, resampled[:, 0]]),
                                      np.vstack([pb, resampled[:, 1]]), subset_graph(support))
         ws_v = float(ws[0])

@@ -5,7 +5,14 @@ HiGHS. Under the shortest-path metric of a sparse graph, W1 is the cheapest
 flow along the arcs whose divergence is p - q (Beckmann's form): one
 nonnegative variable per arc, priced by its length, and one row per vertex
 but the last. `metric_transport_values` solves a batch of pairs on one
-`FlowGraph` so; two builders give the graphs:
+`FlowGraph` so. Every optimal basis of such an LP is a spanning tree of
+the graph (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11), and
+with the lengths fixed a tree whose potentials are dual feasible is an
+optimal basis for every right-hand side whose tree flows are nonnegative.
+So the batch goes to HiGHS in rounds of 1, 2, 4, ... rows; the tree of
+each solved row answers every open row it serves, and only the rows no
+tree serves reach the next round. The values equal per-row LPs to about
+1e-15. Two builders give the graphs:
 
 - `subset_graph`: configurations joined by adding or removing one point, at
   length 1/2, so the metric is (1/2) card(A delta B). Its vertices are the
@@ -194,40 +201,90 @@ def hamming_graph(dims) -> FlowGraph:
 def _min_cost_flows(graph: FlowGraph, excess: np.ndarray) -> tuple:
     """Cheapest flows on the graph whose divergences are the rows of `excess`.
 
-    Each row is one LP; rows share HiGHS calls of about LP_VARIABLES
-    variables, one block each. A block's constraints are the divergences of
-    every vertex but the last, which the others imply: kept, HiGHS presolve
-    calls some balanced problems infeasible (presolve is off all the same;
-    here it costs time and memory). Returns per row the arc flows and the
-    vertex potentials y, with y[tail] - y[head] <= length and y = 0 at the
-    last vertex.
+    Each row is one LP, one block of a single HiGHS call. A block's
+    constraints are the divergences of every vertex but the last, which the
+    others imply: kept, HiGHS presolve calls some balanced problems
+    infeasible (presolve is off all the same; here it costs time and
+    memory). Returns per row the arc flows and the vertex potentials y, with
+    y[tail] - y[head] <= length and y = 0 at the last vertex.
     """
     _check_variables(graph.tail.size)
     from scipy import sparse
     from scipy.optimize import linprog
 
-    n_arcs, n_rows = graph.tail.size, graph.n_vertices - 1
-    per_lp = min(len(excess), max(1, LP_VARIABLES // max(n_arcs, 1)))
+    n_arcs, n_rows, n_lps = graph.tail.size, graph.n_vertices - 1, len(excess)
     incidence = sparse.csr_array((np.repeat([1.0, -1.0], n_arcs),
                                   (np.concatenate([graph.tail, graph.head]),
                                    np.tile(np.arange(n_arcs), 2))),
                                  shape=(graph.n_vertices, n_arcs))[:-1]
-    packed = sparse.kron(sparse.eye_array(per_lp), incidence, format="csc")
-    flows, potentials = [], []
-    for start in range(0, len(excess), per_lp):
-        block = excess[start:start + per_lp]
-        res = linprog(np.tile(graph.length, len(block)),
-                      A_eq=packed[:len(block) * n_rows, :len(block) * n_arcs],
-                      b_eq=block[:, :-1].ravel(), bounds=(0, None),
-                      method="highs", options={"presolve": False,
-                                               "primal_feasibility_tolerance": LP_TOL,
-                                               "dual_feasibility_tolerance": LP_TOL})
-        if res.status != 0:
-            raise ConvergenceError(f"transport LP not solved: {res.message}")
-        flows.append(res.x.reshape(len(block), n_arcs))
-        duals = res.eqlin.marginals.reshape(len(block), n_rows)
-        potentials.append(np.hstack([duals, np.zeros((len(block), 1))]))
-    return np.vstack(flows), np.vstack(potentials)
+    res = linprog(np.tile(graph.length, n_lps),
+                  A_eq=sparse.kron(sparse.eye_array(n_lps), incidence, format="csc"),
+                  b_eq=excess[:, :-1].ravel(), bounds=(0, None),
+                  method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": LP_TOL,
+                                           "dual_feasibility_tolerance": LP_TOL})
+    if res.status != 0:
+        raise ConvergenceError(f"transport LP not solved: {res.message}")
+    duals = res.eqlin.marginals.reshape(n_lps, n_rows)
+    return res.x.reshape(n_lps, n_arcs), np.hstack([duals, np.zeros((n_lps, 1))])
+
+
+def _optimal_tree(graph: FlowGraph, flow: np.ndarray, potentials: np.ndarray):
+    """A dual-feasible spanning tree read off one solved row, or None.
+
+    The tree is a minimum spanning tree under arc ranks: arcs carrying
+    `flow` first, then arcs tight under the solver's `potentials`, then the
+    rest; each vertex pair offers its best-ranked arc. Its own potentials
+    are recomputed along the tree from y = 0 at the last vertex. Returns the
+    non-root vertices in breadth-first order from that root, their parents,
+    the sign of each one's parent arc (+1 if it points to the parent) and
+    that arc's length; None when the graph is not connected or some arc's
+    reduced cost under the tree potentials is below -1e-12.
+    """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    n, tail, head, length = graph.n_vertices, graph.tail, graph.head, graph.length
+
+    def pair(a, b):  # one key per vertex pair, whichever way an arc between them points
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    tight = np.abs(length - potentials[tail] + potentials[head]) <= LP_TOL
+    rank = np.where(flow > 0, 1.0, np.where(tight, 2.0, 3.0))
+    keys = pair(tail, head)
+    order = np.lexsort((rank, keys))
+    arcs = order[np.r_[True, np.diff(keys[order]) != 0]]
+    tree = csgraph.minimum_spanning_tree(
+        sparse.csr_array((rank[arcs], np.divmod(keys[arcs], n)), shape=(n, n)))
+    reached, parent = csgraph.breadth_first_order(tree, n - 1, directed=False)
+    if reached.size < n:
+        return None
+    child = reached[1:]
+    up = parent[child]
+    arc = arcs[np.searchsorted(keys[arcs], pair(child, up))]
+    sign = np.where(tail[arc] == child, 1.0, -1.0)
+    # y[tail] - y[head] = length on every tree arc; parents come before children
+    y = np.zeros(n)
+    for v, u, step in zip(child.tolist(), up.tolist(), (sign * length[arc]).tolist()):
+        y[v] = y[u] + step
+    if np.any(length - y[tail] + y[head] < -1e-12):
+        return None
+    return child, up, sign, length[arc]
+
+
+def _tree_values(tree, excess: np.ndarray) -> tuple:
+    """Which rows of `excess` the tree of `_optimal_tree` serves, and the cost of its flows.
+
+    A tree arc carries the excess of the subtree below it, summed in
+    reverse breadth-first order; a row is served when every tree flow is
+    at least -1e-12, for then the tree is an optimal basis of its LP.
+    """
+    child, up, sign, length = tree
+    sums = excess.T.copy()
+    for v, u in zip(child[::-1].tolist(), up[::-1].tolist()):
+        sums[u] += sums[v]
+    flows = sign[:, None] * sums[child]
+    return (flows >= -1e-12).all(axis=0), length @ flows
 
 
 def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
@@ -276,7 +333,14 @@ def metric_transport_values(p_rows, q_rows, graph: FlowGraph) -> np.ndarray:
     Rows hold masses over `graph.labels`, taken as given; each pair's totals
     must agree within 1e-8. Each pair is one min-cost-flow LP whose
     divergence is p - q on the labels and 0 at every other vertex; pairs with
-    p == q cost 0 without one.
+    p == q cost 0 without one. The open rows go to HiGHS in rounds of 1, 2,
+    4, ... rows, at most k = LP_VARIABLES // arcs (or 1) per call. After each
+    round, the optimal tree of every solved row answers each open row whose
+    tree flows are all nonnegative, at the cost of those flows, since that
+    tree is then an optimal basis of the row's LP. Rows no tree serves wait
+    for the next round, so every value equals its own LP's to about 1e-15,
+    within ceil(rows / k) + ceil(log2 k) HiGHS calls; a single row takes one
+    call and builds no tree.
     """
     p, q = np.atleast_2d(p_rows), np.atleast_2d(q_rows)
     if p.shape != q.shape or p.shape[1] != len(graph.labels):
@@ -287,8 +351,18 @@ def metric_transport_values(p_rows, q_rows, graph: FlowGraph) -> np.ndarray:
         raise ValueError("total masses differ by more than 1e-8")
     excess = np.zeros((len(p), graph.n_vertices))
     excess[:, :p.shape[1]] = p - q
-    moving = np.flatnonzero((excess > 0).any(axis=1) & (excess < 0).any(axis=1))
+    open_rows = np.flatnonzero((excess > 0).any(axis=1) & (excess < 0).any(axis=1))
     values = np.zeros(len(p))
-    if moving.size:
-        values[moving] = _min_cost_flows(graph, excess[moving])[0] @ graph.length
+    size, per_lp = 1, max(1, LP_VARIABLES // max(graph.tail.size, 1))
+    while open_rows.size:
+        solved, open_rows = open_rows[:size], open_rows[size:]
+        flows, potentials = _min_cost_flows(graph, excess[solved])
+        values[solved] = flows @ graph.length
+        for flow, y in zip(flows, potentials):
+            tree = _optimal_tree(graph, flow, y) if open_rows.size else None
+            if tree is not None:
+                served, tree_values = _tree_values(tree, excess[open_rows])
+                values[open_rows[served]] = tree_values[served]
+                open_rows = open_rows[~served]
+        size = min(2 * size, per_lp)
     return values

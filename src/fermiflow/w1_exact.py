@@ -6,9 +6,9 @@ The distance of rho and sigma is the optimal value of the convex program
     subject to sum_i X_i = rho - sigma,   tr_i X_i = 0,   X_i Hermitian,
 
 where tr_i traces out site i alone. It reduces to the trace distance on a
-single site, never falls below the trace distance, and never exceeds n
-times it. The trace-norm convention is (1/2) tr |.| throughout, matching
-`trace_distance_slater`.
+single site, where it is returned without iterating, never falls below
+the trace distance, and never exceeds n times it. The trace-norm
+convention is (1/2) tr |.| throughout, matching `trace_distance_slater`.
 
 The solver is Douglas-Rachford splitting on the n blocks held as one
 (n, D, D) array. It iterates the over-relaxed map
@@ -297,7 +297,10 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     Iterates until the value of the feasible iterate exceeds the dual value
     of the multiplier by at most `tol`, testing that gap every GAP_EVERY
     iterations; the distance lies in the returned [lower, value]. Each
-    iteration, up to `max_iter`, is one evaluation of the splitting map.
+    iteration, up to `max_iter`, is one evaluation of the splitting map. On
+    one site the only feasible point is delta itself, and (1/2) sign(delta)
+    is a dual point of the same value, so its half trace norm is returned
+    with gap 0 and no iteration.
     """
     if rho.dims != sigma.dims:
         raise ValueError("operators live on different site structures")
@@ -311,6 +314,13 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     if abs(np.trace(delta)) > 1e-9:
         raise ValueError("difference must be traceless")
     n = len(dims)
+    if n == 1:
+        value = 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum())
+        return W1Certificate(
+            value=value, lower=value, gap=0.0, part_weights=(value,), primal_parts=(delta,),
+            iterations=0, primal_residual=0.0, dual_residual=0.0,
+            feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
+            accelerated_steps=0)
 
     projector = _ConstraintProjector(dims, delta)
     gathers = _symmetric_gathers(dims, delta)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermiflow import bounds, dpp
+from fermiflow._rng import stream_generator
 from fermiflow import (ConfigurationDistribution, EnumerationCapError, MixedKernelSpec,
                        OrthonormalFamily, OverlapMatrix, count_covariance_exact,
                        density_transport_rhs, exact_mixed_distribution,
@@ -290,6 +291,28 @@ def test_verify_instance_empirical_mode():
                             seed=7, bootstrap_resamples=200)
     assert again.tv_value == report.tv_value
     assert again.tv_ci == report.tv_ci
+
+
+def test_bootstrap_resamples_equal_one_draw_per_row(monkeypatch):
+    # one multinomial call over both rows draws what one call per resample and
+    # row drew from the same stream, bit for bit
+    captured = []
+    solve = bounds.metric_transport_values
+
+    def capture(p_rows, q_rows, graph):
+        captured.append((p_rows, q_rows))
+        return solve(p_rows, q_rows, graph)
+
+    monkeypatch.setattr(bounds, "metric_transport_values", capture)
+    spec_a, spec_b = haar_spec_pair(5, 2, 41)
+    verify_instance(spec_a, spec_b, mode="empirical", budget=600, seed=7,
+                    bootstrap_resamples=50)
+    [(p_rows, q_rows)] = captured
+    boot = stream_generator(7, 11)
+    loop = np.array([[boot.multinomial(600, row) for row in (p_rows[0], q_rows[0])]
+                     for _ in range(50)]) / 600
+    np.testing.assert_array_equal(p_rows[1:], loop[:, 0])
+    np.testing.assert_array_equal(q_rows[1:], loop[:, 1])
 
 
 def test_verify_instance_empirical_identical_specs_at_any_cap():

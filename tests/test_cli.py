@@ -376,7 +376,10 @@ def test_rdm_monotonicity_run(tmp_path):
         # the certified interval of size 1 reaches down to value - gap
         assert values[1] >= values[0] - row["gap"][0]
         assert len(row["iterations"]) == len(row["gap"]) == 2
-        assert all(isinstance(it, int) and it >= 1 for it in row["iterations"])
+        assert all(isinstance(it, int) for it in row["iterations"])
+        # size 1 is one site, solved in closed form: no iteration, gap 0
+        assert (row["iterations"][0], row["gap"][0]) == (0, 0.0)
+        assert row["iterations"][1] >= 1
         assert all(gap <= 1e-5 for gap in row["gap"])
 
 

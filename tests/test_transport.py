@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 import fermiflow
 import fermiflow.transport as transport_module
 from fermiflow import (ConfigurationDistribution, ConvergenceError, CostMatrix, DensityOperator,
-                       FlowGraph, classical_hamming_w1, hamming_graph, metric_transport_values,
-                       ot_cost, subset_graph, total_variation, wsharp_exact)
+                       FlowGraph, MixedKernelSpec, classical_hamming_w1, hamming_graph,
+                       metric_transport_values, ot_cost, random_orthonormal, subset_graph,
+                       total_variation, verify_instance, wsharp_exact)
 
 
 def hamming_cost(x, y):
@@ -197,6 +198,146 @@ def test_metric_values_match_ot_cost():
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
         assert values[0] == 0.0 and values[5] == 0.0
         assert values[7] > 0.0
+
+
+def one_per_call(p, q, graph):
+    return np.array([metric_transport_values(a, b, graph)[0] for a, b in zip(p, q)])
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """A list that gains one entry per scipy.optimize.linprog call."""
+    import scipy.optimize
+
+    calls, solve = [], scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+def presolve_infeasible_rows():
+    # the three Hamming instances of test_ot_solves_instances_presolve_calls_infeasible
+    rows = []
+    for seed in (29, 242, 248):
+        g = np.random.default_rng(seed)
+        pair = np.array([g.random(16) ** 6, g.random(16) ** 6])
+        rows.append(pair / pair.sum(axis=1, keepdims=True))
+    return np.array(rows)[:, 0], np.array(rows)[:, 1]
+
+
+def dirichlet_rows(n_labels, count, seed, alpha=1.0):
+    rng = np.random.default_rng(seed)
+    return (rng.dirichlet(np.full(n_labels, alpha), size=count),
+            rng.dirichlet(np.full(n_labels, alpha), size=count))
+
+
+def sparse_and_equal_rows(n_labels, seed):
+    # rows that vanish on some labels, and rows with p == q in between
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(n_labels), size=(2, 24)) * (rng.random((2, 24, n_labels)) < 0.5)
+    p[:, 0] += p.sum(axis=1) == 0
+    q[:, -1] += q.sum(axis=1) == 0
+    p, q = p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+    q[::5] = p[::5]
+    return p, q
+
+
+PROJECTION_SUPPORT = list(itertools.combinations(range(5), 2))
+MIXED_SUPPORT = [(), (0,), (1,), (0, 1), (0, 2), (1, 3), (0, 1, 2), (2, 3, 4)]
+BATCHES = {
+    "projection_support": (subset_graph(PROJECTION_SUPPORT), dirichlet_rows(10, 40, 1)),
+    "mixed_support": (subset_graph(MIXED_SUPPORT), dirichlet_rows(8, 40, 2)),
+    "hamming_grid": (hamming_graph((3, 2, 2)), dirichlet_rows(12, 40, 3, alpha=0.5)),
+    "presolve_infeasible": (hamming_graph((2, 2, 2, 2)), presolve_infeasible_rows()),
+    "sparse_and_equal": (subset_graph(MIXED_SUPPORT), sparse_and_equal_rows(8, 4)),
+    "dirichlet_200": (subset_graph(PROJECTION_SUPPORT), dirichlet_rows(10, 200, 5, alpha=0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHES))
+def test_batch_equals_rows_solved_one_per_call(name, linprog_calls):
+    # rows answered by a reused spanning-tree basis equal their own LPs
+    graph, (p, q) = BATCHES[name]
+    values = metric_transport_values(p, q, graph)
+    batch_calls = len(linprog_calls)
+    expected = one_per_call(p, q, graph)
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+    moving = int(np.count_nonzero(expected))
+    assert values[expected == 0.0].tolist() == [0.0] * (len(p) - moving)
+    if name == "sparse_and_equal":
+        assert moving < len(p)
+    if name == "dirichlet_200":
+        # the first tree does not serve every row, so more than one basis is in use,
+        # but far fewer LPs are solved than there are rows
+        assert 1 < batch_calls < moving // 10
+
+
+def test_optimal_tree_refuses_a_basis_that_is_not_dual_feasible():
+    # 0 -> 1 -> 2 costs 2, the direct arc 0 -> 2 costs 5
+    graph = FlowGraph((0, 1, 2), 3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 5.0])
+    # the tree of a flow using the direct arc prices 1 -> 2 at a reduced cost of -3
+    assert transport_module._optimal_tree(graph, np.array([1.0, 0.0, 1.0]), np.zeros(3)) is None
+    tree = transport_module._optimal_tree(graph, np.array([2.0, 1.0, 0.0]), np.zeros(3))
+    served, values = transport_module._tree_values(tree, np.array([[2.0, -1.0, -1.0],
+                                                                   [-1.0, 0.0, 1.0]]))
+    assert served.tolist() == [True, False]
+    assert values[0] == 3.0
+
+
+def test_disconnected_graph_solves_every_row_by_lp(linprog_calls):
+    # two components, so no spanning tree exists and every moving row needs its LP
+    graph = FlowGraph(range(4), 4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 2.0, 1.0, 3.0])
+    p = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.2, 0.3, 0.4, 0.1]])
+    q = np.array([[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0], [0.3, 0.2, 0.1, 0.4]])
+    values = metric_transport_values(p, q, graph)
+    np.testing.assert_allclose(values, [1.0, 2.5, 0.2 + 0.3], rtol=0, atol=1e-12)
+    assert len(linprog_calls) == 2
+
+
+def test_single_rows_take_one_lp(linprog_calls):
+    graph, (p, q) = BATCHES["mixed_support"]
+    metric_transport_values(p[:1], q[:1], graph)
+    wsharp_exact(ConfigurationDistribution(MIXED_SUPPORT, p[1]),
+                 ConfigurationDistribution(MIXED_SUPPORT, q[1]))
+    assert len(linprog_calls) == 2
+
+
+@pytest.mark.parametrize("seed", [41, 300_000, 300_002])
+def test_sampled_verify_instance_solves_few_lps(seed, linprog_calls):
+    # the sampled benchmark shape (6 points, 2 functions, 20,000 draws, 1,000
+    # resamples) transports 1,001 pairs of rows; basis reuse answers nearly all
+    a = random_orthonormal(6, 2, seed)
+    b = random_orthonormal(6, 2, seed + 1, space=a.space)
+    report = verify_instance(MixedKernelSpec(np.ones(2), a), MixedKernelSpec(np.ones(2), b),
+                             mode="empirical", budget=20_000, seed=seed,
+                             bootstrap_resamples=1_000)
+    assert report.wsharp_value > 0.0
+    assert len(linprog_calls) <= 4
+
+
+@pytest.mark.parametrize("trees", [True, False])
+def test_adversarial_batch_stays_within_the_round_budget(trees, linprog_calls, monkeypatch):
+    # every point mass to every other, each row one shortest path, then spread
+    # rows: few rows share a basis. With or without trees, the rounds of 1, 2,
+    # 4, ... rows add at most one LP per doubling to the packed count
+    if not trees:
+        monkeypatch.setattr(transport_module, "_optimal_tree", lambda *args: None)
+    graph = subset_graph(MIXED_SUPPORT)
+    n = len(graph.labels)
+    i, j = np.array([(i, j) for i in range(n) for j in range(n) if i != j]).T
+    spread_p, spread_q = dirichlet_rows(n, 60, 6, alpha=0.2)
+    p, q = np.vstack([np.eye(n)[i], spread_p]), np.vstack([np.eye(n)[j], spread_q])
+    values = metric_transport_values(p, q, graph)
+    per_lp = max(1, transport_module.LP_VARIABLES // graph.tail.size)
+    assert per_lp > 1
+    assert len(linprog_calls) <= math.ceil(len(p) / per_lp) + math.ceil(math.log2(per_lp)) + 1
+    np.testing.assert_allclose(values, one_per_call(p, q, graph), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(values[:len(i)], [0.5 * symmetric_difference_cost(
+        graph.labels[a], graph.labels[b]) for a, b in zip(i, j)], rtol=0, atol=1e-12)
 
 
 def test_subset_graph_band():

@@ -134,13 +134,20 @@ def test_w1_product_states_single_factor():
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
-def test_w1_single_site_is_trace_distance(dim):
+def test_w1_single_site_is_trace_distance(dim, monkeypatch):
+    # the only feasible point is delta itself: no projector, no iteration, gap 0
+    def refuse(*args):
+        raise AssertionError("a one-site solve built the constraint projector")
+
+    monkeypatch.setattr(w1_module, "_ConstraintProjector", refuse)
     rho = DensityOperator((dim,), random_density(dim, 30 + dim))
     sig = DensityOperator((dim,), random_density(dim, 40 + dim))
     cert = w1_exact(rho, sig)
-    trace = half_trace_norm(rho.matrix - sig.matrix)
-    assert cert.lower - 1e-12 <= trace <= cert.value + 1e-12
-    assert cert.value - cert.lower <= DEFAULT_TOL
+    delta = rho.matrix - sig.matrix
+    assert cert.value == pytest.approx(half_trace_norm(delta), abs=1e-12)
+    assert (cert.lower, cert.gap, cert.iterations) == (cert.value, 0.0, 0)
+    assert len(cert.primal_parts) == 1
+    np.testing.assert_array_equal(cert.primal_parts[0], delta)
 
 
 def test_w1_two_qubit_pure_sandwich():
