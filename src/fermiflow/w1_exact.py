@@ -44,11 +44,15 @@ most `tol`.
 Determinant states and their reduced states are antisymmetric: every site
 swap (0 i) fixes delta and commutes with T, so from the projection of 0
 block i of every point, extrapolated or not, is the swap of block 0. For
-such delta the shrink step eigendecomposes block 0 alone, first averaged
-over the permutations of sites 1..n-1 (which fix it in exact arithmetic;
-the projection's rounding does not, and the part outside their fixed
-subspace is otherwise never damped and can overflow), and swaps sites to
-form the rest. Projection and gap test use all n blocks.
+such delta the loop holds block 0 alone, in v, z and the Anderson
+buffers. Each iteration eigendecomposes block 0, projects it with one
+basis change and gathers of swapped coefficients, and averages v over the
+permutations of sites 1..n-1. These fix v in exact arithmetic; the
+projection's rounding does not, and the part outside their fixed subspace
+is otherwise never damped and can overflow. The gap test takes n times
+block 0's objective, and block 0's spectrum with the drift of all n
+blocks for the dual point. The swaps form the other blocks once, after
+the loop, where parts, residuals and feasibility are measured.
 """
 
 from __future__ import annotations
@@ -90,19 +94,25 @@ def _identity_first_reflection(d: int) -> np.ndarray:
 
 
 class _ConstraintProjector:
-    """Orthogonal projection onto {(Z_i): tr_i Z_i = 0, sum_i Z_i = delta}.
+    """Orthogonal projection onto {(Z_i): tr_i Z_i = 0, sum_i Z_i = delta}, on held blocks.
 
     In a product operator basis whose first element per site is -I/sqrt(d),
     both constraints act coefficient by coefficient. At a coefficient
     whose set A of non-identity sites has w members, block i may be
     non-zero only for i in A, and the allowed blocks share the residual
     delta - sum_{i in A} Y_i equally. w = 0 only on the identity component,
-    where a traceless delta is 0. Blocks are held as one (n, D, D) array.
+    where a traceless delta is 0.
+
+    A stack of blocks is held as one (h, D, D) array. When every site swap
+    (0 i) fixes delta, h = 1: block i of each stack is the swap (0 i) of
+    block 0, and its coefficient at a is block 0's at a with tuple entries
+    0 and i swapped, so one basis change and n gathers give every block's
+    coefficients. Otherwise h = n, and the gathers copy.
     """
 
     def __init__(self, dims, delta: np.ndarray):
         self.dims = tuple(dims)
-        n = len(self.dims)
+        n, total = len(self.dims), math.prod(self.dims)
         self.reflections = [_identity_first_reflection(d) for d in self.dims]
         # (m, rows..., cols...) -> (m, row_1, col_1, ..., row_n, col_n) and back
         self._interleave = (0,) + tuple(a for i in range(n) for a in (1 + i, 1 + n + i))
@@ -112,6 +122,26 @@ class _ConstraintProjector:
         # where no block is allowed (the identity component) the mask zeroes the share
         self.share = 1.0 / np.maximum(self.allowed.sum(axis=0), 1)
         self.delta_coeffs = self._to_basis(delta[None])[0]
+        gathers = _symmetric_gathers(self.dims, delta)
+        if gathers is None:
+            entries = np.arange(n * total * total)
+            gathers = (entries[None], entries.reshape(n, -1),
+                       np.arange(self.allowed.size).reshape(n, -1))
+        self._orbit, self._expand, self._spread = gathers
+        # every row of the orbit gathers all held blocks
+        self.held = self._orbit.shape[1] // (total * total)
+
+    def average(self, blocks: np.ndarray) -> np.ndarray:
+        """Held blocks averaged over the permutations of sites 1..n-1 (h = n: copied)."""
+        return blocks.reshape(-1)[self._orbit].mean(axis=0).reshape(blocks.shape)
+
+    def expand(self, blocks: np.ndarray) -> np.ndarray:
+        """The (n, D, D) stack whose held blocks are `blocks`."""
+        return blocks.reshape(-1)[self._expand].reshape((-1,) + blocks.shape[1:])
+
+    def _coefficients(self, blocks: np.ndarray) -> np.ndarray:
+        """Allowed basis coefficients (n, D^2) of the stack whose held blocks are `blocks`."""
+        return self._to_basis(blocks).reshape(-1)[self._spread] * self.allowed
 
     def _change_basis(self, coeffs: np.ndarray) -> np.ndarray:
         """Apply every site's reflection to (m, d_1^2, ..., d_n^2) entries; flat out."""
@@ -132,10 +162,16 @@ class _ConstraintProjector:
         return pairs.transpose(self._deinterleave).reshape(m, total, total)
 
     def project(self, blocks: np.ndarray) -> np.ndarray:
-        y = self._to_basis(blocks) * self.allowed
-        coeffs = self.allowed * (y + self.share * (self.delta_coeffs - y.sum(axis=0)))
+        y = self._coefficients(blocks)
+        h = len(blocks)
+        coeffs = self.allowed[:h] * (y[:h] + self.share * (self.delta_coeffs - y.sum(axis=0)))
         out = self._from_basis(coeffs)
         return 0.5 * (out + _adjoint(out))
+
+    def value(self, blocks: np.ndarray) -> float:
+        """Objective sum_i (1/2) tr |Z_i| of the stack; swapped blocks share block 0's spectrum."""
+        weights = 0.5 * np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1)
+        return len(self.dims) // len(blocks) * float(weights.sum())
 
     def dual_value(self, u: np.ndarray) -> float:
         """Lower bound on the distance from a multiplier u near the adjoint's range.
@@ -146,9 +182,11 @@ class _ConstraintProjector:
         exactly and ||H_i||_op <= ||u_i||_op + ||H_i - u_i||_F. With t the
         reciprocal of twice the largest such bound, -t H is dual feasible and
         -t Re<L, delta> is its dual value; the Hermitian part of u is used,
-        which changes neither side for Hermitian delta.
+        which changes neither side for Hermitian delta. The drift
+        ||H_i - u_i||_F is taken for all n blocks; the swapped blocks share
+        block 0's spectrum, so its operator norm serves them all.
         """
-        coeffs = self._to_basis(u) * self.allowed
+        coeffs = self._coefficients(u)
         common = self.share * coeffs.sum(axis=0)
         drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
         norms = np.abs(np.linalg.eigvalsh(0.5 * (u + _adjoint(u)))).max(axis=1) + drift
@@ -168,43 +206,57 @@ def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
     return (vecs * shrunk[:, None, :]) @ _adjoint(vecs)
 
 
-def _symmetric_gathers(dims, delta: np.ndarray):
-    """Flat gathers of the symmetric shrink step, or None unless every swap (0 i) fixes delta.
+def _site_gather(shape, perm) -> np.ndarray:
+    """Flat gather that permutes the axes of an array of `shape` by `perm`."""
+    return np.arange(math.prod(shape)).reshape(shape).transpose(perm).ravel()
 
-    Each row conjugates a flattened block by a site permutation: the first
-    array's by those of sites 1..n-1, the second's by the swaps (0 i).
+
+def _symmetric_gathers(dims, delta: np.ndarray):
+    """Flat gathers of the one-block loop, or None unless every swap (0 i) fixes delta.
+
+    Rows of the first array conjugate a flattened block by the permutations
+    of sites 1..n-1, rows of the second by the swaps (0 i); rows of the
+    third permute a block's basis coefficients by the swaps (0 i). Every
+    swap must fix delta to 1e-12 per entry; the stack the loop forms from
+    block 0 then sums to a swap-symmetrized delta, off delta by that order.
     """
     n, total = len(dims), math.prod(dims)
     if n < 2 or len(set(dims)) > 1:
         return None
 
-    def gather(perm):
-        p = np.arange(total).reshape(dims).transpose(perm).ravel()
+    def conjugation(perm):
+        p = _site_gather(dims, perm)
         return (p[:, None] * total + p).ravel()
 
-    swaps = np.array([gather([i if j == 0 else 0 if j == i else j for j in range(n)])
-                      for i in range(n)])
+    swaps = [[i if j == 0 else 0 if j == i else j for j in range(n)] for i in range(n)]
+    conjugations = np.array([conjugation(perm) for perm in swaps])
     flat = delta.ravel()
-    if np.max(np.abs(flat[swaps] - flat)) > 1e-12:
+    if np.max(np.abs(flat[conjugations] - flat)) > 1e-12:
         return None
-    return np.array([gather((0,) + p) for p in itertools.permutations(range(1, n))]), swaps
+    orbit = np.array([conjugation((0,) + p) for p in itertools.permutations(range(1, n))])
+    return (orbit, conjugations,
+            np.array([_site_gather([d * d for d in dims], perm) for perm in swaps]))
 
 
 class _Anderson:
     """Safeguarded type-II Anderson acceleration of a fixed-point iteration v <- T(v).
 
-    Keeps the last accepted point's T(v) and residual g = T(v) - v, and
-    ring buffers of up to ANDERSON_DEPTH differences of g and of T(v)
-    between consecutive accepted points, as real vectors, with the Gram
-    matrix of the g differences. The next point is T(v) - dT gamma for the
-    real gamma minimizing ||g - dG gamma|| (Tikhonov-regularized normal
-    equations), taken Hermitian: large coefficients would amplify the
-    rounding outside the Hermitian stacks, which T never damps. An
-    extrapolated point is accepted only if its residual is no larger than
-    the last accepted point's; otherwise the differences are dropped and
-    the plain step T(v) is taken from the accepted point. The r-th
-    rejection in a row makes the next 2^(r-1) steps plain, so a run of
-    useless extrapolations wastes few evaluations of T.
+    Keeps the last accepted point's T(v) and residual g = T(v) - v, and ring
+    buffers of up to ANDERSON_DEPTH differences of g and of T(v) between
+    consecutive accepted points, as real vectors, with the Gram matrix of
+    the g differences. A g difference at rounding level is not kept: it has
+    no direction, and extrapolating along it scales rounding up. (When the
+    first shrink gives 0, the projection maps the next point back to the
+    same z, so the first two residuals are equal.) The next point is
+    T(v) - dT gamma for the real gamma minimizing ||g - dG gamma||
+    (Tikhonov-regularized normal equations), taken Hermitian: large
+    coefficients would amplify the rounding outside the Hermitian stacks,
+    which T never damps. An extrapolated point is accepted only if its
+    residual is no larger than the last accepted point's; otherwise the
+    differences are dropped and the plain step T(v) is taken from the
+    accepted point. The r-th rejection in a row makes the next 2^(r-1)
+    steps plain, so a run of useless extrapolations wastes few evaluations
+    of T.
     """
 
     def __init__(self, size: int):
@@ -233,9 +285,10 @@ class _Anderson:
             self.rejections = 0
         t = v + g
         t_flat = t.view(np.float64).ravel()
-        if self.g is not None:
+        dg = None if self.g is None else g_flat - self.g.view(np.float64).ravel()
+        if dg is not None and np.linalg.norm(dg) > 1e-12 * residual:
             s, k = self.slot, min(self.count + 1, ANDERSON_DEPTH)
-            np.subtract(g_flat, self.g.view(np.float64).ravel(), out=self.dg[s])
+            self.dg[s] = dg
             np.subtract(t_flat, self.t.view(np.float64).ravel(), out=self.dt[s])
             self.gram[s, :k] = self.gram[:k, s] = self.dg[:k] @ self.dg[s]
             self.count, self.slot = k, (s + 1) % ANDERSON_DEPTH
@@ -258,7 +311,10 @@ class W1Certificate:
 
     `value` is the objective at the feasible iterate `primal_parts`, `lower`
     the dual value of the scaled multiplier, and gap = value - lower <= tol.
-    `symmetric_step` says whether the shrink step eigendecomposed block 0 alone;
+    `symmetric_step` says whether the loop held block 0 alone, the other
+    blocks being its site swaps (0 i), formed after the loop; the parts
+    then sum to a swap-symmetrized delta, off delta by the order of the
+    swap test's 1e-12, and `feasibility_error` reports the difference;
     `accelerated_steps` counts the extrapolated points the safeguard accepted.
     """
 
@@ -323,24 +379,19 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             accelerated_steps=0)
 
     projector = _ConstraintProjector(dims, delta)
-    gathers = _symmetric_gathers(dims, delta)
     # v = z + u, with u = 0 at the start
-    v = z = projector.project(np.zeros((n, total, total), dtype=delta.dtype))
+    v = z = projector.project(np.zeros((projector.held, total, total), dtype=delta.dtype))
     anderson = _Anderson(z.view(np.float64).size)
     for iterations in range(1, max_iter + 1):
-        if gathers is None:
-            x = _shrink_eigenvalues(2.0 * z - v, 0.5)
-        else:
-            block = (2.0 * z[0] - v[0]).ravel()[gathers[0]].mean(axis=0).reshape(1, total, total)
-            x = _shrink_eigenvalues(block, 0.5).ravel()[gathers[1]].reshape(n, total, total)
-        v = anderson.step(v, OVER_RELAX * (x - z))
+        x = _shrink_eigenvalues(2.0 * z - v, 0.5)
+        v = projector.average(anderson.step(v, OVER_RELAX * (x - z)))
         z_prev, z = z, projector.project(v)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
-            weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
-            value = float(weights.sum())
+            value = projector.value(z)
             lower = projector.dual_value(v - z)
             if value - lower <= tol:
                 break
+    x, z, z_prev = (projector.expand(s) for s in (x, z, z_prev))
     r_norm = float(np.linalg.norm(x - z))
     s_norm = float(np.linalg.norm(z - z_prev))
     if value - lower > tol:
@@ -349,6 +400,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             f"{value - lower:.3e} between {lower:.6f} and {value:.6f})",
             iterations=max_iter, primal_residual=r_norm, dual_residual=s_norm)
 
+    weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
     feas_sum = float(np.max(np.abs(z.sum(axis=0) - delta)))
     feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(zi, dims, [i]))))
                   for i, zi in enumerate(z))
@@ -362,7 +414,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         primal_residual=r_norm,
         dual_residual=s_norm,
         feasibility_error=max(feas_sum, feas_tr),
-        symmetric_step=gathers is not None,
+        symmetric_step=projector.held < n,
         accelerated_steps=anderson.accepted,
     )
 

@@ -319,30 +319,31 @@ def test_symmetric_step_matches_general_step(k, monkeypatch):
     # k-particle reduced states of 3 functions on 4 points: 2 and 3 sites
     rho, sig = slater_reduced_pair(70, k)
     project = _ConstraintProjector.project
-    general_iterates, deviations = [], []
+    iterates = {"general": [], "symmetric": []}
 
-    def recording(self, blocks):
-        out = project(self, blocks)
-        general_iterates.append(out)
-        return out
+    for path, stack in iterates.items():
+        def recording(self, blocks):
+            out = project(self, blocks)
+            # the one-block loop projects block 0; the swaps (0 i) give the stack
+            stack.append((len(out), self.expand(out)))
+            return out
 
-    def comparing(self, blocks):
-        out = project(self, blocks)
-        deviations.append(float(np.max(np.abs(out - general_iterates[len(deviations)]))))
-        return out
-
-    for wrapper in (recording, comparing):
         with monkeypatch.context() as patch:
-            patch.setattr(_ConstraintProjector, "project", wrapper)
-            if wrapper is recording:
+            if path == "general":
                 general_step(patch)
+            patch.setattr(_ConstraintProjector, "project", recording)
             try:
                 w1_exact(rho, sig, tol=0.0, max_iter=300)
             except ConvergenceError:
                 pass
     # the projection of 0, then one projection per iteration
-    assert len(general_iterates) == len(deviations) == 301
-    assert max(deviations) <= 1e-10
+    assert len(iterates["general"]) == len(iterates["symmetric"]) == 301
+    assert {held for held, _ in iterates["general"]} == {k}
+    assert {held for held, _ in iterates["symmetric"]} == {1}
+    # every point: at k = 2 the first two residuals are equal, and both paths
+    # drop their difference, which is rounding alone, from the extrapolation
+    assert max(float(np.max(np.abs(a - b))) for (_, a), (_, b)
+               in zip(iterates["general"], iterates["symmetric"])) <= 1e-10
 
     with monkeypatch.context() as patch:
         general_step(patch)
@@ -354,10 +355,55 @@ def test_symmetric_step_matches_general_step(k, monkeypatch):
     assert symmetric.gap <= DEFAULT_TOL
 
 
+@pytest.mark.parametrize("pair", [10, 41])
+def test_averaging_keeps_the_expanded_stack_feasible(pair, monkeypatch):
+    # check-5 pairs: 10 (two functions on four points, D = 16) is one of its
+    # two longest solves, 3,900 iterations on the general step and 3,870 on
+    # the one-block loop, whose rounding steers the extrapolation slightly
+    # differently; 41 (three functions, D = 64) takes 60 on both, and without
+    # the average over the swap (1 2) its stack drifts to 5e-9 from feasible
+    n_functions = 2 if pair < 25 else 3
+    rho, sig = (full_state_vector(random_orthonormal(4, n_functions, seed=50_000 + 2 * pair + j))
+                for j in (0, 1))
+    with monkeypatch.context() as patch:
+        general_step(patch)
+        general = w1_exact(rho, sig)
+    cert = w1_exact(rho, sig)
+    assert (general.symmetric_step, cert.symmetric_step) == (False, True)
+    assert cert.feasibility_error <= 1e-10
+    # both intervals hold the distance, so they meet, and each holds the
+    # general step's value up to the tolerance
+    assert max(general.lower, cert.lower) <= min(general.value, cert.value)
+    for c in (general, cert):
+        assert c.lower <= general.value <= c.value + DEFAULT_TOL
+        assert c.gap <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_zero_gap_test_matches_the_swapped_stack(k, monkeypatch):
+    rho, sig = slater_reduced_pair(71, k)
+    delta = rho.matrix - sig.matrix
+    symmetric = _ConstraintProjector(rho.dims, delta)
+    with monkeypatch.context() as patch:
+        general_step(patch)
+        general = _ConstraintProjector(rho.dims, delta)
+    assert (symmetric.held, general.held) == (1, k)
+    rng = np.random.default_rng(k)
+    total = math.prod(rho.dims)
+    raw = rng.normal(size=(2, 1, total, total)) + 1j * rng.normal(size=(2, 1, total, total))
+    # u0 is not averaged over the permutations of sites 1..k-1, so at k = 3
+    # its swapped blocks drift from the adjoint's range by different amounts
+    u0, z0 = raw + raw.conj().swapaxes(-1, -2)
+    assert symmetric.dual_value(u0) == pytest.approx(
+        general.dual_value(symmetric.expand(u0)), rel=0, abs=1e-12)
+    assert symmetric.value(z0) == pytest.approx(
+        general.value(symmetric.expand(z0)), rel=1e-14)
+
+
 @pytest.mark.parametrize("pair", [2, 4, 6, 7])
 def test_symmetric_step_certifies_three_site_slater_states(pair, monkeypatch):
-    # full states of 3 functions on 4 points, total dimension 64; shrinking
-    # block 0 without its average over the swap (1 2) overflows on these
+    # full states of 3 functions on 4 points, total dimension 64; without the
+    # average of v over the swap (1 2) the stack of pair 7 ends 7.8e-9 from feasible
     a = random_orthonormal(4, 3, seed=400_000 + 2 * pair)
     b = random_orthonormal(4, 3, seed=400_001 + 2 * pair)
     rho, sig = full_state_vector(a), full_state_vector(b)
@@ -377,12 +423,13 @@ def product_case(d):
             DensityOperator((d, d), np.kron(sigma1, tau)))
 
 
-def perturbed_slater_pair():
+def perturbed_slater_pair(weight=1e-9, k=2):
     # mixing 1e-9 of a product state into a determinant state moves entries
     # of rho - sigma by up to 2.5e-10 under the site swap
-    rho, sig = slater_reduced_pair(90, 2, n_functions=2)
-    product = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4) / 4)
-    return DensityOperator(rho.dims, (1 - 1e-9) * rho.matrix + 1e-9 * product), sig
+    rho, sig = slater_reduced_pair(90, k, n_functions=k)
+    rest = 4 ** (k - 1)
+    product = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(rest) / rest)
+    return DensityOperator(rho.dims, (1 - weight) * rho.matrix + weight * product), sig
 
 
 @pytest.mark.parametrize("pair", [
@@ -394,6 +441,21 @@ def perturbed_slater_pair():
 def test_swap_detection_falls_back_to_general_step(pair):
     cert = w1_exact(*pair)
     assert not cert.symmetric_step
+    assert cert.gap <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_swap_tolerance_keeps_the_expanded_stack_feasible(k):
+    # 4e-13 of a product state moves entries of rho - sigma under the swap
+    # (0 1) by 1e-13 (k = 2) and 2.5e-14 (k = 3), inside the detector's
+    # 1e-12: the one-block loop solves for the swap-symmetrized difference
+    rho, sig = perturbed_slater_pair(4e-13, k)
+    delta = rho.matrix - sig.matrix
+    swapped = delta.reshape(rho.dims * 2).swapaxes(0, 1).swapaxes(k, k + 1).reshape(delta.shape)
+    assert 1e-14 <= np.max(np.abs(swapped - delta)) <= 1e-12
+    cert = w1_exact(rho, sig)
+    assert cert.symmetric_step
+    assert cert.feasibility_error <= 1e-10
     assert cert.gap <= DEFAULT_TOL
 
 
@@ -416,19 +478,19 @@ def test_cli_pair_6_certifies_in_few_iterations():
     assert cert.accelerated_steps > 0
 
 
-@pytest.mark.parametrize("pair", [slater_reduced_pair(70, 2), product_case(3)],
+@pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 2), 1), (product_case(3), 2)],
                          ids=["symmetric_step", "general_step"])
 @pytest.mark.parametrize("max_iter", [1, 37])
-def test_each_iteration_evaluates_the_splitting_map_once(pair, max_iter, monkeypatch):
-    calls = {"project": 0, "shrink": 0}
+def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, monkeypatch):
+    calls = {"project": [], "shrink": []}
     project, shrink = _ConstraintProjector.project, w1_module._shrink_eigenvalues
 
     def counting_project(self, blocks):
-        calls["project"] += 1
+        calls["project"].append(len(blocks))
         return project(self, blocks)
 
     def counting_shrink(stack, amount):
-        calls["shrink"] += 1
+        calls["shrink"].append(len(stack))
         return shrink(stack, amount)
 
     monkeypatch.setattr(_ConstraintProjector, "project", counting_project)
@@ -436,8 +498,8 @@ def test_each_iteration_evaluates_the_splitting_map_once(pair, max_iter, monkeyp
     with pytest.raises(ConvergenceError):
         w1_exact(*pair, tol=0.0, max_iter=max_iter)
     # the projection of 0, then one projection and one shrink per iteration,
-    # rejected extrapolations included
-    assert calls == {"project": 1 + max_iter, "shrink": max_iter}
+    # rejected extrapolations included; on block 0 alone when every swap fixes delta
+    assert calls == {"project": [held] * (1 + max_iter), "shrink": [held] * max_iter}
 
 
 def check5_product_case(d):
