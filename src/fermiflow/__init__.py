@@ -19,8 +19,8 @@ from .dpp import (ConfigurationDistribution, MixedKernelSpec,
                   sample_projection_dpp)
 from .errors import (ConvergenceError, EnumerationCapError, RankCollapseError,
                      RankDeficiencyError)
-from .ground import (GroundSpace, OrthonormalFamily, gram_matrix, inner_product,
-                     orthonormalize, random_orthonormal, walsh_family)
+from .ground import (GroundSpace, OrthonormalFamily, gram_matrix, orthonormalize,
+                     random_orthonormal, walsh_family)
 from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
                      overlap_determinant, overlap_matrix, reduced_density_matrix,
                      slater_fidelity, slater_state_vector, trace_distance_slater)
@@ -64,7 +64,6 @@ __all__ = [
     "full_state_vector",
     "gram_matrix",
     "hamming_graph",
-    "inner_product",
     "metric_transport_values",
     "ordered_measurement_distribution",
     "orthonormalize",

@@ -202,12 +202,15 @@ def cmd_bounds(cfg: RunConfig) -> int:
         raise ValueError(f"unknown bounds.mode {mode!r}")
     if mixed < 0:
         raise ValueError(f"bounds.mixed_eigenvalues must not be negative, got {mixed}")
+    if mixed > 0 and "bounds.n" in cfg.extra:
+        raise ValueError("bounds.n is not used when bounds.mixed_eigenvalues > 0: "
+                         "mixed runs take one function per eigenvalue")
+    size = mixed if mixed > 0 else n
 
     instances = []
     for i in range(count):
         seed_a = cfg.instance_seed("bounds", 2 * i)
         seed_b = cfg.instance_seed("bounds", 2 * i + 1)
-        size = mixed if mixed > 0 else n
         fam_a = random_orthonormal(dim, size, seed=seed_a)
         fam_b = random_orthonormal(dim, size, seed=seed_b)
         if mixed > 0:
@@ -225,7 +228,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
     min_ws = min(r["wsharp_slack"] for r in instances)
     ok = mode != "exact" or (min_tv >= -1e-9 and min_ws >= -1e-9)
     report = {
-        "count": count, "dim": dim, "n": n, "mode": mode,
+        "count": count, "dim": dim, "n": size, "mode": mode,
         "mixed_eigenvalues": mixed,
         "min_tv_slack": min_tv, "min_wsharp_slack": min_ws, "passed": ok,
         "instances": instances,

@@ -152,10 +152,11 @@ def sample_projection_dpp(family: OrthonormalFamily,
     """One configuration of the rank-n projection process, by chain rule.
 
     Draws a point from the one-point density K(x,x) mu(x) / k, restricts
-    the family to functions vanishing at the drawn point, renormalizes,
-    and repeats. Returns a sorted tuple of n distinct point indices.
+    the span to the functions vanishing at the drawn point by a rank-one
+    projection of the coefficients, and repeats. Returns a sorted tuple of
+    n distinct point indices.
     """
-    fold = family.folded().copy()
+    fold = family.folded()
     chosen: list[int] = []
     for step in range(family.n, 0, -1):
         density = np.sum(np.abs(fold) ** 2, axis=1)
@@ -171,13 +172,9 @@ def sample_projection_dpp(family: OrthonormalFamily,
         if nrm < 1e-12:
             raise RankCollapseError(len(chosen), nrm)
         u = row.conj() / nrm
-        # Householder reflector for u: columns 2..k are orthonormal,
-        # orthogonal to u, so the recombined functions vanish at x
-        w = u.copy()
-        phase = w[0] / abs(w[0]) if abs(w[0]) > 0 else 1.0
-        w[0] += phase
-        h = np.eye(step) - 2.0 * np.outer(w, w.conj()) / float(np.linalg.norm(w) ** 2)
-        fold = fold @ h[:, 1:]
+        # projecting the coefficients off u leaves the functions of the span
+        # that vanish at x; their squared row norms are the next density
+        fold -= np.outer(fold @ u, u.conj())
     return tuple(sorted(chosen))
 
 

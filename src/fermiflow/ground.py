@@ -64,21 +64,6 @@ class GroundSpace:
                 and np.array_equal(self.weights, other.weights))
 
 
-def _as_function(f, space: GroundSpace) -> np.ndarray:
-    arr = np.asarray(f, dtype=complex)
-    if arr.shape != (space.n_points,):
-        raise ValueError(
-            f"function has {arr.shape} values, space has {space.n_points} points")
-    return arr
-
-
-def inner_product(f, g, space: GroundSpace) -> complex:
-    """Weighted inner product, conjugate-linear in the first argument."""
-    fa = _as_function(f, space)
-    ga = _as_function(g, space)
-    return complex(np.sum(np.conj(fa) * ga * space.weights))
-
-
 def gram_matrix(functions, space: GroundSpace) -> np.ndarray:
     """Hermitian matrix of pairwise inner products, rows indexing functions."""
     fns = np.asarray(functions, dtype=complex)
@@ -127,13 +112,6 @@ class OrthonormalFamily:
     def subset(self, indices) -> "OrthonormalFamily":
         idx = list(indices)
         return OrthonormalFamily(self.space, self.functions[idx], self.tol)
-
-    def recombined(self, unitary: np.ndarray) -> "OrthonormalFamily":
-        """Family with members g_i = sum_j u[j, i] f_j for a unitary u."""
-        u = np.asarray(unitary, dtype=complex)
-        if u.shape != (self.n, self.n):
-            raise ValueError("unitary size must match family size")
-        return OrthonormalFamily(self.space, u.T @ self.functions, self.tol)
 
 
 def orthonormalize(functions, space: GroundSpace, tol: float = DEFAULT_TOL) -> OrthonormalFamily:

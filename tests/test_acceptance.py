@@ -6,6 +6,10 @@ verdict plus its wall-clock budget where one is declared. Tolerances live
 inside the checks themselves; nothing here loosens them.
 """
 
+# loaded up front, as `run_all` does, so that no budgeted check times an import
+import scipy.optimize  # noqa: F401
+import scipy.special  # noqa: F401
+
 from fermiflow.selftest import (check_bound_validity_sweep, check_gap_table,
                                 check_measurement_matches_kernel,
                                 check_rdm_monotonicity,

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fermiflow import bounds, dpp
+from fermiflow import bounds, dpp, transport
 from fermiflow._rng import stream_generator
-from fermiflow import (ConfigurationDistribution, EnumerationCapError, MixedKernelSpec,
-                       OrthonormalFamily, OverlapMatrix, count_covariance_exact,
+from fermiflow import (ConfigurationDistribution, CostMatrix, EnumerationCapError,
+                       GroundSpace, MixedKernelSpec, OrthonormalFamily, OverlapMatrix,
+                       count_covariance_exact, ot_cost,
                        density_transport_rhs, exact_mixed_distribution,
                        orthonormalize, overlap_matrix, random_orthonormal,
                        total_variation, trace_distance_slater, tv_bound_general,
@@ -360,7 +361,81 @@ def test_count_covariance_exact_walsh():
 
 def test_density_transport_rhs_walsh_is_zero():
     spec_a, spec_b = walsh_specs()
-    assert density_transport_rhs(spec_a, spec_b) == pytest.approx(0.0, abs=1e-12)
+    assert density_transport_rhs(spec_a, spec_b) == 0.0
+
+
+def line_spec_pair(seed):
+    """Two projection specs on 2-9 points of random weights and unsorted
+    coordinates, a third of them rounded to thirds so that some coincide."""
+    g = stream_generator(515, seed)
+    n_points = int(g.integers(2, 10))
+    m = int(g.integers(1, min(4, n_points) + 1))
+    coords = g.random(n_points)
+    if seed % 3 == 0:
+        coords = np.round(3 * coords) / 3
+    space = GroundSpace(tuple(range(n_points)), 0.1 + g.random(n_points), coords)
+    return tuple(MixedKernelSpec(np.ones(m), orthonormalize(
+        g.normal(size=(m, n_points)) + 1j * g.normal(size=(m, n_points)), space))
+        for _ in range(2))
+
+
+def dense_density_rhs(spec_a, spec_b):
+    """The pairing minimum from one dense `ot_cost` LP per pair of densities."""
+    space = spec_a.family.space
+    labels = range(space.n_points)
+    cost = CostMatrix((space.coords[:, None] - space.coords[None, :]) ** 2, labels, labels)
+    densities = [[dict(enumerate(np.abs(f) ** 2 * space.weights)) for f in spec.family.functions]
+                 for spec in (spec_a, spec_b)]
+    w2 = np.array([[math.sqrt(max(0.0, ot_cost(p, q, cost).value)) for q in densities[1]]
+                   for p in densities[0]])
+    return min(w2[range(len(w2)), list(perm)].sum()
+               for perm in itertools.permutations(range(len(w2))))
+
+
+def test_density_transport_rhs_matches_dense_reference():
+    worst = 0.0
+    for seed in range(100):
+        spec_a, spec_b = line_spec_pair(seed)
+        worst = max(worst, abs(density_transport_rhs(spec_a, spec_b)
+                               - dense_density_rhs(spec_a, spec_b)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_density_transport_rhs_pairing_is_the_best_permutation(m):
+    for seed in range(5):
+        space = GroundSpace(tuple(range(8)), np.full(8, 1 / 8),
+                            stream_generator(516, m, seed).random(8))
+        fam_a = random_orthonormal(8, m, 40 * m + 2 * seed, space=space)
+        fam_b = random_orthonormal(8, m, 40 * m + 2 * seed + 1, space=space)
+        single = [[MixedKernelSpec(np.ones(1), fam.subset([i])) for i in range(m)]
+                  for fam in (fam_a, fam_b)]
+        w2 = np.array([[density_transport_rhs(a, b) for b in single[1]] for a in single[0]])
+        brute = min(w2[range(m), list(perm)].sum() for perm in itertools.permutations(range(m)))
+        value = density_transport_rhs(MixedKernelSpec(np.ones(m), fam_a),
+                                      MixedKernelSpec(np.ones(m), fam_b))
+        assert value == pytest.approx(brute, abs=1e-14)
+
+
+def test_density_transport_rhs_solves_no_lp(monkeypatch):
+    calls = []
+    solve = transport._min_cost_flows
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    def refuse(*args):
+        raise AssertionError("the density-only term solved a transport LP")
+
+    monkeypatch.setattr(transport, "_min_cost_flows", refuse)
+    for seed in range(3):
+        density_transport_rhs(*line_spec_pair(seed))
+    assert density_transport_rhs(*walsh_specs()) == 0.0
+    monkeypatch.setattr(transport, "_min_cost_flows", counting)
+    # the whole Walsh report solves one LP, the exact W#
+    assert walsh_counterexample_report().density_transport_rhs == 0.0
+    assert len(calls) == 1
 
 
 def test_walsh_counterexample_report_frozen():

@@ -156,6 +156,28 @@ def test_bounds_rejects_negative_mixed_eigenvalues(tmp_path, monkeypatch):
     assert out == ""
 
 
+def test_bounds_rejects_n_with_mixed_eigenvalues(tmp_path, monkeypatch):
+    import fermiflow.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built despite an unused bounds.n")
+
+    monkeypatch.setattr(cli_module, "random_orthonormal", refuse)
+    cfg = write_config(tmp_path, "bounds.n=5\nbounds.mixed_eigenvalues=3\n")
+    code, out, err = run_cli(["bounds", "--config", cfg])
+    assert code == 2
+    assert "bounds.n" in err and "bounds.mixed_eigenvalues" in err
+    assert out == ""
+
+
+def test_mixed_bounds_report_the_family_size_used(tmp_path):
+    cfg = write_config(tmp_path, "bounds.mixed_eigenvalues=3\nbounds.count=1\nbounds.dim=4\n")
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 0
+    report = parse_json(out)["report"]
+    assert report["n"] == 3 == report["instances"][0]["n_indices"]
+
+
 def test_rdm_monotonicity_past_the_dim_cap_exits_2(tmp_path):
     cfg = write_config(tmp_path, "rdm.dim=8\nrdm.n=4\nrdm.seeds=1\n")
     code, out, err = run_cli(["rdm-monotonicity", "--config", cfg])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fermiflow import (DensityOperator, EnumerationCapError, MixedKernelSpec,
-                       OverlapMatrix, full_state_vector, orthonormalize,
+                       OrthonormalFamily, OverlapMatrix, full_state_vector, orthonormalize,
                        overlap_determinant, overlap_matrix, random_orthonormal,
                        reduced_density_matrix, slater_fidelity,
                        slater_state_vector, trace_distance_slater, walsh_family)
@@ -211,7 +211,7 @@ def test_fidelity_invariant_under_stabilizer():
     b = random_orthonormal(6, 3, 51, space=a.space)
     base = slater_fidelity(overlap_matrix(a, b))
     for seed in (0, 1):
-        recombined = b.recombined(unitary(3, seed))
+        recombined = OrthonormalFamily(b.space, unitary(3, seed).T @ b.functions)
         value = slater_fidelity(overlap_matrix(a, recombined))
         assert value == pytest.approx(base, abs=1e-10)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from fermiflow import (OverlapMatrix, example_gap_table, overlap_matrix,
-                       random_orthonormal, stabilizer_max_overlap,
+from fermiflow import (OrthonormalFamily, OverlapMatrix, example_gap_table,
+                       overlap_matrix, random_orthonormal, stabilizer_max_overlap,
                        stabilizer_max_overlap_ascent, trace_distance_slater,
                        w1_upper_slater)
 
@@ -95,7 +95,7 @@ def test_report_self_is_all_zero():
 
 def test_report_invariant_under_recombination():
     a = random_orthonormal(6, 3, 2)
-    b = a.recombined(haar_unitary(3, 5))
+    b = OrthonormalFamily(a.space, haar_unitary(3, 5).T @ a.functions)
     m = overlap_matrix(a, b)
     assert trace_distance_slater(m) == pytest.approx(0.0, abs=1e-8)
     assert w1_upper_slater(m) == pytest.approx(0.0, abs=1e-4)
