@@ -61,8 +61,8 @@ class RunConfig:
         self.read.add(key)
         return type(default)(self.extra.get(key, default))
 
-    def get_positive(self, key: str, default: int) -> int:
-        """`get` for a cap or a count, which must be positive."""
+    def get_positive(self, key: str, default):
+        """`get` for a cap, a count or a tolerance, which must be positive."""
         value = self.get(key, default)
         if value <= 0:
             raise ValueError(f"{key} must be positive, got {value}")
@@ -244,8 +244,8 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
     seeds = cfg.get_positive("rdm.seeds", 20)
     dim = cfg.get_positive("rdm.dim", 4)
     n = cfg.get_positive("rdm.n", 2)
-    tol = cfg.get("w1.tol", 1e-5)
-    max_iter = cfg.get("w1.max_iter", 50_000)
+    tol = cfg.get_positive("w1.tol", 1e-5)
+    max_iter = cfg.get_positive("w1.max_iter", 50_000)
     dim_cap = cfg.get_positive("dim_cap", DIM_CAP)
     cfg.reject_unread()
 

@@ -15,12 +15,16 @@ The solver is Douglas-Rachford splitting on the n blocks held as one
 
     T(v) = v + OVER_RELAX (prox(2 z - v) - z),   z = P(v),
 
-on the single variable v: prox, the objective's proximal map, is one
-batched eigenvalue soft-thresholding, and P is the exact orthogonal
-projection onto the affine constraint set, in closed form. In a product
-operator basis whose first element per site is the normalized identity
-(up to sign), tr_i X_i = 0 says block i vanishes wherever site i carries
-the identity, so the projection splits coefficient by coefficient. Plain
+on the single variable v: prox, the objective's proximal map with step
+2 tau, is one batched soft-thresholding of eigenvalues by tau, the trace
+distance (1/2) tr |delta| over 2 sqrt(D), and P is the exact orthogonal
+projection onto the affine constraint set, in closed form. The program is
+positively homogeneous: delta scaled by c > 0 scales every feasible point,
+the distance and tau by c, hence every iterate, so with tol scaled alike
+the iteration count does not depend on delta's units (with a fixed tau it does).
+In a product operator basis whose first element per site is -I/sqrt(d),
+tr_i X_i = 0 says block i vanishes wherever site i carries the identity,
+so the projection splits coefficient by coefficient. Plain
 iteration of T is over-relaxed ADMM with iterate z and scaled multiplier
 u = v - z; near a degenerate optimum it takes thousands of steps. So the
 iteration is accelerated by safeguarded type-II Anderson extrapolation
@@ -35,7 +39,7 @@ Every result is certified by a duality gap. The dual program maximizes
 tr(H (rho - sigma)) over H such that, for each i, some M_i makes
 ||H + M_i (x) I_i||_op <= 1/2 (the Lipschitz dual). For every v, u = v - P(v)
 lies in the range of the constraint adjoint, whatever the extrapolation
-did: its blocks are L + M_i (x) I_i for one shared L. Scaled by -t into
+or tau did: its blocks are L + M_i (x) I_i for one shared L. Scaled by -t into
 the norm ball, u is a dual point of value -t Re tr(L (rho - sigma)). The
 solver stops once the value of the feasible point z exceeds that dual
 value by at most `tol`, so the distance lies in an interval of width at
@@ -314,8 +318,11 @@ class W1Certificate:
     `symmetric_step` says whether the loop held block 0 alone, the other
     blocks being its site swaps (0 i), formed after the loop; the parts
     then sum to a swap-symmetrized delta, off delta by the order of the
-    swap test's 1e-12, and `feasibility_error` reports the difference;
-    `accelerated_steps` counts the extrapolated points the safeguard accepted.
+    swap test's 1e-12, and `feasibility_error` reports the difference.
+    `accelerated_steps` counts the extrapolated points the safeguard accepted;
+    `threshold` is the loop's eigenvalue shrink, derived rather than tuned: the
+    trace distance over 2 sqrt(D), which scales with delta as the distance
+    does (0.0 on one site, where nothing iterates).
     """
 
     value: float
@@ -329,6 +336,7 @@ class W1Certificate:
     feasibility_error: float
     symmetric_step: bool
     accelerated_steps: int
+    threshold: float
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -370,20 +378,21 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     if abs(np.trace(delta)) > 1e-9:
         raise ValueError("difference must be traceless")
     n = len(dims)
+    trace_distance = 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum())
     if n == 1:
-        value = 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum())
         return W1Certificate(
-            value=value, lower=value, gap=0.0, part_weights=(value,), primal_parts=(delta,),
-            iterations=0, primal_residual=0.0, dual_residual=0.0,
+            value=trace_distance, lower=trace_distance, gap=0.0, part_weights=(trace_distance,),
+            primal_parts=(delta,), iterations=0, primal_residual=0.0, dual_residual=0.0,
             feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
-            accelerated_steps=0)
+            accelerated_steps=0, threshold=0.0)
 
     projector = _ConstraintProjector(dims, delta)
     # v = z + u, with u = 0 at the start
     v = z = projector.project(np.zeros((projector.held, total, total), dtype=delta.dtype))
     anderson = _Anderson(z.view(np.float64).size)
+    threshold = trace_distance / (2.0 * math.sqrt(total))
     for iterations in range(1, max_iter + 1):
-        x = _shrink_eigenvalues(2.0 * z - v, 0.5)
+        x = _shrink_eigenvalues(2.0 * z - v, threshold)
         v = projector.average(anderson.step(v, OVER_RELAX * (x - z)))
         z_prev, z = z, projector.project(v)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
@@ -416,6 +425,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         feasibility_error=max(feas_sum, feas_tr),
         symmetric_step=projector.held < n,
         accelerated_steps=anderson.accepted,
+        threshold=threshold,
     )
 
 

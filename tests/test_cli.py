@@ -126,6 +126,8 @@ def test_config_rejects_nonpositive_cap(tmp_path):
     ("bounds", "bounds.n", -2, "bounds.mixed_eigenvalues=3\n"),
     ("rdm-monotonicity", "rdm.dim", 0, ""),
     ("rdm-monotonicity", "rdm.n", 0, ""),
+    ("rdm-monotonicity", "w1.tol", -1.0, "rdm.seeds=1\n"),
+    ("rdm-monotonicity", "w1.max_iter", 0, "rdm.seeds=1\n"),
     ("example-gap", "gap.n_max", 0, ""),
 ])
 def test_config_rejects_nonpositive_count(tmp_path, monkeypatch, command, key, value, text):

@@ -145,7 +145,7 @@ def test_w1_single_site_is_trace_distance(dim, monkeypatch):
     cert = w1_exact(rho, sig)
     delta = rho.matrix - sig.matrix
     assert cert.value == pytest.approx(half_trace_norm(delta), abs=1e-12)
-    assert (cert.lower, cert.gap, cert.iterations) == (cert.value, 0.0, 0)
+    assert (cert.lower, cert.gap, cert.iterations, cert.threshold) == (cert.value, 0.0, 0, 0.0)
     assert len(cert.primal_parts) == 1
     np.testing.assert_array_equal(cert.primal_parts[0], delta)
 
@@ -340,8 +340,7 @@ def test_symmetric_step_matches_general_step(k, monkeypatch):
     assert len(iterates["general"]) == len(iterates["symmetric"]) == 301
     assert {held for held, _ in iterates["general"]} == {k}
     assert {held for held, _ in iterates["symmetric"]} == {1}
-    # every point: at k = 2 the first two residuals are equal, and both paths
-    # drop their difference, which is rounding alone, from the extrapolation
+    # every point, extrapolated ones included
     assert max(float(np.max(np.abs(a - b))) for (_, a), (_, b)
                in zip(iterates["general"], iterates["symmetric"])) <= 1e-10
 
@@ -355,16 +354,19 @@ def test_symmetric_step_matches_general_step(k, monkeypatch):
     assert symmetric.gap <= DEFAULT_TOL
 
 
+def check5_pair(pair):
+    n_functions = 2 if pair < 25 else 3
+    return [full_state_vector(random_orthonormal(4, n_functions, seed=50_000 + 2 * pair + j))
+            for j in (0, 1)]
+
+
 @pytest.mark.parametrize("pair", [10, 41])
 def test_averaging_keeps_the_expanded_stack_feasible(pair, monkeypatch):
     # check-5 pairs: 10 (two functions on four points, D = 16) is one of its
-    # two longest solves, 3,900 iterations on the general step and 3,870 on
-    # the one-block loop, whose rounding steers the extrapolation slightly
-    # differently; 41 (three functions, D = 64) takes 60 on both, and without
-    # the average over the swap (1 2) its stack drifts to 5e-9 from feasible
-    n_functions = 2 if pair < 25 else 3
-    rho, sig = (full_state_vector(random_orthonormal(4, n_functions, seed=50_000 + 2 * pair + j))
-                for j in (0, 1))
+    # two longest solves, 1,160 iterations on the general step and 490 on
+    # the one-block loop, whose rounding steers the extrapolation differently;
+    # 41 (three functions, D = 64) takes 20 on both
+    rho, sig = check5_pair(pair)
     with monkeypatch.context() as patch:
         general_step(patch)
         general = w1_exact(rho, sig)
@@ -377,6 +379,25 @@ def test_averaging_keeps_the_expanded_stack_feasible(pair, monkeypatch):
     for c in (general, cert):
         assert c.lower <= general.value <= c.value + DEFAULT_TOL
         assert c.gap <= DEFAULT_TOL
+
+
+def permutation_invariant_density(dims, seed):
+    """random_density averaged over every permutation of its (equal) sites."""
+    n, total = len(dims), math.prod(dims)
+    tensor = random_density(total, seed).reshape(tuple(dims) * 2)
+    mean = sum(tensor.transpose(p + tuple(n + i for i in p))
+               for p in itertools.permutations(range(n))) / math.factorial(n)
+    return DensityOperator(tuple(dims), mean.reshape(total, total))
+
+
+def test_averaging_keeps_permutation_invariant_densities_feasible():
+    # three sites of dimension 4 (D = 64), 80 iterations: without the average
+    # over the swap (1 2) the expanded stack ends 3.6e-8 from feasible
+    rho, sig = (permutation_invariant_density((4, 4, 4), seed) for seed in (0, 1))
+    cert = w1_exact(rho, sig)
+    assert cert.symmetric_step
+    assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
+    assert cert.feasibility_error <= 1e-10
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -468,7 +489,7 @@ def test_identical_slater_states_on_the_symmetric_step():
 
 def test_cli_pair_6_certifies_in_few_iterations():
     # the unrotated pair 6 of `fermiflow rdm-monotonicity` at k = 2 took 7,790
-    # plain ADMM iterations; with extrapolation it takes under 200
+    # plain ADMM iterations; with extrapolation it takes 230
     a = random_orthonormal(4, 2, seed=400_012)
     b = random_orthonormal(4, 2, seed=400_013)
     rho, sig = (reduced_density_matrix(full_state_vector(f), 2) for f in (a, b))
@@ -532,3 +553,44 @@ def test_rejected_extrapolations_still_certify(d, monkeypatch):
     assert max(asymmetry) <= 1e-12
     for part in cert.primal_parts:
         assert np.max(np.abs(part - part.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [check5_pair(3), slater_reduced_pair(70, 2), product_case(3)],
+                         ids=["check5_pair_3", "symmetric_step", "general_step"])
+def test_threshold_is_trace_distance_over_two_root_d(pair):
+    rho, sig = pair
+    total = math.prod(rho.dims)
+    cert = w1_exact(rho, sig)
+    expected = half_trace_norm(rho.matrix - sig.matrix) / (2 * math.sqrt(total))
+    assert cert.threshold == pytest.approx(expected, rel=1e-12)
+
+
+def mixed_toward_identity(op, c):
+    total = op.matrix.shape[0]
+    return DensityOperator(op.dims, c * op.matrix + (1 - c) * np.eye(total) / total)
+
+
+@pytest.mark.parametrize("pair", [3, 41])
+@pytest.mark.parametrize("c", [0.5, 0.25])
+def test_solver_cost_does_not_depend_on_the_scale_of_delta(pair, c):
+    # mixing both states toward I/D by c scales delta, and the distance, by c;
+    # with the tolerance scaled alike the threshold keeps the iterates in step.
+    # A fixed shrink of 0.5 took pair 3 from 430 iterations to 8,450 at c = 1/4
+    rho, sig = check5_pair(pair)
+    base = w1_exact(rho, sig)
+    scaled = w1_exact(mixed_toward_identity(rho, c), mixed_toward_identity(sig, c),
+                      tol=c * DEFAULT_TOL)
+    assert abs(scaled.iterations - base.iterations) <= 0.25 * base.iterations
+    assert scaled.gap <= c * DEFAULT_TOL
+    # [lower, value] / c holds the distance, and so does [base.lower, base.value]
+    assert scaled.lower / c - 1e-12 <= base.value <= scaled.value / c + DEFAULT_TOL
+    assert base.lower - 1e-12 <= scaled.value / c <= base.value + DEFAULT_TOL
+
+
+@pytest.mark.parametrize("pair", [10, 13])
+def test_check5_hardest_pairs_certify_within_1000_iterations(pair):
+    # check 5's two longest solves, 3,870 and 4,210 iterations with a fixed shrink of 0.5
+    cert = w1_exact(*check5_pair(pair))
+    assert cert.symmetric_step
+    assert cert.iterations <= 1_000
+    assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
