@@ -204,7 +204,8 @@ def _solver_summary(certs) -> str:
     return (f"{sum(c.iterations for c in certs)} solver iterations "
             f"({sum(c.accelerated_steps for c in certs)} extrapolated), worst certified gap "
             f"{max(c.gap for c in certs):.1e}, {sum(c.symmetric_step for c in certs)} of "
-            f"{len(certs)} solves on the symmetric step")
+            f"{len(certs)} solves on the symmetric step, {sum(c.real_step for c in certs)} "
+            f"in real arithmetic")
 
 
 def check_transport_sandwich() -> CheckResult:

@@ -57,6 +57,14 @@ is otherwise never damped and can overflow. The gap test takes n times
 block 0's objective, and block 0's spectrum with the drift of all n
 blocks for the dual point. The swaps form the other blocks once, after
 the loop, where parts, residuals and feasibility are measured.
+
+When delta has no imaginary part at all, the loop runs in float64: the
+eigendecomposition, the projection's reflections and the Anderson buffers
+are real, and cheaper than their complex counterparts. `rdm_certificates`
+makes that the case for every pair of determinant states. The distance
+is unchanged by one unitary applied on every site, and two n-dimensional
+subspaces of C^m have a real canonical form through their principal
+angles (Bjorck & Golub 1973), so both families are first rotated into it.
 """
 
 from __future__ import annotations
@@ -68,9 +76,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .ground import OrthonormalFamily
+from .ground import GroundSpace, OrthonormalFamily
 from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
-                     reduced_density_matrix)
+                     overlap_matrix, reduced_density_matrix)
 # ot_cost is not called here, but perfbench/tracing.py looks it up by this name
 from .transport import hamming_graph, metric_transport_values, ot_cost
 
@@ -83,6 +91,8 @@ GAP_EVERY = 10
 ANDERSON_DEPTH = 5
 # Tikhonov weight of Anderson's normal equations, relative to their Gram matrix's trace
 ANDERSON_REG = 1e-10
+# principal-angle sines at or below this are rounding of an exact zero
+SINE_FLOOR = 1e-12
 
 
 def _identity_first_reflection(d: int) -> np.ndarray:
@@ -322,7 +332,9 @@ class W1Certificate:
     `accelerated_steps` counts the extrapolated points the safeguard accepted;
     `threshold` is the loop's eigenvalue shrink, derived rather than tuned: the
     trace distance over 2 sqrt(D), which scales with delta as the distance
-    does (0.0 on one site, where nothing iterates).
+    does (0.0 on one site, where nothing iterates). `real_step` says delta
+    had no imaginary part, so the solve ran in float64 and the parts are
+    real.
     """
 
     value: float
@@ -337,6 +349,7 @@ class W1Certificate:
     symmetric_step: bool
     accelerated_steps: int
     threshold: float
+    real_step: bool
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -377,6 +390,9 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     delta = rho.matrix - sigma.matrix
     if abs(np.trace(delta)) > 1e-9:
         raise ValueError("difference must be traceless")
+    real = not delta.imag.any()
+    if real:
+        delta = delta.real
     n = len(dims)
     trace_distance = 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum())
     if n == 1:
@@ -384,7 +400,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             value=trace_distance, lower=trace_distance, gap=0.0, part_weights=(trace_distance,),
             primal_parts=(delta,), iterations=0, primal_residual=0.0, dual_residual=0.0,
             feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
-            accelerated_steps=0, threshold=0.0)
+            accelerated_steps=0, threshold=0.0, real_step=real)
 
     projector = _ConstraintProjector(dims, delta)
     # v = z + u, with u = 0 at the start
@@ -426,20 +442,63 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         symmetric_step=projector.held < n,
         accelerated_steps=anderson.accepted,
         threshold=threshold,
+        real_step=real,
     )
+
+
+def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray,
+                     overlap: np.ndarray) -> tuple[OrthonormalFamily, OrthonormalFamily]:
+    """Both families in their principal-angle frame (Bjorck & Golub 1973): real, unit weights.
+
+    With overlap = A^H B = P diag(cos) Q^H for the folded (m, n) columns,
+    the residuals r_i = B q_i - cos_i A p_i are orthogonal to A's span and
+    to each other, of norm sin_i. So one unitary U on the points sends A p_i
+    to e_i and r_i / sin_i to e_{n+j}, j counting the non-zero sines, and
+    the determinant states become U^(x)n times the originals, up to phase.
+    """
+    m, n = fold_a.shape
+    p, cos, qh = np.linalg.svd(overlap)
+    sin = np.linalg.norm(fold_b @ qh.conj().T - (fold_a @ p) * cos, axis=0)
+    sin[np.argsort(-sin)[min(n, m - n):]] = 0.0
+    sin[sin <= SINE_FLOOR] = 0.0
+    norm = np.hypot(cos, sin)
+    frame_b = np.zeros((n, m))
+    frame_b[np.arange(n), np.arange(n)] = cos / norm
+    kept = np.flatnonzero(sin)
+    frame_b[kept, n + np.arange(len(kept))] = sin[kept] / norm[kept]
+    space = GroundSpace(tuple(range(m)), np.ones(m))
+    return OrthonormalFamily(space, np.eye(n, m)), OrthonormalFamily(space, frame_b)
 
 
 def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily,
                      **solver_kwargs) -> list[W1Certificate]:
     """`w1_exact` certificates of the k-particle reduced states, k = 1..n.
 
-    The largest solve, on m**n, is held to `dim_cap` before any state is built.
+    Families of different sizes or on different ground spaces are refused,
+    and the largest solve, on m**n, is held to `dim_cap`, before any state
+    is built. Every distance is unchanged by one unitary applied on every
+    site, so both families are first rotated into their principal-angle
+    frame, where they are real and so are their reduced states: the solves
+    run in real arithmetic (`real_step`), and `primal_parts` are parts of
+    the rotated states' difference, not of the original one.
+
+    Of the sines, at most min(n, m - n) are non-zero in exact arithmetic;
+    the rest, and any at most SINE_FLOOR, are set to 0, so that equal or
+    recombined families give states equal to the last bit and the value
+    0.0. Setting an angle t to 0 moves a column of b by 2 sin(t/2) <= t,
+    hence b's state vector by at most t, so the k-particle distance moves
+    by at most k times the sum of the dropped angles: it is a norm of
+    rho - sigma and at most k times the trace distance. For families
+    orthonormal to rounding every dropped angle is about SINE_FLOOR or
+    less, so the move is at most about k n SINE_FLOOR, far below any `tol`.
     """
+    overlap = overlap_matrix(a, b).entries
     total, cap = a.space.n_points ** a.n, solver_kwargs.get("dim_cap", DIM_CAP)
     if total > cap:
         raise ValueError(f"total dimension {total} exceeds cap {cap}")
-    state_a = full_state_vector(a)
-    state_b = full_state_vector(b)
+    frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap)
+    state_a = full_state_vector(frame_a)
+    state_b = full_state_vector(frame_b)
     return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
                      **solver_kwargs)
             for k in range(1, a.n + 1)]

@@ -10,9 +10,9 @@ import re
 import numpy as np
 import pytest
 
-from fermiflow import (ConvergenceError, DensityOperator, MixedKernelSpec,
-                       classical_hamming_w1, full_state_vector, overlap_matrix,
-                       random_orthonormal,
+from fermiflow import (ConvergenceError, DensityOperator, GroundSpace, MixedKernelSpec,
+                       OrthonormalFamily, classical_hamming_w1, full_state_vector,
+                       orthonormalize, overlap_matrix, random_orthonormal,
                        rdm_monotonicity_check, reduced_density_matrix,
                        trace_distance_slater, w1_exact, w1_upper_slater)
 from fermiflow.selftest import _random_density as check_density
@@ -290,16 +290,128 @@ def test_rdm_monotonicity_haar_pair():
     assert values[1] >= lower - 1e-4
 
 
-def test_rdm_dimension_cap_applies_before_any_state(monkeypatch):
+def refuse_states(patch):
     def refuse(*_, **__):
-        raise AssertionError("a state was built before the cap check")
-    monkeypatch.setattr(w1_module, "full_state_vector", refuse)
+        raise AssertionError("a state was built before the inputs were checked")
+    patch.setattr(w1_module, "full_state_vector", refuse)
+
+
+def test_rdm_dimension_cap_applies_before_any_state(monkeypatch):
+    refuse_states(monkeypatch)
     a = random_orthonormal(8, 4, 22)
     b = random_orthonormal(8, 4, 23, space=a.space)
     with pytest.raises(ValueError, match="total dimension 4096 exceeds cap 64"):
         w1_module.rdm_certificates(a, b)
     with pytest.raises(ValueError, match="total dimension 4096 exceeds cap 4095"):
         rdm_monotonicity_check(a, b, dim_cap=4095)
+
+
+def test_rdm_refuses_families_of_different_sizes(monkeypatch):
+    # a 1-particle state has no distance to the 1-RDM of a 3-particle state
+    refuse_states(monkeypatch)
+    a = random_orthonormal(4, 1, seed=1)
+    b = random_orthonormal(4, 3, seed=2)
+    with pytest.raises(ValueError, match="family sizes differ: 1 vs 3"):
+        rdm_monotonicity_check(a, b)
+
+
+def test_rdm_refuses_families_on_different_spaces(monkeypatch):
+    refuse_states(monkeypatch)
+    weighted = GroundSpace(tuple(range(4)), np.array([0.1, 0.2, 0.3, 0.4]))
+    a = random_orthonormal(4, 2, seed=1)
+    b = random_orthonormal(4, 2, seed=2, space=weighted)
+    with pytest.raises(ValueError, match="different ground spaces"):
+        w1_module.rdm_certificates(a, b)
+
+
+def recombined(family, seed):
+    """The family's functions mixed by a seeded unitary: the same determinant state."""
+    rng = np.random.default_rng(seed)
+    n = family.n
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return OrthonormalFamily(family.space, u @ family.functions)
+
+
+def sharing_one_function(seed):
+    a = random_orthonormal(5, 2, seed)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
+    b = orthonormalize(np.vstack([a.functions[:1], raw]), a.space)
+    return a, recombined(b, seed)
+
+
+def weighted_pair(seed):
+    weights = np.random.default_rng(seed).uniform(0.2, 1.0, size=4)
+    space = GroundSpace(tuple(range(4)), weights)
+    return (random_orthonormal(4, 2, seed, space=space),
+            random_orthonormal(4, 2, seed + 1, space=space))
+
+
+FRAME_PAIRS = {
+    **{f"check6_{s}": (random_orthonormal(4, 2, seed=60_000 + 2 * s),
+                       random_orthonormal(4, 2, seed=60_001 + 2 * s)) for s in range(20)},
+    "three_of_four": (random_orthonormal(4, 3, seed=81), random_orthonormal(4, 3, seed=82)),
+    "one_shared": sharing_one_function(83),
+    "weighted": weighted_pair(84),
+    "recombined": (random_orthonormal(4, 3, seed=86),
+                   recombined(random_orthonormal(4, 3, seed=86), 87)),
+}
+
+
+@pytest.mark.parametrize("pair", FRAME_PAIRS.values(), ids=FRAME_PAIRS.keys())
+def test_principal_frame_matches_the_original_states(pair):
+    a, b = pair
+    frame = w1_module.rdm_certificates(a, b)
+    state_a, state_b = full_state_vector(a), full_state_vector(b)
+    for k, cert in enumerate(frame, start=1):
+        original = w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k))
+        assert cert.real_step and not original.real_step
+        assert all(part.dtype == np.float64 for part in cert.primal_parts)
+        # both certified intervals hold the distance
+        assert max(cert.lower, original.lower) <= min(cert.value, original.value) + 1e-12
+        assert cert.value == pytest.approx(original.value, abs=DEFAULT_TOL)
+
+
+def test_recombined_family_gives_exactly_zero_in_the_frame():
+    a = random_orthonormal(4, 3, seed=86)
+    certs = w1_module.rdm_certificates(a, recombined(a, 87))
+    assert [(c.value, c.lower) for c in certs] == [(0.0, 0.0)] * 3
+
+
+def test_frame_keeps_at_most_m_minus_n_sines():
+    # b is a within the family tolerance: on 4 points the three residuals of
+    # 1e-10 share one direction, outside a's span, so only one sine has a slot
+    a = random_orthonormal(4, 3, seed=88)
+    noise = np.random.default_rng(88).normal(size=a.functions.shape)
+    b = OrthonormalFamily(a.space, a.functions + 1e-10 * noise)
+    fold_a, fold_b = a.folded(), b.folded()
+    frame_a, frame_b = w1_module._principal_frame(fold_a, fold_b, fold_a.conj().T @ fold_b)
+    assert np.count_nonzero(frame_b.functions[:, 3:]) <= 1
+    assert not frame_a.functions.imag.any() and not frame_b.functions.imag.any()
+    # the dropped sines move every value by about k * 1e-10
+    assert all(c.value <= 1e-8 for c in w1_module.rdm_certificates(a, b))
+
+
+def test_random_densities_stay_complex():
+    cert = w1_exact(*check5_product_case(2))
+    assert not cert.real_step
+    assert all(np.iscomplexobj(part) for part in cert.primal_parts)
+
+
+def test_anderson_skips_residual_differences_at_rounding_level():
+    rng = np.random.default_rng(89)
+    v0, v1, g = (rng.normal(size=(1, 3, 3)) for _ in range(3))
+    anderson = w1_module._Anderson(g.size)
+    anderson.step(v0, g)
+    # an equal residual has no direction: nothing is stored, the plain point comes back
+    np.testing.assert_array_equal(anderson.step(v1, g.copy()), v1 + g)
+    assert anderson.count == 0
+    # a difference above 1e-12 of the residual is stored
+    direction = rng.normal(size=g.shape)
+    nudge = 1e-11 * np.linalg.norm(g) / np.linalg.norm(direction) * direction
+    anderson.step(v0, g + nudge)
+    assert anderson.count == 1
+    np.testing.assert_allclose(anderson.dg[0], nudge.ravel(), rtol=1e-3)
 
 
 def slater_reduced_pair(seed, k, n_functions=3, n_points=4):
