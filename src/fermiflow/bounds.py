@@ -31,13 +31,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import stream_generator
-# perfbench/tracing.py looks up coupled_sample_pair, slater_fidelity and ot_cost here;
-# none is called
-from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec,
+# perfbench/tracing.py looks up coupled_sample_pair, OverlapMatrix, slater_fidelity and
+# ot_cost here; none is called
+from .dpp import (ENUMERATION_CAP, ConfigurationDistribution, MixedKernelSpec, _paired_lambdas,
                   coupled_sample_counts, coupled_sample_pair, exact_mixed_distribution,
                   weighted_index_sets)
 from .ground import OrthonormalFamily, walsh_family
-from .slater import OverlapMatrix, _fidelities, slater_fidelity
+from .slater import OverlapMatrix, _fidelities, overlap_matrix, slater_fidelity
 from .transport import (check_subset_graph, metric_transport_values, ot_cost, subset_graph,
                         total_variation)
 from .w1_bounds import _mean_overlaps
@@ -64,14 +64,6 @@ def weight_w(lambdas, lambdas_prime, subset) -> float:
     return float(out)
 
 
-def _shared_lambdas(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> tuple:
-    """Both eigenvalue arrays, once the specs are known to share an index set."""
-    if spec_a.n_indices != spec_b.n_indices:
-        raise ValueError(f"specs must share an index set, got {spec_a.n_indices} "
-                         f"and {spec_b.n_indices} indices")
-    return spec_a.lambdas, spec_b.lambdas
-
-
 def _general_bound(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec, per_minor) -> float:
     """Sum over index sets I of w(I) times `per_minor` of the cross overlaps' minor on I;
     past SUBSET_CAP free indices, inside (0, 1) on both sides, raises before any minor."""
@@ -82,7 +74,7 @@ def _general_bound(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec, per_minor) 
         raise ValueError(f"the mixture bounds sum 2^{free} index sets: {free} free "
                          f"indices, cap is {SUBSET_CAP}")
     # no principal minor has a larger singular value than the whole: one check covers all
-    cross = OverlapMatrix(spec_a.family.folded().conj().T @ spec_b.family.folded()).entries
+    cross = overlap_matrix(spec_a.family, spec_b.family).entries
     total = 0.0
     for sets, weights in weighted_index_sets(inside, outside):
         total += float(per_minor(cross[sets[:, :, None], sets[:, None, :]]) @ weights)
@@ -91,7 +83,7 @@ def _general_bound(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec, per_minor) 
 
 def tv_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
     """Total-variation bound for two mixed determinantal laws."""
-    lam, lam_p = _shared_lambdas(spec_a, spec_b)
+    lam, lam_p = _paired_lambdas(spec_a, spec_b)
     mismatch = float(np.sum(np.abs(lam - lam_p)))
     return mismatch + _general_bound(
         spec_a, spec_b, lambda minors: np.sqrt(1.0 - _fidelities(minors)))
@@ -99,7 +91,7 @@ def tv_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
 
 def wsharp_bound_general(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> float:
     """Symmetric-difference transport bound for two mixed determinantal laws."""
-    lam, lam_p = _shared_lambdas(spec_a, spec_b)
+    lam, lam_p = _paired_lambdas(spec_a, spec_b)
     mismatch = float(np.sum(np.abs(lam - lam_p)))
     head = (2.0 + float(lam.sum()) + float(lam_p.sum())) * math.sqrt(mismatch)
     return head + _general_bound(
@@ -157,18 +149,18 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
                     enumeration_cap: int = ENUMERATION_CAP) -> DppBoundsReport:
     """Measure both distances for a pair of kernels and check the bounds.
 
-    Exact mode computes both laws. Empirical mode draws `budget` pairs from
-    the maximal coupling of `coupled_sample_counts`: TV is the share of
-    differing pairs, with a Clopper-Pearson interval, and the transport
-    distance that of the two count rows, with a bootstrap interval. The
-    transport's largest subset graph is held to its variable cap before
-    anything runs, and an exact law past `enumeration_cap` raises before
-    any bound. Slack is bound minus value and should never be negative
-    beyond numerical tolerance.
+    Exact mode computes both laws, past `enumeration_cap` minors raising
+    before any bound. Empirical mode draws `budget` pairs from the maximal
+    coupling of `coupled_sample_counts`, which picks its own path: TV is the
+    share of differing pairs, with a Clopper-Pearson interval, and the
+    transport distance that of the two count rows, with a bootstrap interval.
+    Specs on different spaces or index sets, and a subset graph past the
+    variable cap, are refused before anything runs. Slack is bound minus
+    value and should never be negative beyond numerical tolerance.
     """
     # that graph spans the points either kernel reaches, sizes from one below
     # the fewest eigenvalues 1 to the most nonzero ones
-    lams = np.array(_shared_lambdas(spec_a, spec_b))
+    lams = np.array(_paired_lambdas(spec_a, spec_b))
     reached = sum(np.abs(spec.family.folded()) ** 2 @ spec.lambdas for spec in (spec_a, spec_b))
     check_subset_graph(np.count_nonzero(reached), int((lams == 1.0).sum(axis=1).min()) - 1,
                        int(np.count_nonzero(lams, axis=1).max()))
@@ -180,8 +172,7 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
         ws_v = wsharp_exact(dist_a, dist_b)
     elif mode == "empirical":
         rng = stream_generator(0 if seed is None else seed, 7)
-        support, counts, disagreements = coupled_sample_counts(
-            spec_a, spec_b, budget, rng, cap=enumeration_cap)
+        support, counts, disagreements = coupled_sample_counts(spec_a, spec_b, budget, rng)
         tv_v = disagreements / budget
         pa, pb = counts / budget
         boot = stream_generator(0 if seed is None else seed, 11)

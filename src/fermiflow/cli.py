@@ -196,7 +196,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
     mixed = cfg.get("bounds.mixed_eigenvalues", 0)
     budget = cfg.get_positive("bounds.budget", 20_000)
     resamples = cfg.get_positive("bounds.bootstrap_resamples", 1000)
-    cap = cfg.get_positive("enumeration_cap", ENUMERATION_CAP)
+    cap = (cfg.get_positive("enumeration_cap", ENUMERATION_CAP) if mode == "exact"
+           else ENUMERATION_CAP)
     cfg.reject_unread()
     if mode not in ("exact", "empirical"):
         raise ValueError(f"unknown bounds.mode {mode!r}")

@@ -201,26 +201,31 @@ def weighted_index_sets(inside: np.ndarray, outside: np.ndarray):
                    np.where(member, inside, outside).prod(axis=1))
 
 
+def _enumeration_counts(spec: MixedKernelSpec) -> tuple[int, int]:
+    """(configurations, minors) of `exact_mixed_distribution`: with s eigenvalues 1 and f
+    inside (0, 1), C(f, j) index sets of size s + j, each against C(m, s + j) configurations."""
+    lam = spec.lambdas
+    sure, free = int(np.count_nonzero(lam == 1.0)), int(np.count_nonzero((lam > 0) & (lam < 1)))
+    sizes = [math.comb(spec.family.space.n_points, sure + j) for j in range(free + 1)]
+    return sum(sizes), sum(math.comb(free, j) * c for j, c in enumerate(sizes))
+
+
 def exact_mixed_distribution(spec: MixedKernelSpec,
                              cap: int = ENUMERATION_CAP) -> ConfigurationDistribution:
     """Exact law of the mixed process, by Cauchy-Binet over configurations.
 
     For |S| = r, P(S) = sum_{|I| = r} w(I) |det fold[S, I]|^2, w(I) the
     probability that the thinning keeps exactly I; one batched determinant
-    per block of index sets. Skipping zero-weight I leaves C(m, n) minors
-    for a projection, C(m + n, n) for eigenvalues inside (0, 1); `cap`
-    bounds them before any is taken, counting up to the first block past it.
+    per block of index sets, streamed into its size's sum. Skipping zero-weight
+    I leaves C(m, n) minors for a projection, C(m + n, n) for eigenvalues
+    inside (0, 1); `cap` bounds their count, taken in closed form first.
     """
-    lam = spec.lambdas
     m = spec.family.space.n_points
-    blocks, required = [], 0
-    for sets, weights in weighted_index_sets(lam, 1.0 - lam):
-        required += math.comb(m, sets.shape[1]) * len(sets)
-        if required > cap:
-            raise EnumerationCapError(required, cap, "minors or more")
-        blocks.append((sets, weights))
+    if (minors := _enumeration_counts(spec)[1]) > cap:
+        raise EnumerationCapError(minors, cap, "minors")
     fold = spec.family.folded()
     support, mass = [], []
+    blocks = weighted_index_sets(spec.lambdas, 1.0 - spec.lambdas)
     for r, group in itertools.groupby(blocks, key=lambda block: block[0].shape[1]):
         configs = list(itertools.combinations(range(m), r))
         rows = np.array(configs, dtype=int).reshape(len(configs), r)
@@ -236,31 +241,37 @@ def exact_mixed_distribution(spec: MixedKernelSpec,
     return ConfigurationDistribution(tuple(support), probs / probs.sum())
 
 
+def _paired_lambdas(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec) -> tuple:
+    """Both eigenvalue arrays; ValueError unless the specs share a ground space and index set."""
+    if not spec_a.family.space.same_as(spec_b.family.space):
+        raise ValueError("specs live on different ground spaces")
+    if spec_a.n_indices != spec_b.n_indices:
+        raise ValueError(f"specs must share an index set, got {spec_a.n_indices} "
+                         f"and {spec_b.n_indices} indices")
+    return spec_a.lambdas, spec_b.lambdas
+
+
 def coupled_sample_counts(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                          draws: int, rng: np.random.Generator,
-                          cap: int = ENUMERATION_CAP) -> tuple:
+                          draws: int, rng: np.random.Generator) -> tuple:
     """Counts of `draws` pairs from the maximal coupling of the two laws, whose
     two configurations differ with probability exactly the laws' total variation.
 
-    When both laws enumerate within the cap, the count pair is drawn at once:
-    Binomial(draws, sum_S min(P_a(S), P_b(S))) shared pairs split by one
-    multinomial over the overlap, the rest by one multinomial over each
-    side's excess. Otherwise each pair is drawn by rejection (Thorisson):
-    X ~ P_a is kept as Y when U P_a(X) <= P_b(X), else Y ~ P_b is redrawn
-    until U P_b(Y) > P_a(Y).
+    Counting pays per configuration and rejection per draw: when each law has
+    at most `draws` configurations and ENUMERATION_CAP minors, both laws are
+    enumerated and Binomial(draws, sum_S min(P_a(S), P_b(S))) shared pairs are
+    split by one multinomial over the overlap, the rest by one over each
+    side's excess. Otherwise each pair is drawn by rejection (Thorisson): X ~ P_a
+    is kept as Y when U P_a(X) <= P_b(X), else Y ~ P_b until U P_b(Y) > P_a(Y).
 
     Returns (support, counts, disagreements): the drawn configurations by
     (size, points), a (2, len(support)) count array, and the number of
     pairs whose two configurations differ.
     """
     specs = (spec_a, spec_b)
-    if spec_b.n_indices != spec_a.n_indices:
-        raise ValueError("specs must share an index set")
-    try:
-        laws = [exact_mixed_distribution(spec, cap=cap).as_dict() for spec in specs]
-    except EnumerationCapError:
-        tallies, disagreements = _rejection_coupling(specs, draws, rng)
-    else:
+    _paired_lambdas(spec_a, spec_b)
+    if all(configs <= draws and minors <= ENUMERATION_CAP
+           for configs, minors in map(_enumeration_counts, specs)):
+        laws = [exact_mixed_distribution(spec).as_dict() for spec in specs]
         configs = sorted(set(laws[0]) | set(laws[1]), key=lambda c: (len(c), c))
         probs = np.array([[law.get(c, 0.0) for c in configs] for law in laws])
         overlap = probs.min(axis=0)
@@ -269,6 +280,8 @@ def coupled_sample_counts(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
         tallies = [dict(zip(configs, both + rng.multinomial(
             draws - shared, excess / (excess.sum() or 1.0)))) for excess in probs - overlap]
         disagreements = draws - shared
+    else:
+        tallies, disagreements = _rejection_coupling(specs, draws, rng)
     support = sorted({c for tally in tallies for c, k in tally.items() if k},
                      key=lambda c: (len(c), c))
     counts = np.array([[tally.get(c, 0) for c in support] for tally in tallies], dtype=np.int64)
@@ -311,11 +324,12 @@ def _rejection_coupling(specs, draws: int, rng: np.random.Generator) -> tuple:
 
 
 def coupled_sample_pair(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
-                        rng: np.random.Generator, cap: int = ENUMERATION_CAP) -> tuple:
+                        rng: np.random.Generator) -> tuple:
     """One draw from the maximal coupling of `coupled_sample_counts`.
 
     The two configurations differ with probability exactly the total
-    variation of the two laws, so identical specs always agree.
+    variation of the two laws, so identical specs always agree; drawn by rejection
+    unless each law has one configuration.
     """
-    support, counts, _ = coupled_sample_counts(spec_a, spec_b, 1, rng, cap)
+    support, counts, _ = coupled_sample_counts(spec_a, spec_b, 1, rng)
     return tuple(support[int(np.argmax(side))] for side in counts)

@@ -135,7 +135,9 @@ def slater_state_vector(family: OrthonormalFamily, cap: int = 100_000) -> np.nda
 
 
 def full_state_vector(family: OrthonormalFamily, cap: int = 100_000) -> DensityOperator:
-    """The pure density operator of the determinant state, factors of size |E|."""
+    """The pure density operator of the determinant state; `cap` holds its |E|**(2n) entries."""
+    if (entries := family.space.n_points ** (2 * family.n)) > cap:
+        raise EnumerationCapError(entries, cap, "density-matrix entries")
     vec = slater_state_vector(family, cap=cap)
     return DensityOperator((family.space.n_points,) * family.n,
                            np.outer(vec, vec.conj()))

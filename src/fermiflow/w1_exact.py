@@ -446,8 +446,8 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     )
 
 
-def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray,
-                     overlap: np.ndarray) -> tuple[OrthonormalFamily, OrthonormalFamily]:
+def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray, overlap: np.ndarray,
+                     tol: float) -> tuple[OrthonormalFamily, OrthonormalFamily]:
     """Both families in their principal-angle frame (Bjorck & Golub 1973): real, unit weights.
 
     With overlap = A^H B = P diag(cos) Q^H for the folded (m, n) columns,
@@ -459,8 +459,13 @@ def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray,
     m, n = fold_a.shape
     p, cos, qh = np.linalg.svd(overlap)
     sin = np.linalg.norm(fold_b @ qh.conj().T - (fold_a @ p) * cos, axis=0)
-    sin[np.argsort(-sin)[min(n, m - n):]] = 0.0
-    sin[sin <= SINE_FLOOR] = 0.0
+    dropped = sin <= SINE_FLOOR
+    dropped[np.argsort(-sin)[min(n, m - n):]] = True
+    angles = np.arctan2(sin[dropped], cos[dropped])
+    if (moved := n * angles.sum()) > tol:
+        raise ValueError(f"dropped principal angles {', '.join(map('{:.1e}'.format, angles))} "
+                         f"may move a {n}-particle value by {moved:.1e}, past tol {tol:.1e}")
+    sin[dropped] = 0.0
     norm = np.hypot(cos, sin)
     frame_b = np.zeros((n, m))
     frame_b[np.arange(n), np.arange(n)] = cos / norm
@@ -470,7 +475,7 @@ def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray,
     return OrthonormalFamily(space, np.eye(n, m)), OrthonormalFamily(space, frame_b)
 
 
-def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily,
+def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = 1e-5,
                      **solver_kwargs) -> list[W1Certificate]:
     """`w1_exact` certificates of the k-particle reduced states, k = 1..n.
 
@@ -488,19 +493,19 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily,
     0.0. Setting an angle t to 0 moves a column of b by 2 sin(t/2) <= t,
     hence b's state vector by at most t, so the k-particle distance moves
     by at most k times the sum of the dropped angles: it is a norm of
-    rho - sigma and at most k times the trace distance. For families
-    orthonormal to rounding every dropped angle is about SINE_FLOOR or
-    less, so the move is at most about k n SINE_FLOOR, far below any `tol`.
+    rho - sigma and at most k times the trace distance. Families orthonormal
+    to rounding drop angles of about SINE_FLOOR; a pair whose n times the
+    dropped sum exceeds `tol` is refused before any state is built.
     """
     overlap = overlap_matrix(a, b).entries
     total, cap = a.space.n_points ** a.n, solver_kwargs.get("dim_cap", DIM_CAP)
     if total > cap:
         raise ValueError(f"total dimension {total} exceeds cap {cap}")
-    frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap)
+    frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap, tol)
     state_a = full_state_vector(frame_a)
     state_b = full_state_vector(frame_b)
     return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
-                     **solver_kwargs)
+                     tol=tol, **solver_kwargs)
             for k in range(1, a.n + 1)]
 
 

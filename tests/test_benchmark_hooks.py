@@ -2,6 +2,7 @@
 look up; each of those names must stay defined where the tracer looks, or
 traced runs stop working while untraced ones still pass."""
 
+import ast
 import inspect
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from fermiflow.w1_exact import DIM_CAP, w1_exact  # noqa: E402
+from fermiflow.bounds import verify_instance  # noqa: E402
+from fermiflow.w1_exact import DIM_CAP, rdm_monotonicity_check, w1_exact  # noqa: E402
 from perfbench import tracing  # noqa: E402
 
 
@@ -32,3 +34,24 @@ def test_solver_signature_is_pinned():
     assert [(p.name, p.default) for p in params] == [
         ("rho", inspect.Parameter.empty), ("sigma", inspect.Parameter.empty),
         ("tol", 1e-5), ("max_iter", 50_000), ("dim_cap", DIM_CAP)]
+
+
+def test_benchmark_calls_bind_to_the_library():
+    # the workloads call these two functions with these arguments; a renamed
+    # keyword would break a workload while every other test passes
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    targets = {"verify_instance": verify_instance,
+               "rdm_monotonicity_check": rdm_monotonicity_check}
+    calls = [node for node in ast.walk(ast.parse(source.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in targets]
+    passed = set()
+    for call in calls:
+        keywords = [k.arg for k in call.keywords]
+        inspect.signature(targets[call.func.attr]).bind(*call.args, **dict.fromkeys(keywords))
+        passed.add((call.func.attr, len(call.args), tuple(keywords)))
+    assert passed == {
+        ("rdm_monotonicity_check", 2, ()),
+        ("verify_instance", 2, ("mode",)),
+        ("verify_instance", 2, ("mode", "budget", "seed", "bootstrap_resamples")),
+    }

@@ -231,6 +231,28 @@ def test_specs_of_different_index_counts_are_refused():
             entry(spec_a, spec_b)
 
 
+@pytest.mark.parametrize("space_b", [GroundSpace(tuple(range(4)), np.array([0.1, 0.2, 0.3, 0.4])),
+                                     GroundSpace.uniform(5)], ids=["weights", "points"])
+def test_specs_on_different_ground_spaces_are_refused(monkeypatch, space_b):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work done before the ground spaces were compared")
+
+    spec_a = MixedKernelSpec(np.ones(2), random_orthonormal(4, 2, 73))
+    spec_b = MixedKernelSpec(np.ones(2), random_orthonormal(space_b.n_points, 2, 74,
+                                                            space=space_b))
+    for name in ("exact_mixed_distribution", "weighted_index_sets", "check_subset_graph"):
+        monkeypatch.setattr(bounds, name, unreachable)
+    monkeypatch.setattr(dpp, "exact_mixed_distribution", unreachable)
+    monkeypatch.setattr(dpp, "sample_projection_dpp", unreachable)
+    for entry in (tv_bound_general, wsharp_bound_general, verify_instance,
+                  lambda a, b: dpp.coupled_sample_counts(a, b, 10, stream_generator(0))):
+        with pytest.raises(ValueError, match="specs live on different ground spaces"):
+            entry(spec_a, spec_b)
+    # the cross overlap of the bounds makes the same check
+    with pytest.raises(ValueError, match="families live on different ground spaces"):
+        bounds._general_bound(spec_a, spec_b, np.abs)
+
+
 def test_exact_mode_enforces_the_law_cap_before_any_bound(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("bound computed before the law cap was checked")
@@ -317,12 +339,12 @@ def test_bootstrap_resamples_equal_one_draw_per_row(monkeypatch):
 
 
 def test_verify_instance_empirical_identical_specs_at_any_cap():
-    # C(6, 2) = 15 minors: the default cap draws from the enumerated laws,
-    # a cap of 10 by rejection; the maximal coupling never separates the two
+    # C(6, 2) = 15 configurations: 2,000 draws come from the enumerated laws,
+    # 10 by rejection; the maximal coupling never separates the two
     spec, _ = haar_spec_pair(6, 2, 45)
-    for cap in (dpp.ENUMERATION_CAP, 10):
-        report = verify_instance(spec, spec, mode="empirical", budget=2000, seed=3,
-                                 bootstrap_resamples=50, enumeration_cap=cap)
+    for budget in (2000, 10):
+        report = verify_instance(spec, spec, mode="empirical", budget=budget, seed=3,
+                                 bootstrap_resamples=50)
         assert report.tv_value == 0.0 and report.wsharp_value == 0.0
         assert report.tv_ci[0] == 0.0
 

@@ -368,6 +368,8 @@ def test_bounds_past_the_variable_cap_exits_2(tmp_path, monkeypatch):
     # each cap is a key only of the commands that honor it
     ("rdm-monotonicity", "rdm.seeds=1\nenumeration_cap=5\n"),
     ("bounds", "bounds.count=1\ndim_cap=5\n"),
+    # the coupling of empirical mode picks its own path and reads no cap
+    ("bounds", "bounds.count=1\nbounds.mode=empirical\nenumeration_cap=5\n"),
     ("walsh", "enumeration_cap=3\n"),
     ("example-gap", "dim_cap=1\n"),
     ("selftest", "dim_cap=1\n"),
@@ -383,7 +385,7 @@ def test_unread_config_keys_exit_2(tmp_path, command, text, monkeypatch):
     code, out, err = run_cli([command, "--config", write_config(tmp_path, text)])
     assert code == 2
     unread = [line.partition("=")[0] for line in text.splitlines()
-              if not line.startswith(("rdm.seeds", "bounds.count"))]
+              if not line.startswith(("rdm.seeds", "bounds.count", "bounds.mode"))]
     assert f"config keys not used by this command: {', '.join(unread)}" in err
     assert out == ""
 
@@ -416,6 +418,25 @@ def test_rdm_monotonicity_default_config_certifies_every_pair():
     assert rep["passed"] is True
     assert len(rep["rows"]) == 20
     assert all(row["monotone"] is True and row["error"] is None for row in rep["rows"])
+
+
+def test_rdm_monotonicity_convergence_failure_exits_2(tmp_path):
+    # one iteration certifies no gap: every row says why, and the run exits 2
+    cfg = write_config(tmp_path, "rdm.seeds=2\nw1.max_iter=1\n")
+    code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg])
+    assert code == 2
+    rep = parse_json(out)["report"]
+    assert rep["passed"] is False
+    assert [r["seed"] for r in rep["rows"]] == [0, 1]
+    for row in rep["rows"]:
+        assert (row["values"], row["iterations"], row["gap"], row["monotone"]) == (None,) * 4
+        assert row["error"].startswith("no certified gap of 1.0e-05 in 1 iterations (gap ")
+    code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg, "--format", "csv"])
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    assert [row["error"] for row in rows] == [r["error"] for r in rep["rows"]]
+    assert all(row["value_1"] == row["value_2"] == row["monotone"] == "" for row in rows)
 
 
 def test_rdm_monotonicity_csv_columns(tmp_path):

@@ -336,6 +336,78 @@ def test_exact_law_cap_counts_minors_before_any_determinant(monkeypatch, lambdas
     assert sum(minors) == required
 
 
+def refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(what)
+    return refused
+
+
+def test_exact_law_refuses_with_the_full_count_before_any_index_set(monkeypatch):
+    # eleven eigenvalues inside (0, 1) on 11 points: C(22, 11) minors in 2,048
+    # blocks, all counted before the first block is made
+    spec = MixedKernelSpec(stream_generator(0, 3, 0).random(11), random_orthonormal(11, 11, 2))
+    monkeypatch.setattr(dpp, "weighted_index_sets", refuse("an index set was made"))
+    with pytest.raises(EnumerationCapError) as exc:
+        exact_mixed_distribution(spec, cap=1000)
+    assert (exc.value.required, exc.value.cap) == (math.comb(22, 11), 1000)
+    assert "needs 705432 minors, cap is 1000" in str(exc.value)
+
+
+@pytest.mark.parametrize("lambdas", [[0.2, 0.5, 0.7], [1.0, 1.0, 1.0], [1.0, 0.0, 0.5],
+                                     [0.0, 0.0, 0.0], [1.0, 0.3, 0.0, 0.9, 1.0]])
+def test_enumeration_counts_match_the_blocks(lambdas):
+    lam = np.array(lambdas)
+    fam = random_orthonormal(7, lam.size, 25)
+    blocks = list(dpp.weighted_index_sets(lam, 1.0 - lam))
+    sizes = {sets.shape[1] for sets, _ in blocks}
+    configs, minors = dpp._enumeration_counts(MixedKernelSpec(lam, fam))
+    assert configs == sum(math.comb(7, r) for r in sizes)
+    assert minors == sum(math.comb(7, sets.shape[1]) * len(sets) for sets, _ in blocks)
+
+
+# (points, eigenvalues, mixed, draws, configurations, minors, path): C configurations
+# at most the draws and M minors at most ENUMERATION_CAP on both sides draw by counts
+PATH_TABLE = [
+    (6, 2, False, 20_000, 15, 15, "count"),
+    (8, 4, True, 20_000, 163, 495, "count"),
+    (12, 4, False, 200, 495, 495, "rejection"),
+    (11, 11, True, 200, 2_048, 705_432, "rejection"),
+    (11, 11, True, 2_000, 2_048, 705_432, "rejection"),
+    (11, 11, True, 20_000, 2_048, 705_432, "count"),
+    (30, 6, False, 200, 593_775, 593_775, "rejection"),
+    (30, 6, False, 2_000, 593_775, 593_775, "rejection"),
+]
+
+
+@pytest.mark.parametrize("m, k, mixed, draws, configs, minors, path", PATH_TABLE)
+def test_coupling_path_follows_the_closed_form_counts(monkeypatch, m, k, mixed, draws,
+                                                      configs, minors, path):
+    lam = stream_generator(0, 3, 0).random(k) if mixed else np.ones(k)
+    specs = [MixedKernelSpec(lam, random_orthonormal(m, k, seed=s)) for s in (1, 2)]
+    assert all(dpp._enumeration_counts(spec) == (configs, minors) for spec in specs)
+    # each path names itself at its first step
+    monkeypatch.setattr(dpp, "exact_mixed_distribution", refuse("count"))
+    monkeypatch.setattr(dpp, "_rejection_coupling", refuse("rejection"))
+    with pytest.raises(AssertionError) as exc:
+        coupled_sample_counts(*specs, draws, stream_generator(5, 7))
+    assert str(exc.value) == path
+
+
+def test_rejection_path_enumerates_no_law(monkeypatch):
+    spec_a, spec_b = (projection_spec(random_orthonormal(12, 4, seed=s)) for s in (1, 2))
+    monkeypatch.setattr(dpp, "exact_mixed_distribution", refuse("a law was enumerated"))
+    support, counts, _ = coupled_sample_counts(spec_a, spec_b, 200, stream_generator(5, 7))
+    assert counts.sum(axis=1).tolist() == [200, 200]
+    assert all(len(c) == 4 for c in support)
+
+
+def test_count_path_draws_no_sample(monkeypatch):
+    spec_a, spec_b = coupling_pair("mixed")
+    monkeypatch.setattr(dpp, "sample_projection_dpp", refuse("a configuration was sampled"))
+    support, counts, _ = coupled_sample_counts(spec_a, spec_b, 20_000, stream_generator(5, 7))
+    assert counts.sum(axis=1).tolist() == [20_000, 20_000]
+
+
 def test_coupled_pair_identical_specs():
     fam = random_orthonormal(5, 2, 14)
     spec = MixedKernelSpec(np.array([0.7, 0.6]), fam)
@@ -362,20 +434,21 @@ def test_coupled_pair_index_mismatch_rate():
 
 
 def test_coupled_counts_identical_specs():
-    # a cap of 10 is below both laws' minors (C(6, 2) = 15 for the projection),
-    # so the second half runs the rejection path
+    # 10 draws are fewer than either law's configurations (42 for the mixed
+    # spec, C(6, 2) = 15 for the projection), so the second half runs the
+    # rejection path; so does every single draw of coupled_sample_pair
     mixed = MixedKernelSpec(np.array([0.7, 0.6, 0.9]), random_orthonormal(6, 3, 19))
     projection = MixedKernelSpec(np.ones(2), random_orthonormal(6, 2, 18))
     for spec in (mixed, projection):
-        for cap in (dpp.ENUMERATION_CAP, 10):
+        for draws in (2000, 10):
             support, counts, disagreements = coupled_sample_counts(
-                spec, spec, 2000, stream_generator(107, 0), cap=cap)
+                spec, spec, draws, stream_generator(107, 0))
             assert disagreements == 0
-            assert counts.sum(axis=1).tolist() == [2000, 2000]
+            assert counts.sum(axis=1).tolist() == [draws, draws]
             assert np.array_equal(counts[0], counts[1])
             assert support == tuple(sorted(support, key=lambda c: (len(c), c)))
     rng = stream_generator(106, 0)
-    assert all(a == b for a, b in (coupled_sample_pair(projection, projection, rng, cap=10)
+    assert all(a == b for a, b in (coupled_sample_pair(projection, projection, rng)
                                    for _ in range(50)))
 
 
@@ -425,15 +498,19 @@ def coupling_pair(kind):
 
 @pytest.mark.parametrize("kind", ["projection", "mixed"])
 @pytest.mark.parametrize("cap", [dpp.ENUMERATION_CAP, 10])
-def test_coupled_counts_disagreements_estimate_tv(kind, cap):
-    # C(6, 3) = 20 minors or more per law: a cap of 10 runs the rejection path
+def test_coupled_counts_disagreements_estimate_tv(kind, cap, monkeypatch):
+    # C(6, 3) = 20 minors or more per law: held to a minor cap of 10, the
+    # coupling takes the rejection path and enumerates no law
     spec_a, spec_b = coupling_pair(kind)
     laws = [exact_mixed_distribution(spec).as_dict() for spec in (spec_a, spec_b)]
     tv = 0.5 * sum(abs(laws[0].get(c, 0.0) - laws[1].get(c, 0.0))
                    for c in set(laws[0]) | set(laws[1]))
     draws = 4000
+    monkeypatch.setattr(dpp, "ENUMERATION_CAP", cap)
+    if cap == 10:
+        monkeypatch.setattr(dpp, "exact_mixed_distribution", refuse("a law was enumerated"))
     support, counts, disagreements = coupled_sample_counts(
-        spec_a, spec_b, draws, stream_generator(110, 0), cap=cap)
+        spec_a, spec_b, draws, stream_generator(110, 0))
     assert abs(disagreements / draws - tv) <= 4 * math.sqrt(tv * (1 - tv) / draws)
     for law, row in zip(laws, counts):
         assert row.sum() == draws

@@ -155,11 +155,25 @@ def test_state_vector_overlap_matches_determinant():
 
 
 def test_full_state_vector_cap():
+    # the cap holds the 36 x 36 density matrix, not the 36-entry vector
     fam = random_orthonormal(6, 2, 1)
     with pytest.raises(EnumerationCapError) as exc:
         full_state_vector(fam, cap=10)
-    assert exc.value.required == 36
+    assert exc.value.required == 36 ** 2
     assert exc.value.cap == 10
+
+
+def test_full_state_vector_cap_counts_the_matrix_before_any_determinant(monkeypatch):
+    # 10^5 amplitudes fit the default cap; their 10^10-entry matrix would take 160 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant was taken before the cap was checked")
+
+    fam = random_orthonormal(10, 5, 2)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    with pytest.raises(EnumerationCapError) as exc:
+        full_state_vector(fam)
+    assert (exc.value.required, exc.value.cap) == (10 ** 10, 100_000)
+    assert "density-matrix entries" in str(exc.value)
 
 
 def test_rdm_top_level_is_state():

@@ -385,11 +385,27 @@ def test_frame_keeps_at_most_m_minus_n_sines():
     noise = np.random.default_rng(88).normal(size=a.functions.shape)
     b = OrthonormalFamily(a.space, a.functions + 1e-10 * noise)
     fold_a, fold_b = a.folded(), b.folded()
-    frame_a, frame_b = w1_module._principal_frame(fold_a, fold_b, fold_a.conj().T @ fold_b)
+    frame_a, frame_b = w1_module._principal_frame(fold_a, fold_b, fold_a.conj().T @ fold_b,
+                                                     DEFAULT_TOL)
     assert np.count_nonzero(frame_b.functions[:, 3:]) <= 1
     assert not frame_a.functions.imag.any() and not frame_b.functions.imag.any()
     # the dropped sines move every value by about k * 1e-10
     assert all(c.value <= 1e-8 for c in w1_module.rdm_certificates(a, b))
+
+
+def test_frame_refuses_dropped_angles_past_tol(monkeypatch):
+    # b is a plus 2e-5 on point 4 in every row, within the family tolerance:
+    # three sines of 2e-5 share one direction, one is kept and two are
+    # dropped, which may move the 3-particle value by 3 * 4e-5 > tol
+    space = GroundSpace(tuple(range(4)), np.ones(4))
+    a = OrthonormalFamily(space, np.eye(3, 4))
+    b = OrthonormalFamily(space, np.eye(3, 4) + np.array([0.0, 0.0, 0.0, 2e-5]))
+    refuse_states(monkeypatch)
+    with pytest.raises(ValueError, match=r"dropped principal angles 2\.0e-05, 2\.0e-05 may "
+                                         r"move a 3-particle value by 1\.2e-04, past tol 1\.0e-05"):
+        w1_module.rdm_certificates(a, b)
+    with pytest.raises(ValueError, match="dropped principal angles"):
+        rdm_monotonicity_check(a, b, tol=1e-4)
 
 
 def test_random_densities_stay_complex():
