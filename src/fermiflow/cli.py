@@ -194,10 +194,11 @@ def cmd_bounds(cfg: RunConfig) -> int:
     n = cfg.get_positive("bounds.n", 2)
     mode = cfg.get("bounds.mode", "exact")
     mixed = cfg.get("bounds.mixed_eigenvalues", 0)
-    budget = cfg.get_positive("bounds.budget", 20_000)
-    resamples = cfg.get_positive("bounds.bootstrap_resamples", 1000)
-    cap = (cfg.get_positive("enumeration_cap", ENUMERATION_CAP) if mode == "exact"
-           else ENUMERATION_CAP)
+    if mode == "exact":
+        options = {"enumeration_cap": cfg.get_positive("enumeration_cap", ENUMERATION_CAP)}
+    else:
+        options = {"budget": cfg.get_positive("bounds.budget", 20_000),
+                   "bootstrap_resamples": cfg.get_positive("bounds.bootstrap_resamples", 1000)}
     cfg.reject_unread()
     if mode not in ("exact", "empirical"):
         raise ValueError(f"unknown bounds.mode {mode!r}")
@@ -221,8 +222,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
         else:
             spec_a = MixedKernelSpec(np.ones(size), fam_a)
             spec_b = MixedKernelSpec(np.ones(size), fam_b)
-        rep = verify_instance(spec_a, spec_b, mode=mode, budget=budget, seed=seed_a,
-                              bootstrap_resamples=resamples, enumeration_cap=cap)
+        rep = verify_instance(spec_a, spec_b, mode=mode, seed=seed_a, **options)
         instances.append({k: v for k, v in asdict(rep).items() if v is not None})
 
     min_tv = min(r["tv_slack"] for r in instances)

@@ -288,21 +288,22 @@ def coupled_sample_counts(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
     return tuple(support), counts, int(disagreements)
 
 
-def _configuration_probability(spec: MixedKernelSpec, config) -> float:
+def _configuration_probability(kernel: np.ndarray, config) -> float:
     """P(S) = |det(K - diag(1_{S^c}))| for the weight-folded kernel K
     (Kulesza & Taskar, Found. Trends ML 2012, 2.2)."""
-    root = np.sqrt(spec.family.space.weights)
-    outside = np.ones(root.size)
+    outside = np.ones(len(kernel))
     outside[list(config)] = 0.0
-    kernel = root[:, None] * spec.kernel_matrix() * root
     return float(abs(np.linalg.det(kernel - np.diag(outside))))
 
 
 def _rejection_coupling(specs, draws: int, rng: np.random.Generator) -> tuple:
     """Per-side Counters of `draws` maximally coupled pairs, and their disagreements."""
-    # each kept index set's family, and each configuration's (P_a, P_b), built once
+    # each kept index set's family, each spec's weight-folded kernel and each
+    # configuration's (P_a, P_b), built once
     family = functools.cache(lambda side, keep: specs[side].family.subset(keep))
-    law = functools.cache(lambda config: [_configuration_probability(s, config) for s in specs])
+    roots = [np.sqrt(s.family.space.weights) for s in specs]
+    kernels = [r[:, None] * s.kernel_matrix() * r for r, s in zip(roots, specs)]
+    law = functools.cache(lambda config: [_configuration_probability(k, config) for k in kernels])
 
     def draw(side):
         keep = tuple(np.flatnonzero(rng.random(specs[side].n_indices) < specs[side].lambdas))

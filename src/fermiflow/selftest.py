@@ -205,7 +205,8 @@ def _solver_summary(certs) -> str:
             f"({sum(c.accelerated_steps for c in certs)} extrapolated), worst certified gap "
             f"{max(c.gap for c in certs):.1e}, {sum(c.symmetric_step for c in certs)} of "
             f"{len(certs)} solves on the symmetric step, {sum(c.real_step for c in certs)} "
-            f"in real arithmetic")
+            f"in real arithmetic, {sum(len(c.sectors) > 1 for c in certs)} of {len(certs)} "
+            f"split into sectors")
 
 
 def check_transport_sandwich() -> CheckResult:
@@ -259,10 +260,11 @@ def check_rdm_monotonicity() -> CheckResult:
     start = time.perf_counter()
     worst_margin = math.inf
     certs = []
-    for s in range(20):
-        fam_a = random_orthonormal(4, 2, seed=60_000 + 2 * s)
-        fam_b = random_orthonormal(4, 2, seed=60_001 + 2 * s)
-        pair = rdm_certificates(fam_a, fam_b)
+    # 20 pairs of two functions on four points, then three functions on five
+    # points, whose k = 3 solve has 125 dimensions, past DIM_CAP
+    for m, n, seed in [(4, 2, 60_000 + 2 * s) for s in range(20)] + [(5, 3, 90_002)]:
+        pair = rdm_certificates(random_orthonormal(m, n, seed=seed),
+                                random_orthonormal(m, n, seed=seed + 1), dim_cap=125)
         certs += pair
         worst_margin = min(worst_margin, monotonicity_margin(pair))
     fam = random_orthonormal(4, 2, seed=60_100)

@@ -10,8 +10,8 @@ single site, where it is returned without iterating, never falls below
 the trace distance, and never exceeds n times it. The trace-norm
 convention is (1/2) tr |.| throughout, matching `trace_distance_slater`.
 
-The solver is Douglas-Rachford splitting on the n blocks held as one
-(n, D, D) array. It iterates the over-relaxed map
+The solver is Douglas-Rachford splitting on the n blocks, held as one
+array of their sector blocks (below). It iterates the over-relaxed map
 
     T(v) = v + OVER_RELAX (prox(2 z - v) - z),   z = P(v),
 
@@ -65,6 +65,18 @@ makes that the case for every pair of determinant states. The distance
 is unchanged by one unitary applied on every site, and two n-dimensional
 subspaces of C^m have a real canonical form through their principal
 angles (Bjorck & Golub 1973), so both families are first rotated into it.
+
+The loop holds only the diagonal blocks of delta's sign-flip sectors. Bit p
+of a site tuple's parity vector pi(i) in GF(2)^d is set when point p occurs
+in i an odd number of times; W is spanned by pi(i) XOR pi(j) over the
+non-zero delta_ij. Each s orthogonal to W gives a product unitary
+diag((-1)^s_p)^(x)n that fixes delta, and the projection, the shrink,
+Anderson's real combinations and the site average commute with it, as with
+the swaps above, so in exact arithmetic every iterate is block-diagonal over
+the cosets of W (one for a dense delta). Equal-sized blocks are batched and
+every spectrum is taken block by block. The parts are formed whole after
+the loop, exactly block-diagonal, so their spectra are the union of their
+blocks' and the certificate stays rigorous.
 """
 
 from __future__ import annotations
@@ -117,7 +129,9 @@ class _ConstraintProjector:
     delta - sum_{i in A} Y_i equally. w = 0 only on the identity component,
     where a traceless delta is 0.
 
-    A stack of blocks is held as one (h, D, D) array. When every site swap
+    A stack of h blocks is held packed, as the (h, N) entries of their
+    diagonal blocks over delta's sectors; the projection scatters them into
+    (h, D, D) for the basis change and gathers them back. When every site swap
     (0 i) fixes delta, h = 1: block i of each stack is the swap (0 i) of
     block 0, and its coefficient at a is block 0's at a with tuple entries
     0 and i swapped, so one basis change and n gathers give every block's
@@ -127,6 +141,7 @@ class _ConstraintProjector:
     def __init__(self, dims, delta: np.ndarray):
         self.dims = tuple(dims)
         n, total = len(self.dims), math.prod(self.dims)
+        self.total = total
         self.reflections = [_identity_first_reflection(d) for d in self.dims]
         # (m, rows..., cols...) -> (m, row_1, col_1, ..., row_n, col_n) and back
         self._interleave = (0,) + tuple(a for i in range(n) for a in (1 + i, 1 + n + i))
@@ -141,21 +156,64 @@ class _ConstraintProjector:
             entries = np.arange(n * total * total)
             gathers = (entries[None], entries.reshape(n, -1),
                        np.arange(self.allowed.size).reshape(n, -1))
-        self._orbit, self._expand, self._spread = gathers
+        orbit, self._expand, self._spread = gathers
         # every row of the orbit gathers all held blocks
-        self.held = self._orbit.shape[1] // (total * total)
+        self.held = orbit.shape[1] // (total * total)
+        labels = _parity_sectors(self.dims, delta)
+        sectors = sorted((np.flatnonzero(labels == s) for s in np.unique(labels)), key=len)
+        self.sectors = tuple(map(len, sectors))
+        # sectors of equal size batched: each group's packed columns and block shape
+        self.groups, positions = [], []
+        for size, group in itertools.groupby(sectors, key=len):
+            rows = np.array(list(group))
+            start = sum(map(len, positions))
+            positions.append((rows[:, :, None] * total + rows[:, None, :]).ravel())
+            self.groups.append((slice(start, start + rows.size * size), (len(rows), size, size)))
+        self.positions = np.concatenate(positions)
+        # the orbit and the transposition composed onto packed positions: a site
+        # permutation keeps each tuple's sector, and the sectors are square blocks
+        full = (np.arange(self.held)[:, None] * total * total + self.positions).ravel()
+        slot = np.zeros(orbit.shape[1], dtype=np.intp)
+        slot[full] = np.arange(full.size)
+        self._orbit = slot[orbit[:, full]]
+        self._transpose = slot[self.positions % total * total + self.positions // total]
+
+    def pack(self, stack: np.ndarray) -> np.ndarray:
+        """The (h, N) sector blocks of an (h, D, D) stack."""
+        return stack.reshape(len(stack), -1).take(self.positions, axis=1)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The (h, D, D) stack, zero off the sectors, whose sector blocks are `packed`."""
+        out = np.zeros((len(packed), self.total ** 2), dtype=packed.dtype)
+        out[:, self.positions] = packed
+        return out.reshape(-1, self.total, self.total)
+
+    def views(self, packed: np.ndarray) -> list:
+        """Each size group's (h, count, size, size) view of a packed stack."""
+        return [packed[:, cols].reshape((len(packed),) + shape) for cols, shape in self.groups]
+
+    def blockwise(self, fn, packed: np.ndarray) -> np.ndarray:
+        """`fn` applied to each size group's view, packed again."""
+        out = np.empty_like(packed, order="C")
+        for (cols, _), view in zip(self.groups, self.views(packed)):
+            out[:, cols] = fn(view).reshape(len(packed), -1)
+        return out
+
+    def hermitian(self, packed: np.ndarray) -> np.ndarray:
+        """The Hermitian part of each packed block."""
+        return 0.5 * (packed + packed.take(self._transpose, axis=1).conj())
 
     def average(self, blocks: np.ndarray) -> np.ndarray:
         """Held blocks averaged over the permutations of sites 1..n-1 (h = n: copied)."""
         return blocks.reshape(-1)[self._orbit].mean(axis=0).reshape(blocks.shape)
 
     def expand(self, blocks: np.ndarray) -> np.ndarray:
-        """The (n, D, D) stack whose held blocks are `blocks`."""
-        return blocks.reshape(-1)[self._expand].reshape((-1,) + blocks.shape[1:])
+        """The (n, D, D) stack whose held blocks are packed in `blocks`."""
+        return self.unpack(blocks).reshape(-1)[self._expand].reshape(-1, self.total, self.total)
 
     def _coefficients(self, blocks: np.ndarray) -> np.ndarray:
-        """Allowed basis coefficients (n, D^2) of the stack whose held blocks are `blocks`."""
-        return self._to_basis(blocks).reshape(-1)[self._spread] * self.allowed
+        """Allowed basis coefficients (n, D^2) of the stack whose held blocks are packed."""
+        return self._to_basis(self.unpack(blocks)).reshape(-1)[self._spread] * self.allowed
 
     def _change_basis(self, coeffs: np.ndarray) -> np.ndarray:
         """Apply every site's reflection to (m, d_1^2, ..., d_n^2) entries; flat out."""
@@ -171,21 +229,19 @@ class _ConstraintProjector:
 
     def _from_basis(self, coeffs: np.ndarray) -> np.ndarray:
         m = coeffs.shape[0]
-        total = math.prod(self.dims)
         pairs = self._change_basis(coeffs).reshape((m,) + tuple(np.repeat(self.dims, 2)))
-        return pairs.transpose(self._deinterleave).reshape(m, total, total)
+        return pairs.transpose(self._deinterleave).reshape(m, self.total, self.total)
 
     def project(self, blocks: np.ndarray) -> np.ndarray:
         y = self._coefficients(blocks)
         h = len(blocks)
         coeffs = self.allowed[:h] * (y[:h] + self.share * (self.delta_coeffs - y.sum(axis=0)))
-        out = self._from_basis(coeffs)
-        return 0.5 * (out + _adjoint(out))
+        return self.hermitian(self.pack(self._from_basis(coeffs)))
 
     def value(self, blocks: np.ndarray) -> float:
         """Objective sum_i (1/2) tr |Z_i| of the stack; swapped blocks share block 0's spectrum."""
-        weights = 0.5 * np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1)
-        return len(self.dims) // len(blocks) * float(weights.sum())
+        weights = sum(0.5 * np.abs(np.linalg.eigvalsh(b)).sum() for b in self.views(blocks))
+        return len(self.dims) // len(blocks) * float(weights)
 
     def dual_value(self, u: np.ndarray) -> float:
         """Lower bound on the distance from a multiplier u near the adjoint's range.
@@ -198,26 +254,25 @@ class _ConstraintProjector:
         -t Re<L, delta> is its dual value; the Hermitian part of u is used,
         which changes neither side for Hermitian delta. The drift
         ||H_i - u_i||_F is taken for all n blocks; the swapped blocks share
-        block 0's spectrum, so its operator norm serves them all.
+        block 0's spectrum, so its operator norm serves them all. u is zero
+        off the sectors, so its spectrum is the union of its sector blocks'.
         """
         coeffs = self._coefficients(u)
         common = self.share * coeffs.sum(axis=0)
         drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
-        norms = np.abs(np.linalg.eigvalsh(0.5 * (u + _adjoint(u)))).max(axis=1) + drift
+        spectra = [np.linalg.eigvalsh(b) for b in self.views(self.hermitian(u))]
+        norms = np.max([np.abs(e).max(axis=(1, 2)) for e in spectra], axis=0) + drift
         top = float(norms.max())
         if top == 0.0:
             return 0.0
         return -0.5 / top * float(np.vdot(common, self.delta_coeffs).real)
 
 
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
 def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (stack + _adjoint(stack)))
+    """Eigenvalues of a Hermitian stack soft-thresholded by `amount`."""
+    vals, vecs = np.linalg.eigh(stack)
     shrunk = np.sign(vals) * np.maximum(np.abs(vals) - amount, 0.0)
-    return (vecs * shrunk[:, None, :]) @ _adjoint(vecs)
+    return (vecs * shrunk[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _site_gather(shape, perm) -> np.ndarray:
@@ -252,6 +307,23 @@ def _symmetric_gathers(dims, delta: np.ndarray):
             np.array([_site_gather([d * d for d in dims], perm) for perm in swaps]))
 
 
+def _parity_sectors(dims, delta: np.ndarray) -> np.ndarray:
+    """Sector label of each product basis index: its parity vector modulo W (see the
+    module docstring), reduced by XOR elimination to the coset's pivot-free member."""
+    # points from 62 on share one bit: fewer sign flips, a coarser partition, still exact
+    parity = np.bitwise_xor.reduce(1 << np.minimum(np.indices(dims), 62).reshape(len(dims), -1))
+    rows, cols = np.nonzero(delta)
+    basis = []  # distinct leading bits, in decreasing order
+    for x in np.unique(parity[rows] ^ parity[cols]).tolist():
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis = sorted(basis + [x], reverse=True)
+    for b in basis:
+        parity = np.minimum(parity, parity ^ b)
+    return parity
+
+
 class _Anderson:
     """Safeguarded type-II Anderson acceleration of a fixed-point iteration v <- T(v).
 
@@ -273,7 +345,8 @@ class _Anderson:
     of T.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, hermitian):
+        self.hermitian = hermitian
         self.dg = np.empty((ANDERSON_DEPTH, size))
         self.dt = np.empty((ANDERSON_DEPTH, size))
         self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
@@ -315,8 +388,7 @@ class _Anderson:
             return t
         gamma = np.linalg.solve(self.gram[:k, :k] + ANDERSON_REG * scale * np.eye(k),
                                 self.dg[:k] @ g_flat)
-        point = (t_flat - gamma @ self.dt[:k]).view(t.dtype).reshape(t.shape)
-        return 0.5 * (point + _adjoint(point))
+        return self.hermitian((t_flat - gamma @ self.dt[:k]).view(t.dtype).reshape(t.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +406,7 @@ class W1Certificate:
     trace distance over 2 sqrt(D), which scales with delta as the distance
     does (0.0 on one site, where nothing iterates). `real_step` says delta
     had no imaginary part, so the solve ran in float64 and the parts are
-    real.
+    real. `sectors` are the sizes of the sign-flip sectors the loop ran on ((D,) if none).
     """
 
     value: float
@@ -350,6 +422,7 @@ class W1Certificate:
     accelerated_steps: int
     threshold: float
     real_step: bool
+    sectors: tuple
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -400,15 +473,16 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             value=trace_distance, lower=trace_distance, gap=0.0, part_weights=(trace_distance,),
             primal_parts=(delta,), iterations=0, primal_residual=0.0, dual_residual=0.0,
             feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
-            accelerated_steps=0, threshold=0.0, real_step=real)
+            accelerated_steps=0, threshold=0.0, real_step=real, sectors=(total,))
 
     projector = _ConstraintProjector(dims, delta)
     # v = z + u, with u = 0 at the start
-    v = z = projector.project(np.zeros((projector.held, total, total), dtype=delta.dtype))
-    anderson = _Anderson(z.view(np.float64).size)
+    v = z = projector.project(np.zeros((projector.held, projector.positions.size), delta.dtype))
+    anderson = _Anderson(z.view(np.float64).size, projector.hermitian)
     threshold = trace_distance / (2.0 * math.sqrt(total))
     for iterations in range(1, max_iter + 1):
-        x = _shrink_eigenvalues(2.0 * z - v, threshold)
+        y = projector.hermitian(2.0 * z - v)
+        x = projector.blockwise(lambda b: _shrink_eigenvalues(b, threshold), y)
         v = projector.average(anderson.step(v, OVER_RELAX * (x - z)))
         z_prev, z = z, projector.project(v)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
@@ -443,6 +517,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         accelerated_steps=anderson.accepted,
         threshold=threshold,
         real_step=real,
+        sectors=projector.sectors,
     )
 
 

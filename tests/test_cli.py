@@ -352,10 +352,11 @@ def test_bounds_past_the_variable_cap_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(bounds_module, "exact_mixed_distribution", refuse)
     monkeypatch.setattr(dpp_module, "exact_mixed_distribution", refuse)
     monkeypatch.setattr(dpp_module, "sample_projection_dpp", refuse)
-    for mode in ("exact", "empirical"):
+    # exact mode reads no draw budget and no resample count
+    for mode, keys in (("exact", ""),
+                       ("empirical", "bounds.budget=200\nbounds.bootstrap_resamples=10\n")):
         cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=30\nbounds.n=6\n"
-                           f"bounds.mode={mode}\nbounds.budget=200\n"
-                           "bounds.bootstrap_resamples=10\n")
+                           f"bounds.mode={mode}\n{keys}")
         code, out, err = run_cli(["bounds", "--config", cfg])
         assert code == 2
         assert "needs 7125300 variables, past the variable cap" in err
@@ -370,6 +371,8 @@ def test_bounds_past_the_variable_cap_exits_2(tmp_path, monkeypatch):
     ("bounds", "bounds.count=1\ndim_cap=5\n"),
     # the coupling of empirical mode picks its own path and reads no cap
     ("bounds", "bounds.count=1\nbounds.mode=empirical\nenumeration_cap=5\n"),
+    # exact mode draws nothing and resamples nothing
+    ("bounds", "bounds.count=1\nbounds.bootstrap_resamples=3\nbounds.budget=5\n"),
     ("walsh", "enumeration_cap=3\n"),
     ("example-gap", "dim_cap=1\n"),
     ("selftest", "dim_cap=1\n"),

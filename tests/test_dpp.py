@@ -393,6 +393,23 @@ def test_coupling_path_follows_the_closed_form_counts(monkeypatch, m, k, mixed, 
     assert str(exc.value) == path
 
 
+def test_rejection_path_builds_each_kernel_once(monkeypatch):
+    # 200 draws over C(12, 4) = 495 configurations per law take the rejection
+    # path, which meets many configurations and folds each spec's kernel once
+    specs = [projection_spec(random_orthonormal(12, 4, seed=s)) for s in (1, 2)]
+    built = []
+    kernel_matrix = MixedKernelSpec.kernel_matrix
+
+    def counting(self):
+        built.append(self)
+        return kernel_matrix(self)
+
+    monkeypatch.setattr(MixedKernelSpec, "kernel_matrix", counting)
+    support, _, _ = coupled_sample_counts(*specs, 200, stream_generator(5, 7))
+    assert len(support) > 2
+    assert len(built) == 2 and {id(s) for s in built} == {id(s) for s in specs}
+
+
 def test_rejection_path_enumerates_no_law(monkeypatch):
     spec_a, spec_b = (projection_spec(random_orthonormal(12, 4, seed=s)) for s in (1, 2))
     monkeypatch.setattr(dpp, "exact_mixed_distribution", refuse("a law was enumerated"))
@@ -524,9 +541,11 @@ def test_coupled_counts_disagreements_estimate_tv(kind, cap, monkeypatch):
 def test_configuration_probability_matches_exact_law(kind):
     for spec in coupling_pair(kind):
         law = exact_mixed_distribution(spec).as_dict()
+        root = np.sqrt(spec.family.space.weights)
+        kernel = root[:, None] * spec.kernel_matrix() * root
         for r in range(7):
             for config in itertools.combinations(range(6), r):
-                assert dpp._configuration_probability(spec, config) == pytest.approx(
+                assert dpp._configuration_probability(kernel, config) == pytest.approx(
                     law.get(config, 0.0), abs=1e-12)
 
 

@@ -108,8 +108,10 @@ def test_constraint_projection_matches_least_squares(dims):
     expected = (y - step).reshape(n, total, total)
 
     projector = _ConstraintProjector(dims, delta)
-    out = projector.project(blocks)
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    # a dense delta is one sector: the packed blocks are the whole matrices
+    assert projector.sectors == (total,)
+    out = projector.project(projector.pack(blocks))
+    np.testing.assert_allclose(projector.unpack(out), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(projector.project(out), out, rtol=0, atol=1e-12)
 
 
@@ -408,6 +410,26 @@ def test_frame_refuses_dropped_angles_past_tol(monkeypatch):
         rdm_monotonicity_check(a, b, tol=1e-4)
 
 
+CLI_PAIR_0 = (random_orthonormal(4, 3, seed=400_000), random_orthonormal(4, 3, seed=400_001))
+
+
+def frame_states(a, b, k):
+    """The k-particle reduced states in the principal-angle frame, as
+    `rdm_certificates` solves them, and each point's frame block."""
+    fold_a, fold_b = a.folded(), b.folded()
+    frame = w1_module._principal_frame(fold_a, fold_b, fold_a.conj().T @ fold_b, DEFAULT_TOL)
+    # a point carries one function of a (e_i, block i) or the sine of b's column i
+    weight = sum(np.abs(f.functions) for f in frame)
+    assert np.all(weight.max(axis=0) > 0)
+    rho, sig = (reduced_density_matrix(full_state_vector(f), k) for f in frame)
+    return rho, sig, np.argmax(weight, axis=0)
+
+
+def frame_difference(a, b, k):
+    rho, sig, _ = frame_states(a, b, k)
+    return rho.dims, (rho.matrix - sig.matrix).real
+
+
 def test_random_densities_stay_complex():
     cert = w1_exact(*check5_product_case(2))
     assert not cert.real_step
@@ -415,19 +437,23 @@ def test_random_densities_stay_complex():
 
 
 def test_anderson_skips_residual_differences_at_rounding_level():
+    # packed stacks over the sectors [2, 4, 4, 6] of CLI pair 0 at k = 2
+    projector = _ConstraintProjector(*frame_difference(*CLI_PAIR_0, 2))
     rng = np.random.default_rng(89)
-    v0, v1, g = (rng.normal(size=(1, 3, 3)) for _ in range(3))
-    anderson = w1_module._Anderson(g.size)
+    v0, v1, g = (projector.hermitian(rng.normal(size=(1, projector.positions.size)))
+                 for _ in range(3))
+    anderson = w1_module._Anderson(g.size, projector.hermitian)
     anderson.step(v0, g)
     # an equal residual has no direction: nothing is stored, the plain point comes back
     np.testing.assert_array_equal(anderson.step(v1, g.copy()), v1 + g)
     assert anderson.count == 0
-    # a difference above 1e-12 of the residual is stored
-    direction = rng.normal(size=g.shape)
+    # a difference above 1e-12 of the residual is stored, and extrapolated along
+    direction = projector.hermitian(rng.normal(size=g.shape))
     nudge = 1e-11 * np.linalg.norm(g) / np.linalg.norm(direction) * direction
-    anderson.step(v0, g + nudge)
-    assert anderson.count == 1
+    point = anderson.step(v0, g + nudge)
+    assert anderson.count == 1 and anderson.extrapolated
     np.testing.assert_allclose(anderson.dg[0], nudge.ravel(), rtol=1e-3)
+    np.testing.assert_array_equal(projector.hermitian(point), point)
 
 
 def slater_reduced_pair(seed, k, n_functions=3, n_points=4):
@@ -444,42 +470,45 @@ def general_step(patch):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_symmetric_step_matches_general_step(k, monkeypatch):
-    # k-particle reduced states of 3 functions on 4 points: 2 and 3 sites
-    rho, sig = slater_reduced_pair(70, k)
-    project = _ConstraintProjector.project
-    iterates = {"general": [], "symmetric": []}
+    # k-particle reduced states of 3 functions on 4 points: 2 and 3 sites, as
+    # they are (one sector) and in their principal-angle frame (four sectors)
+    frame = frame_states(random_orthonormal(4, 3, 70), random_orthonormal(4, 3, 71), k)
+    for (rho, sig), sectors in ((slater_reduced_pair(70, k), 1), (frame[:2], 4)):
+        project = _ConstraintProjector.project
+        iterates = {"general": [], "symmetric": []}
 
-    for path, stack in iterates.items():
-        def recording(self, blocks):
-            out = project(self, blocks)
-            # the one-block loop projects block 0; the swaps (0 i) give the stack
-            stack.append((len(out), self.expand(out)))
-            return out
+        for path, stack in iterates.items():
+            def recording(self, blocks, stack=stack):
+                out = project(self, blocks)
+                # the one-block loop projects block 0; the swaps (0 i) give the stack
+                stack.append((len(out), self.expand(out)))
+                return out
+
+            with monkeypatch.context() as patch:
+                if path == "general":
+                    general_step(patch)
+                patch.setattr(_ConstraintProjector, "project", recording)
+                try:
+                    w1_exact(rho, sig, tol=0.0, max_iter=300)
+                except ConvergenceError:
+                    pass
+        # the projection of 0, then one projection per iteration
+        assert len(iterates["general"]) == len(iterates["symmetric"]) == 301
+        assert {held for held, _ in iterates["general"]} == {k}
+        assert {held for held, _ in iterates["symmetric"]} == {1}
+        # every point, extrapolated ones included
+        assert max(float(np.max(np.abs(a - b))) for (_, a), (_, b)
+                   in zip(iterates["general"], iterates["symmetric"])) <= 1e-10
 
         with monkeypatch.context() as patch:
-            if path == "general":
-                general_step(patch)
-            patch.setattr(_ConstraintProjector, "project", recording)
-            try:
-                w1_exact(rho, sig, tol=0.0, max_iter=300)
-            except ConvergenceError:
-                pass
-    # the projection of 0, then one projection per iteration
-    assert len(iterates["general"]) == len(iterates["symmetric"]) == 301
-    assert {held for held, _ in iterates["general"]} == {k}
-    assert {held for held, _ in iterates["symmetric"]} == {1}
-    # every point, extrapolated ones included
-    assert max(float(np.max(np.abs(a - b))) for (_, a), (_, b)
-               in zip(iterates["general"], iterates["symmetric"])) <= 1e-10
-
-    with monkeypatch.context() as patch:
-        general_step(patch)
-        general = w1_exact(rho, sig)
-    symmetric = w1_exact(rho, sig)
-    assert (general.symmetric_step, symmetric.symmetric_step) == (False, True)
-    assert symmetric.iterations == general.iterations
-    assert symmetric.value == pytest.approx(general.value, abs=1e-9)
-    assert symmetric.gap <= DEFAULT_TOL
+            general_step(patch)
+            general = w1_exact(rho, sig)
+        symmetric = w1_exact(rho, sig)
+        assert (general.symmetric_step, symmetric.symmetric_step) == (False, True)
+        assert len(general.sectors) == len(symmetric.sectors) == sectors
+        assert symmetric.iterations == general.iterations
+        assert symmetric.value == pytest.approx(general.value, abs=1e-9)
+        assert symmetric.gap <= DEFAULT_TOL
 
 
 def check5_pair(pair):
@@ -543,10 +572,12 @@ def test_block_zero_gap_test_matches_the_swapped_stack(k, monkeypatch):
     # u0 is not averaged over the permutations of sites 1..k-1, so at k = 3
     # its swapped blocks drift from the adjoint's range by different amounts
     u0, z0 = raw + raw.conj().swapaxes(-1, -2)
+    assert symmetric.sectors == general.sectors == (total,)
+    u0, z0 = symmetric.pack(u0), symmetric.pack(z0)
     assert symmetric.dual_value(u0) == pytest.approx(
-        general.dual_value(symmetric.expand(u0)), rel=0, abs=1e-12)
+        general.dual_value(general.pack(symmetric.expand(u0))), rel=0, abs=1e-12)
     assert symmetric.value(z0) == pytest.approx(
-        general.value(symmetric.expand(z0)), rel=1e-14)
+        general.value(general.pack(symmetric.expand(z0))), rel=1e-14)
 
 
 @pytest.mark.parametrize("pair", [2, 4, 6, 7])
@@ -646,8 +677,9 @@ def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, m
     monkeypatch.setattr(w1_module, "_shrink_eigenvalues", counting_shrink)
     with pytest.raises(ConvergenceError):
         w1_exact(*pair, tol=0.0, max_iter=max_iter)
-    # the projection of 0, then one projection and one shrink per iteration,
-    # rejected extrapolations included; on block 0 alone when every swap fixes delta
+    # the projection of 0, then one projection and one shrink per iteration
+    # (per size of sector; both pairs are one sector), rejected extrapolations
+    # included; on block 0 alone when every swap fixes delta
     assert calls == {"project": [held] * (1 + max_iter), "shrink": [held] * max_iter}
 
 
@@ -667,12 +699,14 @@ def test_rejected_extrapolations_still_certify(d, monkeypatch):
         was_extrapolated, accepted = self.extrapolated, self.accepted
         out = step(self, v, g)
         rejected.append(was_extrapolated and self.accepted == accepted)
-        asymmetry.append(float(np.max(np.abs(out - out.conj().swapaxes(1, 2)))))
+        # one sector of d^2 ascending indices: each packed row is a whole block
+        full = out.reshape(len(out), d * d, d * d)
+        asymmetry.append(float(np.max(np.abs(full - full.conj().swapaxes(1, 2)))))
         return out
 
     monkeypatch.setattr(w1_module._Anderson, "step", recording)
     cert = w1_exact(*check5_product_case(d))
-    assert not cert.symmetric_step
+    assert not cert.symmetric_step and cert.sectors == (d * d,)
     # the safeguard turned extrapolated points down, and some were kept
     assert any(rejected) and cert.accelerated_steps > 0
     assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
@@ -722,3 +756,49 @@ def test_check5_hardest_pairs_certify_within_1000_iterations(pair):
     assert cert.symmetric_step
     assert cert.iterations <= 1_000
     assert cert.lower <= cert.value and cert.gap <= DEFAULT_TOL
+
+
+def partition(labels):
+    return {frozenset(np.flatnonzero(labels == s).tolist()) for s in np.unique(labels)}
+
+
+@pytest.mark.parametrize("pair, k, sizes", [
+    (CLI_PAIR_0, 2, [2, 4, 4, 6]),
+    (CLI_PAIR_0, 3, [12, 16, 16, 20]),
+    ((random_orthonormal(5, 3, seed=90_002), random_orthonormal(5, 3, seed=90_003)), 3,
+     [24, 25, 38, 38]),
+], ids=["cli0_k2", "cli0_k3", "d125"])
+def test_sectors_are_the_frame_blocks(pair, k, sizes):
+    rho, sig, block = frame_states(*pair, k)
+    dims, delta = rho.dims, (rho.matrix - sig.matrix).real
+    # a tuple's frame label: bit b set when block b holds an odd number of its points
+    tuples = np.indices(dims).reshape(k, -1)
+    frame_labels = np.bitwise_xor.reduce(1 << block[tuples], axis=0)
+    derived = partition(w1_module._parity_sectors(dims, delta))
+    assert derived == partition(frame_labels)
+    assert sorted(map(len, derived)) == sizes == list(_ConstraintProjector(dims, delta).sectors)
+
+
+@pytest.mark.parametrize("pair", [check5_pair(41), product_case(3)], ids=["check5_41", "product"])
+def test_dense_difference_is_one_sector(pair):
+    rho, sig = pair
+    delta = rho.matrix - sig.matrix
+    assert len(np.unique(w1_module._parity_sectors(rho.dims, delta))) == 1
+    assert w1_exact(rho, sig).sectors == (math.prod(rho.dims),)
+
+
+def test_sectored_solve_matches_the_unsplit_solve(monkeypatch):
+    # CLI pair 0 at k = 3 is w1_cap's pair 0 before its rotation
+    rho, sig, _ = frame_states(*CLI_PAIR_0, 3)
+    sectored = w1_exact(rho, sig)
+    with monkeypatch.context() as patch:
+        patch.setattr(w1_module, "_parity_sectors", lambda dims, delta: np.zeros(64, int))
+        unsplit = w1_exact(rho, sig)
+    assert (sectored.sectors, unsplit.sectors) == ((12, 16, 16, 20), (64,))
+    assert sectored.iterations == unsplit.iterations
+    assert sectored.value == pytest.approx(unsplit.value, rel=0, abs=1e-12)
+    assert sectored.gap <= DEFAULT_TOL
+    # the returned parts are exactly zero off the sectors
+    labels = w1_module._parity_sectors(rho.dims, rho.matrix - sig.matrix)
+    off = labels[:, None] != labels[None, :]
+    assert all(not part[off].any() for part in sectored.primal_parts)
