@@ -48,12 +48,9 @@ class CheckResult:
     budget: float | None = None
 
     def line(self) -> str:
+        budget = "" if self.budget is None else f" / budget {self.budget:.0f}s"
         status = "PASS" if self.passed else "FAIL"
-        if self.budget is not None:
-            timing = f"[{self.elapsed:.2f}s / budget {self.budget:.0f}s]"
-        else:
-            timing = f"[{self.elapsed:.2f}s]"
-        return f"{status} {self.name} {timing} {self.detail}"
+        return f"{status} {self.name} [{self.elapsed:.2f}s{budget}] {self.detail}"
 
 
 def measurement_law_deviations(fam, kernel_matrix: np.ndarray,
@@ -206,7 +203,9 @@ def _solver_summary(certs) -> str:
             f"{max(c.gap for c in certs):.1e}, {sum(c.symmetric_step for c in certs)} of "
             f"{len(certs)} solves on the symmetric step, {sum(c.real_step for c in certs)} "
             f"in real arithmetic, {sum(len(c.sectors) > 1 for c in certs)} of {len(certs)} "
-            f"split into sectors")
+            f"split into sectors; solver time " + ", ".join(
+                f"{sum(c.stage_seconds[stage] for c in certs):.2f}s {stage.replace('_', ' ')}"
+                for stage in ("setup", "iterations", "gap_tests")))
 
 
 def check_transport_sandwich() -> CheckResult:

@@ -18,30 +18,34 @@ array of their sector blocks (below). It iterates the over-relaxed map
 on the single variable v: prox, the objective's proximal map with step
 2 tau, is one batched soft-thresholding of eigenvalues by tau, the trace
 distance (1/2) tr |delta| over 2 sqrt(D), and P is the exact orthogonal
-projection onto the affine constraint set, in closed form. The program is
-positively homogeneous: delta scaled by c > 0 scales every feasible point,
-the distance and tau by c, hence every iterate, so with tol scaled alike
-the iteration count does not depend on delta's units (with a fixed tau it does).
+projection onto the affine constraint set. The program is positively
+homogeneous: delta scaled by c > 0 scales every feasible point, the
+distance and tau by c, hence every iterate, so with tol scaled alike the
+iteration count does not depend on delta's units (with a fixed tau it does).
 In a product operator basis whose first element per site is -I/sqrt(d),
 tr_i X_i = 0 says block i vanishes wherever site i carries the identity,
-so the projection splits coefficient by coefficient. Plain
-iteration of T is over-relaxed ADMM with iterate z and scaled multiplier
-u = v - z; near a degenerate optimum it takes thousands of steps. So the
-iteration is accelerated by safeguarded type-II Anderson extrapolation
-(Walker & Ni 2011; Zhang, O'Donoghue & Boyd 2020) from the last
-ANDERSON_DEPTH residual differences, with real coefficients so that every
-point stays Hermitian. An extrapolated point is kept only if its residual
-||T(v) - v|| is no larger than the last kept point's, which a plain step
-never exceeds since T is averaged. Each iteration evaluates T once: one
-eigendecomposition and one projection.
+so the projection splits coefficient by coefficient. Its linear part does
+not depend on delta: P(v) = M v + c with one real symmetric sparse M,
+built once per layout (sites, held blocks, sectors) and cached across
+solves, so no iteration changes basis. Plain iteration of T is
+over-relaxed ADMM with iterate z and scaled multiplier u = v - z; near a
+degenerate optimum it takes thousands of steps. So it is accelerated by
+safeguarded type-II Anderson extrapolation (Walker & Ni 2011; Zhang,
+O'Donoghue & Boyd 2020) from the last ANDERSON_DEPTH residual differences,
+with real coefficients so that every point stays Hermitian. An
+extrapolated point is kept only if its residual ||T(v) - v|| is no larger
+than the last kept point's, which a plain step never exceeds since T is
+averaged. Each iteration evaluates T once: one eigendecomposition and one
+product with M.
 
 Every result is certified by a duality gap. The dual program maximizes
 tr(H (rho - sigma)) over H such that, for each i, some M_i makes
 ||H + M_i (x) I_i||_op <= 1/2 (the Lipschitz dual). For every v, u = v - P(v)
 lies in the range of the constraint adjoint, whatever the extrapolation
-or tau did: its blocks are L + M_i (x) I_i for one shared L. Scaled by -t into
-the norm ball, u is a dual point of value -t Re tr(L (rho - sigma)). The
-solver stops once the value of the feasible point z exceeds that dual
+or tau did: its blocks are L + M_i (x) I_i for one shared L. Scaled by -t
+into the norm ball, u is a dual point of value -t Re tr(L (rho - sigma)),
+linear in u; u's drift from that range is one more cached sparse product.
+The solver stops once the value of the feasible point z exceeds that dual
 value by at most `tol`, so the distance lies in an interval of width at
 most `tol`.
 
@@ -49,22 +53,18 @@ Determinant states and their reduced states are antisymmetric: every site
 swap (0 i) fixes delta and commutes with T, so from the projection of 0
 block i of every point, extrapolated or not, is the swap of block 0. For
 such delta the loop holds block 0 alone, in v, z and the Anderson
-buffers. Each iteration eigendecomposes block 0, projects it with one
-basis change and gathers of swapped coefficients, and averages v over the
-permutations of sites 1..n-1. These fix v in exact arithmetic; the
-projection's rounding does not, and the part outside their fixed subspace
-is otherwise never damped and can overflow. The gap test takes n times
-block 0's objective, and block 0's spectrum with the drift of all n
-blocks for the dual point. The swaps form the other blocks once, after
-the loop, where parts, residuals and feasibility are measured.
+buffers, and averages v over the permutations of sites 1..n-1. These fix
+v in exact arithmetic; the projection's rounding does not, and the part
+outside their fixed subspace is otherwise never damped and can overflow.
+The gap test takes n times block 0's objective, and block 0's spectrum
+with the drift of all n blocks for the dual point. The swaps form the
+other blocks once, after the loop, where the parts are measured.
 
-When delta has no imaginary part at all, the loop runs in float64: the
-eigendecomposition, the projection's reflections and the Anderson buffers
-are real, and cheaper than their complex counterparts. `rdm_certificates`
-makes that the case for every pair of determinant states. The distance
-is unchanged by one unitary applied on every site, and two n-dimensional
-subspaces of C^m have a real canonical form through their principal
-angles (Bjorck & Golub 1973), so both families are first rotated into it.
+When delta has no imaginary part, the loop runs in float64, as it does
+for every pair of determinant states through `rdm_certificates`: the
+distance is unchanged by one unitary applied on every site, and two
+n-dimensional subspaces of C^m have a real canonical form through their
+principal angles (Bjorck & Golub 1973), into which both are rotated.
 
 The loop holds only the diagonal blocks of delta's sign-flip sectors. Bit p
 of a site tuple's parity vector pi(i) in GF(2)^d is set when point p occurs
@@ -81,8 +81,10 @@ blocks' and the certificate stays rigorous.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +107,8 @@ ANDERSON_DEPTH = 5
 ANDERSON_REG = 1e-10
 # principal-angle sines at or below this are rounding of an exact zero
 SINE_FLOOR = 1e-12
+# projection layouts (gathers and sparse operators) kept across solves
+LAYOUT_CACHE = 8
 
 
 def _identity_first_reflection(d: int) -> np.ndarray:
@@ -119,68 +123,94 @@ def _identity_first_reflection(d: int) -> np.ndarray:
     return np.eye(d * d) - (2.0 / float(v @ v)) * np.outer(v, v)
 
 
+def _apply(operator, x: np.ndarray) -> np.ndarray:
+    """operator @ x.ravel(), a complex x as (real, imaginary) columns: the operator stays real."""
+    if np.iscomplexobj(x):
+        return (operator @ x.reshape(-1).view(np.float64).reshape(-1, 2)).view(x.dtype).ravel()
+    return operator @ x.reshape(-1)
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE)
+def _build_layout(dims: tuple, held: int, labels: tuple) -> tuple:
+    """Gathers and sparse operators of the projection of h = `held` blocks on the sectors.
+
+    Q, every site's reflection after the interleave permutation, takes packed
+    entries to basis coefficients, orthogonally since every map here keeps
+    the sectors. The linear part C keeps block i's coefficients where site i
+    is not the identity (A_i), less Sh times the allowed blocks' sum, Sh the
+    reciprocal of their number; block j is held block source[j] with tuple
+    entries 0 and j swapped, or itself. `drift` holds the row blocks of
+    Q^T C Q on all n blocks, the first h of them as one operator, M; `offset`
+    takes packed delta to c. Exact entries are rationals with denominators
+    dividing D lcm(1..n): those below 1e-12 are rounding.
+    """
+    import scipy.sparse as sp
+
+    n, total, labels = len(dims), math.prod(dims), np.array(labels)
+    sectors = sorted((np.flatnonzero(labels == s) for s in np.unique(labels)), key=len)
+    groups, positions = [], []
+    for size, group in itertools.groupby(sectors, key=len):
+        rows = np.array(list(group))
+        start = sum(map(len, positions))
+        positions.append((rows[:, :, None] * total + rows[:, None, :]).ravel())
+        groups.append((slice(start, start + rows.size * size), (len(rows), size, size)))
+    positions = np.concatenate(positions)
+    entries = np.arange(n * total * total)
+    orbit, expand, spread = (_swap_gathers(dims) if held == 1 else
+                             (entries[None], entries.reshape(n, -1), entries.reshape(n, -1)))
+    # the orbit and the transposition composed onto packed positions: a site
+    # permutation keeps each tuple's sector, and the sectors are square blocks
+    full = (np.arange(held)[:, None] * total * total + positions).ravel()
+    slot = np.zeros(orbit.shape[1], dtype=np.intp)
+    slot[full] = np.arange(full.size)
+
+    # (rows..., cols...) -> (row_1, col_1, ..., row_n, col_n), each entry's coefficient slot
+    where = np.argsort(np.arange(total * total).reshape(dims * 2)
+                       .transpose([a for i in range(n) for a in (i, n + i)]).ravel())
+    q = (functools.reduce(sp.kron, map(_identity_first_reflection, dims), sp.identity(1))
+         .tocsc()[:, where[positions]].tocsr())
+    allowed = (np.indices([d * d for d in dims]) != 0).reshape(n, -1)
+    share = 1.0 / np.maximum(allowed.sum(axis=0), 1)
+    # block j's coefficients are held block source[j]'s, gathered by coeffs[j] (S_j)
+    source, coeffs = spread[:, 0] // total ** 2, spread % total ** 2
+    same = coeffs[0]  # block 0 is held block 0 itself
+
+    def sandwich(terms):  # Q^T (sum of diag(w) S over the terms (w, S)) Q, rounding dropped
+        w, cols = (np.concatenate(x) for x in zip(*terms))
+        op = q.T @ (sp.csr_matrix((w, (np.tile(same, len(terms)), cols)), (total ** 2,) * 2) @ q)
+        op.data[np.abs(op.data) < 1e-12] = 0.0  # in place, keeping the build's peak memory low
+        op.eliminate_zeros()
+        return op
+
+    # output block i from held block k: the sum over the blocks j drawn from k
+    # of Q^T A_i (delta_ij - Sh A_j) S_j Q; then Q^T A_i Sh Q
+    drift = [sp.bmat([[sandwich([(allowed[i] * ((i == j) - share * allowed[j]), coeffs[j])
+                                 for j in range(n) if source[j] == k]) for k in range(held)]],
+                     format="csr") for i in range(n)]
+    operator = sp.vstack(drift[:held], "csr")
+    offset = sp.vstack([sandwich([(allowed[i] * share, same)]) for i in range(held)], "csr")
+    return (tuple(map(len, sectors)), groups, positions,
+            slot[positions % total * total + positions // total], slot[orbit[:, full]], expand,
+            operator, [operator, *drift[held:]], offset)
+
+
 class _ConstraintProjector:
     """Orthogonal projection onto {(Z_i): tr_i Z_i = 0, sum_i Z_i = delta}, on held blocks.
 
-    In a product operator basis whose first element per site is -I/sqrt(d),
-    both constraints act coefficient by coefficient. At a coefficient
-    whose set A of non-identity sites has w members, block i may be
-    non-zero only for i in A, and the allowed blocks share the residual
-    delta - sum_{i in A} Y_i equally. w = 0 only on the identity component,
-    where a traceless delta is 0.
-
-    A stack of h blocks is held packed, as the (h, N) entries of their
-    diagonal blocks over delta's sectors; the projection scatters them into
-    (h, D, D) for the basis change and gathers them back. When every site swap
-    (0 i) fixes delta, h = 1: block i of each stack is the swap (0 i) of
-    block 0, and its coefficient at a is block 0's at a with tuple entries
-    0 and i swapped, so one basis change and n gathers give every block's
-    coefficients. Otherwise h = n, and the gathers copy.
+    The h held blocks are packed over delta's sectors: h = 1 when every site
+    swap (0 i) fixes delta, block i being the swap (0 i) of block 0, else n.
+    The operators of the layout (sites, h, sectors) are built once and
+    cached; per delta only c = P(0) is formed.
     """
 
     def __init__(self, dims, delta: np.ndarray):
         self.dims = tuple(dims)
-        n, total = len(self.dims), math.prod(self.dims)
-        self.total = total
-        self.reflections = [_identity_first_reflection(d) for d in self.dims]
-        # (m, rows..., cols...) -> (m, row_1, col_1, ..., row_n, col_n) and back
-        self._interleave = (0,) + tuple(a for i in range(n) for a in (1 + i, 1 + n + i))
-        self._deinterleave = tuple(np.argsort(self._interleave))
-        # flat coefficient a has site i in its identity component iff a_i == 0
-        self.allowed = (np.indices([d * d for d in self.dims]) != 0).reshape(n, -1)
-        # where no block is allowed (the identity component) the mask zeroes the share
-        self.share = 1.0 / np.maximum(self.allowed.sum(axis=0), 1)
-        self.delta_coeffs = self._to_basis(delta[None])[0]
-        gathers = _symmetric_gathers(self.dims, delta)
-        if gathers is None:
-            entries = np.arange(n * total * total)
-            gathers = (entries[None], entries.reshape(n, -1),
-                       np.arange(self.allowed.size).reshape(n, -1))
-        orbit, self._expand, self._spread = gathers
-        # every row of the orbit gathers all held blocks
-        self.held = orbit.shape[1] // (total * total)
-        labels = _parity_sectors(self.dims, delta)
-        sectors = sorted((np.flatnonzero(labels == s) for s in np.unique(labels)), key=len)
-        self.sectors = tuple(map(len, sectors))
-        # sectors of equal size batched: each group's packed columns and block shape
-        self.groups, positions = [], []
-        for size, group in itertools.groupby(sectors, key=len):
-            rows = np.array(list(group))
-            start = sum(map(len, positions))
-            positions.append((rows[:, :, None] * total + rows[:, None, :]).ravel())
-            self.groups.append((slice(start, start + rows.size * size), (len(rows), size, size)))
-        self.positions = np.concatenate(positions)
-        # the orbit and the transposition composed onto packed positions: a site
-        # permutation keeps each tuple's sector, and the sectors are square blocks
-        full = (np.arange(self.held)[:, None] * total * total + self.positions).ravel()
-        slot = np.zeros(orbit.shape[1], dtype=np.intp)
-        slot[full] = np.arange(full.size)
-        self._orbit = slot[orbit[:, full]]
-        self._transpose = slot[self.positions % total * total + self.positions // total]
-
-    def pack(self, stack: np.ndarray) -> np.ndarray:
-        """The (h, N) sector blocks of an (h, D, D) stack."""
-        return stack.reshape(len(stack), -1).take(self.positions, axis=1)
+        n, self.total = len(self.dims), math.prod(self.dims)
+        self.held = 1 if _swap_invariant(self.dims, delta) else n
+        labels = tuple(_parity_sectors(self.dims, delta).tolist())
+        (self.sectors, self.groups, self.positions, self._transpose, self._orbit, self._expand,
+         self.operator, self.drift, offset) = _build_layout(self.dims, self.held, labels)
+        self.offset = _apply(offset, delta.ravel()[self.positions]).reshape(self.held, -1)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The (h, D, D) stack, zero off the sectors, whose sector blocks are `packed`."""
@@ -211,32 +241,8 @@ class _ConstraintProjector:
         """The (n, D, D) stack whose held blocks are packed in `blocks`."""
         return self.unpack(blocks).reshape(-1)[self._expand].reshape(-1, self.total, self.total)
 
-    def _coefficients(self, blocks: np.ndarray) -> np.ndarray:
-        """Allowed basis coefficients (n, D^2) of the stack whose held blocks are packed."""
-        return self._to_basis(self.unpack(blocks)).reshape(-1)[self._spread] * self.allowed
-
-    def _change_basis(self, coeffs: np.ndarray) -> np.ndarray:
-        """Apply every site's reflection to (m, d_1^2, ..., d_n^2) entries; flat out."""
-        m = coeffs.shape[0]
-        for h in self.reflections:  # each step moves its site's axis to the back
-            coeffs = coeffs.reshape(m, h.shape[0], -1).transpose(0, 2, 1) @ h
-        return coeffs.reshape(m, -1)
-
-    def _to_basis(self, stack: np.ndarray) -> np.ndarray:
-        m = stack.shape[0]
-        return self._change_basis(
-            stack.reshape((m,) + self.dims * 2).transpose(self._interleave))
-
-    def _from_basis(self, coeffs: np.ndarray) -> np.ndarray:
-        m = coeffs.shape[0]
-        pairs = self._change_basis(coeffs).reshape((m,) + tuple(np.repeat(self.dims, 2)))
-        return pairs.transpose(self._deinterleave).reshape(m, self.total, self.total)
-
     def project(self, blocks: np.ndarray) -> np.ndarray:
-        y = self._coefficients(blocks)
-        h = len(blocks)
-        coeffs = self.allowed[:h] * (y[:h] + self.share * (self.delta_coeffs - y.sum(axis=0)))
-        return self.hermitian(self.pack(self._from_basis(coeffs)))
+        return self.hermitian(_apply(self.operator, blocks).reshape(blocks.shape) + self.offset)
 
     def value(self, blocks: np.ndarray) -> float:
         """Objective sum_i (1/2) tr |Z_i| of the stack; swapped blocks share block 0's spectrum."""
@@ -246,26 +252,27 @@ class _ConstraintProjector:
     def dual_value(self, u: np.ndarray) -> float:
         """Lower bound on the distance from a multiplier u near the adjoint's range.
 
-        In this basis the adjoint's range is the stacks whose allowed blocks
-        share one coefficient, that of L. H_i keeps u_i where site i is the
-        identity and takes L's coefficient elsewhere, so H_i = L + M_i (x) I_i
-        exactly and ||H_i||_op <= ||u_i||_op + ||H_i - u_i||_F. With t the
-        reciprocal of twice the largest such bound, -t H is dual feasible and
-        -t Re<L, delta> is its dual value; the Hermitian part of u is used,
-        which changes neither side for Hermitian delta. The drift
-        ||H_i - u_i||_F is taken for all n blocks; the swapped blocks share
-        block 0's spectrum, so its operator norm serves them all. u is zero
-        off the sectors, so its spectrum is the union of its sector blocks'.
+        In the product basis the adjoint's range is the stacks whose allowed
+        blocks share one coefficient, that of L. H_i keeps u_i where site i
+        is the identity and takes L's coefficient elsewhere, so H_i = L +
+        M_i (x) I_i and ||H_i||_op <= ||u_i||_op + ||H_i - u_i||_F, the drift
+        being block i of the linear projection of u's stack (an orthogonal
+        basis change), for all n blocks; swapped blocks share block 0's
+        spectrum. With t the reciprocal of twice the largest bound, -t H is
+        dual feasible, of value -t Re<L, delta> = -t Re sum_i <u_i, c_i>, c_i
+        block i's share of delta in c = P(0); a swapped block's term is block
+        0's, for the swap-symmetric delta the loop solves. The spectra are of
+        u's Hermitian part, which changes neither side for Hermitian delta,
+        and are the union of u's sector blocks' spectra.
         """
-        coeffs = self._coefficients(u)
-        common = self.share * coeffs.sum(axis=0)
-        drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
+        rows = np.concatenate([_apply(op, u) for op in self.drift])
+        drift = np.linalg.norm(rows.reshape(len(self.dims), -1), axis=1)
         spectra = [np.linalg.eigvalsh(b) for b in self.views(self.hermitian(u))]
         norms = np.max([np.abs(e).max(axis=(1, 2)) for e in spectra], axis=0) + drift
         top = float(norms.max())
         if top == 0.0:
             return 0.0
-        return -0.5 / top * float(np.vdot(common, self.delta_coeffs).real)
+        return -0.5 / top * (len(self.dims) // len(u)) * float(np.vdot(self.offset, u).real)
 
 
 def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
@@ -275,36 +282,32 @@ def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
     return (vecs * shrunk[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _site_gather(shape, perm) -> np.ndarray:
-    """Flat gather that permutes the axes of an array of `shape` by `perm`."""
-    return np.arange(math.prod(shape)).reshape(shape).transpose(perm).ravel()
-
-
-def _symmetric_gathers(dims, delta: np.ndarray):
-    """Flat gathers of the one-block loop, or None unless every swap (0 i) fixes delta.
-
-    Rows of the first array conjugate a flattened block by the permutations
-    of sites 1..n-1, rows of the second by the swaps (0 i); rows of the
-    third permute a block's basis coefficients by the swaps (0 i). Every
-    swap must fix delta to 1e-12 per entry; the stack the loop forms from
-    block 0 then sums to a swap-symmetrized delta, off delta by that order.
-    """
+def _swap_gathers(dims: tuple) -> tuple:
+    """Flat gathers of the one-block loop on n equal sites: rows of the first conjugate
+    a flattened block by the permutations of sites 1..n-1, rows of the second by the
+    swaps (0 i); rows of the third permute a block's basis coefficients by the swaps."""
     n, total = len(dims), math.prod(dims)
-    if n < 2 or len(set(dims)) > 1:
-        return None
+
+    def site_gather(shape, perm):  # permutes the axes of a flat array of `shape`
+        return np.arange(math.prod(shape)).reshape(shape).transpose(perm).ravel()
 
     def conjugation(perm):
-        p = _site_gather(dims, perm)
+        p = site_gather(dims, perm)
         return (p[:, None] * total + p).ravel()
 
     swaps = [[i if j == 0 else 0 if j == i else j for j in range(n)] for i in range(n)]
-    conjugations = np.array([conjugation(perm) for perm in swaps])
-    flat = delta.ravel()
-    if np.max(np.abs(flat[conjugations] - flat)) > 1e-12:
-        return None
     orbit = np.array([conjugation((0,) + p) for p in itertools.permutations(range(1, n))])
-    return (orbit, conjugations,
-            np.array([_site_gather([d * d for d in dims], perm) for perm in swaps]))
+    return (orbit, np.array([conjugation(perm) for perm in swaps]),
+            np.array([site_gather([d * d for d in dims], perm) for perm in swaps]))
+
+
+def _swap_invariant(dims: tuple, delta: np.ndarray) -> bool:
+    """Whether every site swap (0 i) fixes delta, to 1e-12 per entry; the stack the
+    loop forms from block 0 then sums to a swap-symmetrized delta, off by that order."""
+    n, tensor = len(dims), delta.reshape(dims * 2)
+    return n > 1 and len(set(dims)) == 1 and all(
+        np.max(np.abs(tensor.swapaxes(0, i).swapaxes(n, n + i) - tensor)) <= 1e-12
+        for i in range(1, n))
 
 
 def _parity_sectors(dims, delta: np.ndarray) -> np.ndarray:
@@ -331,10 +334,8 @@ class _Anderson:
     buffers of up to ANDERSON_DEPTH differences of g and of T(v) between
     consecutive accepted points, as real vectors, with the Gram matrix of
     the g differences. A g difference at rounding level is not kept: it has
-    no direction, and extrapolating along it scales rounding up. (When the
-    first shrink gives 0, the projection maps the next point back to the
-    same z, so the first two residuals are equal.) The next point is
-    T(v) - dT gamma for the real gamma minimizing ||g - dG gamma||
+    no direction, and extrapolating along it scales rounding up. The next
+    point is T(v) - dT gamma for the real gamma minimizing ||g - dG gamma||
     (Tikhonov-regularized normal equations), taken Hermitian: large
     coefficients would amplify the rounding outside the Hermitian stacks,
     which T never damps. An extrapolated point is accepted only if its
@@ -402,11 +403,13 @@ class W1Certificate:
     then sum to a swap-symmetrized delta, off delta by the order of the
     swap test's 1e-12, and `feasibility_error` reports the difference.
     `accelerated_steps` counts the extrapolated points the safeguard accepted;
-    `threshold` is the loop's eigenvalue shrink, derived rather than tuned: the
-    trace distance over 2 sqrt(D), which scales with delta as the distance
-    does (0.0 on one site, where nothing iterates). `real_step` says delta
-    had no imaginary part, so the solve ran in float64 and the parts are
-    real. `sectors` are the sizes of the sign-flip sectors the loop ran on ((D,) if none).
+    `threshold` is the loop's eigenvalue shrink, the trace distance over
+    2 sqrt(D), which scales with delta as the distance does (0.0 on one
+    site, where nothing iterates). `real_step` says the solve ran in float64
+    (delta is real). `sectors` are the sizes of the sign-flip sectors the
+    loop ran on ((D,) if none). `stage_seconds` splits the call's wall clock
+    into "setup" (checks, the projector and any operator it builds),
+    "iterations" and "gap_tests" (those in the loop, and measuring the parts).
     """
 
     value: float
@@ -423,6 +426,7 @@ class W1Certificate:
     threshold: float
     real_step: bool
     sectors: tuple
+    stage_seconds: dict
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -452,12 +456,12 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     is a dual point of the same value, so its half trace norm is returned
     with gap 0 and no iteration.
     """
+    start = time.perf_counter()
     if rho.dims != sigma.dims:
         raise ValueError("operators live on different site structures")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    dims = list(rho.dims)
-    total = math.prod(dims)
+    dims, total = list(rho.dims), math.prod(rho.dims)
     if total > dim_cap:
         raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
     delta = rho.matrix - sigma.matrix
@@ -473,26 +477,31 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             value=trace_distance, lower=trace_distance, gap=0.0, part_weights=(trace_distance,),
             primal_parts=(delta,), iterations=0, primal_residual=0.0, dual_residual=0.0,
             feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
-            accelerated_steps=0, threshold=0.0, real_step=real, sectors=(total,))
+            accelerated_steps=0, threshold=0.0, real_step=real, sectors=(total,),
+            stage_seconds={"setup": time.perf_counter() - start, "iterations": 0.0,
+                           "gap_tests": 0.0})
 
     projector = _ConstraintProjector(dims, delta)
     # v = z + u, with u = 0 at the start
     v = z = projector.project(np.zeros((projector.held, projector.positions.size), delta.dtype))
     anderson = _Anderson(z.view(np.float64).size, projector.hermitian)
     threshold = trace_distance / (2.0 * math.sqrt(total))
+    gaps, loop_start = 0.0, time.perf_counter()
     for iterations in range(1, max_iter + 1):
         y = projector.hermitian(2.0 * z - v)
         x = projector.blockwise(lambda b: _shrink_eigenvalues(b, threshold), y)
         v = projector.average(anderson.step(v, OVER_RELAX * (x - z)))
         z_prev, z = z, projector.project(v)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
+            test_start = time.perf_counter()
             value = projector.value(z)
             lower = projector.dual_value(v - z)
+            gaps += time.perf_counter() - test_start
             if value - lower <= tol:
                 break
+    finish = time.perf_counter()
     x, z, z_prev = (projector.expand(s) for s in (x, z, z_prev))
-    r_norm = float(np.linalg.norm(x - z))
-    s_norm = float(np.linalg.norm(z - z_prev))
+    r_norm, s_norm = float(np.linalg.norm(x - z)), float(np.linalg.norm(z - z_prev))
     if value - lower > tol:
         raise ConvergenceError(
             f"no certified gap of {tol:.1e} in {max_iter} iterations (gap "
@@ -504,21 +513,13 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(zi, dims, [i]))))
                   for i, zi in enumerate(z))
     return W1Certificate(
-        value=value,
-        lower=lower,
-        gap=value - lower,
-        part_weights=tuple(float(w) for w in weights),
-        primal_parts=tuple(z),
-        iterations=iterations,
-        primal_residual=r_norm,
-        dual_residual=s_norm,
-        feasibility_error=max(feas_sum, feas_tr),
-        symmetric_step=projector.held < n,
-        accelerated_steps=anderson.accepted,
-        threshold=threshold,
-        real_step=real,
-        sectors=projector.sectors,
-    )
+        value=value, lower=lower, gap=value - lower, part_weights=tuple(map(float, weights)),
+        primal_parts=tuple(z), iterations=iterations, primal_residual=r_norm,
+        dual_residual=s_norm, feasibility_error=max(feas_sum, feas_tr),
+        symmetric_step=projector.held < n, accelerated_steps=anderson.accepted,
+        threshold=threshold, real_step=real, sectors=projector.sectors,
+        stage_seconds={"setup": loop_start - start, "iterations": finish - loop_start - gaps,
+                       "gap_tests": gaps + time.perf_counter() - finish})
 
 
 def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray, overlap: np.ndarray,
@@ -564,21 +565,19 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = 1e
 
     Of the sines, at most min(n, m - n) are non-zero in exact arithmetic;
     the rest, and any at most SINE_FLOOR, are set to 0, so that equal or
-    recombined families give states equal to the last bit and the value
-    0.0. Setting an angle t to 0 moves a column of b by 2 sin(t/2) <= t,
-    hence b's state vector by at most t, so the k-particle distance moves
-    by at most k times the sum of the dropped angles: it is a norm of
-    rho - sigma and at most k times the trace distance. Families orthonormal
-    to rounding drop angles of about SINE_FLOOR; a pair whose n times the
-    dropped sum exceeds `tol` is refused before any state is built.
+    recombined families give equal states and the value 0.0. Setting an
+    angle t to 0 moves a column of b, hence b's state vector, by at most t,
+    so the k-particle distance (a norm of rho - sigma, at most k times the
+    trace distance) moves by at most k times the dropped sum. Families
+    orthonormal to rounding drop angles of about SINE_FLOOR; a pair whose n
+    times the dropped sum exceeds `tol` is refused before any state is built.
     """
     overlap = overlap_matrix(a, b).entries
     total, cap = a.space.n_points ** a.n, solver_kwargs.get("dim_cap", DIM_CAP)
     if total > cap:
         raise ValueError(f"total dimension {total} exceeds cap {cap}")
     frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap, tol)
-    state_a = full_state_vector(frame_a)
-    state_b = full_state_vector(frame_b)
+    state_a, state_b = map(full_state_vector, (frame_a, frame_b))
     return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
                      tol=tol, **solver_kwargs)
             for k in range(1, a.n + 1)]

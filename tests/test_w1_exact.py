@@ -6,9 +6,11 @@ import importlib
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fermiflow import (ConvergenceError, DensityOperator, GroundSpace, MixedKernelSpec,
                        OrthonormalFamily, classical_hamming_w1, full_state_vector,
@@ -74,6 +76,11 @@ def test_partial_trace_index_out_of_range():
         _partial_trace_matrix(np.eye(4) / 4, (2, 2), (2,))
 
 
+def pack(projector, stack):
+    """The (h, N) sector blocks, as the projector holds them, of an (h, D, D) stack."""
+    return stack.reshape(len(stack), -1)[:, projector.positions]
+
+
 def constraint_map(dims):
     """Dense matrix of (Z_1..Z_n) -> (sum_i Z_i, tr_1 Z_1, ..., tr_n Z_n).
 
@@ -92,14 +99,22 @@ def constraint_map(dims):
     return np.vstack(rows)
 
 
-@pytest.mark.parametrize("dims", [(3,), (1, 3), (2, 3), (2, 2, 2), (4, 4)])
-def test_constraint_projection_matches_least_squares(dims):
+LEAST_SQUARES_DIMS = [(3,), (1, 3), (2, 3), (2, 2, 2), (4, 4)]
+
+
+def least_squares_case(dims):
+    """A random traceless Hermitian delta on these sites and n random Hermitian blocks."""
     rng = np.random.default_rng(sum(dims))
     total, n = math.prod(dims), len(dims)
     raw = rng.normal(size=(n + 1, total, total)) + 1j * rng.normal(size=(n + 1, total, total))
     herm = raw + raw.conj().transpose(0, 2, 1)
-    delta = herm[0] - np.trace(herm[0]) / total * np.eye(total)
-    blocks = herm[1:]
+    return herm[0] - np.trace(herm[0]) / total * np.eye(total), herm[1:]
+
+
+@pytest.mark.parametrize("dims", LEAST_SQUARES_DIMS)
+def test_constraint_projection_matches_least_squares(dims):
+    total, n = math.prod(dims), len(dims)
+    delta, blocks = least_squares_case(dims)
     amap = constraint_map(dims)
     target = np.concatenate([delta.ravel(), np.zeros(amap.shape[0] - total * total)])
     y = blocks.ravel()
@@ -110,9 +125,65 @@ def test_constraint_projection_matches_least_squares(dims):
     projector = _ConstraintProjector(dims, delta)
     # a dense delta is one sector: the packed blocks are the whole matrices
     assert projector.sectors == (total,)
-    out = projector.project(projector.pack(blocks))
+    out = projector.project(pack(projector, blocks))
     np.testing.assert_allclose(projector.unpack(out), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(projector.project(out), out, rtol=0, atol=1e-12)
+
+
+class BasisChangeReference:
+    """The projection and the gap test by a basis change per site, on a
+    projector's layout: the formulas the sparse operators are built from.
+
+    Block i's allowed coefficients keep their own value less an equal share
+    of the allowed blocks' sum, plus that share of delta's coefficient; the
+    gap test's drift and shared coefficient come from the same coefficients.
+    """
+
+    def __init__(self, projector, delta):
+        self.projector, self.dims = projector, projector.dims
+        n, total = len(self.dims), projector.total
+        self.reflections = [w1_module._identity_first_reflection(d) for d in self.dims]
+        # (m, rows..., cols...) -> (m, row_1, col_1, ..., row_n, col_n)
+        self.interleave = (0,) + tuple(a for i in range(n) for a in (1 + i, 1 + n + i))
+        self.allowed = (np.indices([d * d for d in self.dims]) != 0).reshape(n, -1)
+        self.share = 1.0 / np.maximum(self.allowed.sum(axis=0), 1)
+        self.delta_coeffs = self.to_basis(delta[None])[0]
+        # block i's coefficients among the held blocks' (h = 1: block 0's, entries 0 and i swapped)
+        self.spread = (w1_module._swap_gathers(self.dims)[2] if projector.held == 1
+                       else np.arange(n * total * total).reshape(n, -1))
+
+    def change_basis(self, coeffs):
+        m = coeffs.shape[0]
+        for h in self.reflections:  # each step moves its site's axis to the back
+            coeffs = coeffs.reshape(m, h.shape[0], -1).transpose(0, 2, 1) @ h
+        return coeffs.reshape(m, -1)
+
+    def to_basis(self, stack):
+        m = stack.shape[0]
+        return self.change_basis(stack.reshape((m,) + self.dims * 2).transpose(self.interleave))
+
+    def from_basis(self, coeffs):
+        m, total = coeffs.shape[0], self.projector.total
+        pairs = self.change_basis(coeffs).reshape((m,) + tuple(np.repeat(self.dims, 2)))
+        return pairs.transpose(np.argsort(self.interleave)).reshape(m, total, total)
+
+    def coefficients(self, blocks):
+        stack = self.to_basis(self.projector.unpack(blocks))
+        return stack.reshape(-1)[self.spread] * self.allowed
+
+    def project(self, blocks):
+        y, h = self.coefficients(blocks), len(blocks)
+        coeffs = self.allowed[:h] * (y[:h] + self.share * (self.delta_coeffs - y.sum(axis=0)))
+        return self.projector.hermitian(pack(self.projector, self.from_basis(coeffs)))
+
+    def dual_value(self, u):
+        coeffs = self.coefficients(u)
+        common = self.share * coeffs.sum(axis=0)
+        drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
+        views = self.projector.views(self.projector.hermitian(u))
+        norms = np.max([np.abs(np.linalg.eigvalsh(b)).max(axis=(1, 2)) for b in views], axis=0)
+        top = float((norms + drift).max())
+        return 0.0 if top == 0.0 else -0.5 / top * float(np.vdot(common, self.delta_coeffs).real)
 
 
 def test_w1_identical_states_is_zero():
@@ -465,7 +536,7 @@ def slater_reduced_pair(seed, k, n_functions=3, n_points=4):
 
 def general_step(patch):
     """Make the swap detector report every difference as not swap-invariant."""
-    patch.setattr(w1_module, "_symmetric_gathers", lambda dims, delta: None)
+    patch.setattr(w1_module, "_swap_invariant", lambda dims, delta: False)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -573,11 +644,11 @@ def test_block_zero_gap_test_matches_the_swapped_stack(k, monkeypatch):
     # its swapped blocks drift from the adjoint's range by different amounts
     u0, z0 = raw + raw.conj().swapaxes(-1, -2)
     assert symmetric.sectors == general.sectors == (total,)
-    u0, z0 = symmetric.pack(u0), symmetric.pack(z0)
+    u0, z0 = pack(symmetric, u0), pack(symmetric, z0)
     assert symmetric.dual_value(u0) == pytest.approx(
-        general.dual_value(general.pack(symmetric.expand(u0))), rel=0, abs=1e-12)
+        general.dual_value(pack(general, symmetric.expand(u0))), rel=0, abs=1e-12)
     assert symmetric.value(z0) == pytest.approx(
-        general.value(general.pack(symmetric.expand(z0))), rel=1e-14)
+        general.value(pack(general, symmetric.expand(z0))), rel=1e-14)
 
 
 @pytest.mark.parametrize("pair", [2, 4, 6, 7])
@@ -658,12 +729,38 @@ def test_cli_pair_6_certifies_in_few_iterations():
     assert cert.accelerated_steps > 0
 
 
+@pytest.fixture
+def layout_cache():
+    """The solver's cached layout builder, emptied before and after the test; its
+    `cache_info().misses` counts the layouts built."""
+    w1_module._build_layout.cache_clear()
+    yield w1_module._build_layout
+    w1_module._build_layout.cache_clear()
+
+
+class CountingOperator:
+    """A sparse operator that counts its products."""
+
+    def __init__(self, operator, products):
+        self.operator, self.products = operator, products
+
+    def __matmul__(self, x):
+        self.products.append(x.shape)
+        return self.operator @ x
+
+
 @pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 2), 1), (product_case(3), 2)],
                          ids=["symmetric_step", "general_step"])
 @pytest.mark.parametrize("max_iter", [1, 37])
-def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, monkeypatch):
-    calls = {"project": [], "shrink": []}
+def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, monkeypatch,
+                                                         layout_cache):
+    calls = {"project": [], "shrink": [], "products": []}
     project, shrink = _ConstraintProjector.project, w1_module._shrink_eigenvalues
+    init = _ConstraintProjector.__init__
+
+    def counting_init(self, dims, delta):
+        init(self, dims, delta)
+        self.operator = CountingOperator(self.operator, calls["products"])
 
     def counting_project(self, blocks):
         calls["project"].append(len(blocks))
@@ -673,14 +770,22 @@ def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, m
         calls["shrink"].append(len(stack))
         return shrink(stack, amount)
 
+    def refuse(*args):
+        raise AssertionError("the solver changed basis site by site")
+
+    monkeypatch.setattr(_ConstraintProjector, "__init__", counting_init)
     monkeypatch.setattr(_ConstraintProjector, "project", counting_project)
     monkeypatch.setattr(w1_module, "_shrink_eigenvalues", counting_shrink)
+    monkeypatch.setattr(BasisChangeReference, "change_basis", refuse)
     with pytest.raises(ConvergenceError):
         w1_exact(*pair, tol=0.0, max_iter=max_iter)
     # the projection of 0, then one projection and one shrink per iteration
     # (per size of sector; both pairs are one sector), rejected extrapolations
-    # included; on block 0 alone when every swap fixes delta
+    # included; on block 0 alone when every swap fixes delta. Each projection
+    # is one product with the operator, built once
+    assert len(calls.pop("products")) == 1 + max_iter
     assert calls == {"project": [held] * (1 + max_iter), "shrink": [held] * max_iter}
+    assert layout_cache.cache_info().misses == 1
 
 
 def check5_product_case(d):
@@ -802,3 +907,96 @@ def test_sectored_solve_matches_the_unsplit_solve(monkeypatch):
     labels = w1_module._parity_sectors(rho.dims, rho.matrix - sig.matrix)
     off = labels[:, None] != labels[None, :]
     assert all(not part[off].any() for part in sectored.primal_parts)
+
+
+def random_packed(projector, seed, complex_entries):
+    """A random Hermitian packed stack of the projector's held blocks."""
+    rng = np.random.default_rng(seed)
+    shape = (projector.held, projector.positions.size)
+    raw = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
+    return projector.hermitian(raw)
+
+
+def averaging_matrix(projector):
+    """The site average of the held blocks as a sparse matrix on packed entries."""
+    orbit = projector._orbit
+    rows = np.tile(np.arange(orbit.shape[1]), len(orbit))
+    return scipy.sparse.csr_matrix((np.full(orbit.size, 1.0 / len(orbit)), (rows, orbit.ravel())))
+
+
+def difference(rho, sig):
+    return rho.dims, rho.matrix - sig.matrix
+
+
+# every layout of the least-squares check; the frame layouts [2, 4, 4, 6], [12, 16, 16, 20]
+# and [24, 25, 38, 38]; a dense complex pair on three sites, and a pair no swap fixes
+ORACLE_CASES = {
+    **{f"dims{i}": (dims, least_squares_case(dims)[0])
+       for i, dims in enumerate(LEAST_SQUARES_DIMS)},
+    "cli0_k2": frame_difference(*CLI_PAIR_0, 2),
+    "cli0_k3": frame_difference(*CLI_PAIR_0, 3),
+    "d125": frame_difference(random_orthonormal(5, 3, seed=90_002),
+                             random_orthonormal(5, 3, seed=90_003), 3),
+    "check5_41": difference(*check5_pair(41)),
+    "product_d3": difference(*product_case(3)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cached_operator_matches_the_basis_change(case):
+    dims, delta = ORACLE_CASES[case]
+    projector = _ConstraintProjector(dims, delta)
+    reference = BasisChangeReference(projector, delta)
+    complex_entries = np.iscomplexobj(delta)
+    for seed in range(3):
+        x = random_packed(projector, seed, complex_entries)
+        np.testing.assert_allclose(projector.project(x), reference.project(x), rtol=0, atol=1e-12)
+        # x is not averaged: at n = 3 with h = 1 the swapped blocks drift by different amounts
+        assert projector.dual_value(x) == pytest.approx(reference.dual_value(x), rel=0, abs=1e-12)
+    # the projection of 0 is delta's share
+    zero = np.zeros_like(x)
+    np.testing.assert_allclose(projector.project(zero), reference.project(zero),
+                               rtol=0, atol=1e-12)
+    # M is symmetric and idempotent on what the loop projects: the averaged stacks, which are
+    # all stacks unless h = 1 and n >= 3
+    m, average = projector.operator, averaging_matrix(projector)
+    assert abs(m - m.T).max() <= 1e-13
+    assert abs(m @ m @ average - m @ average).max() <= 1e-13
+    if projector.held > 1 or len(dims) < 3:
+        assert abs(average - scipy.sparse.eye(m.shape[0])).max() == 0.0
+
+
+def w1_cap_pairs():
+    """The CLI pairs of `rdm-monotonicity --rdm.n 3`, 0-7: three functions on four points."""
+    return [(random_orthonormal(4, 3, seed=400_000 + 2 * i),
+             random_orthonormal(4, 3, seed=400_001 + 2 * i)) for i in range(8)]
+
+
+def test_each_layout_builds_its_operator_once(layout_cache, monkeypatch):
+    # the 16 multi-site solves of the eight pairs share two layouts in their frame:
+    # (4, 4) on sectors [2, 4, 4, 6] and (4, 4, 4) on [12, 16, 16, 20], block 0 held
+    for a, b in w1_cap_pairs():
+        assert {c.sectors for c in w1_module.rdm_certificates(a, b)[1:]} <= {
+            (2, 4, 4, 6), (12, 16, 16, 20)}
+    assert layout_cache.cache_info()[:2] == (14, 2)
+    rho, sig, _ = frame_states(*CLI_PAIR_0, 2)
+    assert w1_exact(rho, sig).symmetric_step
+    assert layout_cache.cache_info()[:2] == (15, 2)
+    # the same sectors with every block held, then a new sector layout
+    with monkeypatch.context() as patch:
+        general_step(patch)
+        assert not w1_exact(rho, sig).symmetric_step
+    assert w1_exact(*check5_pair(3)).sectors == (16,)
+    assert layout_cache.cache_info()[:2] == (15, 4)
+
+
+def test_stage_seconds_split_the_call():
+    start = time.perf_counter()
+    cert = w1_exact(*check5_pair(3))
+    elapsed = time.perf_counter() - start
+    assert set(cert.stage_seconds) == {"setup", "iterations", "gap_tests"}
+    assert min(cert.stage_seconds.values()) > 0.0
+    assert sum(cert.stage_seconds.values()) <= elapsed
+    one_site = w1_exact(DensityOperator((3,), random_density(3, 5)),
+                        DensityOperator((3,), random_density(3, 6)))
+    assert one_site.stage_seconds["iterations"] == one_site.stage_seconds["gap_tests"] == 0.0
