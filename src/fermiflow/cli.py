@@ -27,9 +27,9 @@ from .errors import ConvergenceError, EnumerationCapError
 from .ground import random_orthonormal
 from .selftest import (law_deviations_pass, measurement_law_deviations,
                        monotonicity_margin, run_all, sampler_chi_square,
-                       walsh_exhibit_passed)
+                       slack_passed, walsh_exhibit_passed)
 from .w1_bounds import example_gap_table
-from .w1_exact import DIM_CAP, rdm_certificates
+from .w1_exact import DIM_CAP, MAX_ITER, TOL, rdm_certificates
 
 SCHEMA_VERSION = 1
 
@@ -227,7 +227,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
     min_tv = min(r["tv_slack"] for r in instances)
     min_ws = min(r["wsharp_slack"] for r in instances)
-    ok = mode != "exact" or (min_tv >= -1e-9 and min_ws >= -1e-9)
+    ok = mode != "exact" or (slack_passed(min_tv) and slack_passed(min_ws))
     report = {
         "count": count, "dim": dim, "n": size, "mode": mode,
         "mixed_eigenvalues": mixed,
@@ -245,8 +245,8 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
     seeds = cfg.get_positive("rdm.seeds", 20)
     dim = cfg.get_positive("rdm.dim", 4)
     n = cfg.get_positive("rdm.n", 2)
-    tol = cfg.get_positive("w1.tol", 1e-5)
-    max_iter = cfg.get_positive("w1.max_iter", 50_000)
+    tol = cfg.get_positive("w1.tol", TOL)
+    max_iter = cfg.get_positive("w1.max_iter", MAX_ITER)
     dim_cap = cfg.get_positive("dim_cap", DIM_CAP)
     cfg.reject_unread()
 
@@ -255,8 +255,7 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
         fam_a = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s))
         fam_b = random_orthonormal(dim, n, seed=cfg.instance_seed("rdm-monotonicity", 2 * s + 1))
         try:
-            certs = rdm_certificates(fam_a, fam_b, tol=tol, max_iter=max_iter,
-                                     dim_cap=dim_cap)
+            certs = rdm_certificates(fam_a, fam_b, tol=tol, max_iter=max_iter, dim_cap=dim_cap)
         except ConvergenceError as exc:
             rows.append({"seed": s, "values": None, "iterations": None, "gap": None,
                          "monotone": None, "error": str(exc)})

@@ -126,7 +126,9 @@ def sampler_chi_square(fam, law, draws: int, rng) -> tuple[float, float, Counter
     """Chi-square of `draws` projection-sampler draws against the exact `law`.
 
     Returns the statistic, its 1% cutoff at len(law.support) - 1 degrees
-    of freedom, and the counts of the drawn configurations.
+    of freedom, and the counts of the drawn configurations. A law of one
+    configuration (n equal to the number of points) has cutoff 0: every
+    draw must be that configuration.
     """
     from scipy.special import gammaincinv
 
@@ -134,7 +136,8 @@ def sampler_chi_square(fam, law, draws: int, rng) -> tuple[float, float, Counter
     obs = np.array([counts.get(c, 0) for c in law.support], dtype=float)
     exp = law.probs * draws
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
-    cutoff = float(2.0 * gammaincinv((len(law.support) - 1) / 2, 0.99))
+    dof = len(law.support) - 1
+    cutoff = float(2.0 * gammaincinv(dof / 2, 0.99)) if dof else 0.0
     return chi2, cutoff, counts
 
 
@@ -156,11 +159,15 @@ def check_sampler_statistics() -> CheckResult:
         se = math.sqrt(draws * p * (1.0 - p))
         worst_se = max(worst_se, abs(seen - draws * p) / se)
     elapsed = time.perf_counter() - start
-    passed = (chi2 <= threshold and worst_se <= 4.0
-              and covered == draws and elapsed < 60.0)
+    passed = chi2 <= threshold and worst_se <= 4.0 and covered == draws and elapsed < 60.0
     detail = (f"chi2 {chi2:.2f} vs cutoff {threshold:.2f}, "
               f"one-point worst {worst_se:.2f} se")
     return CheckResult("sampler_statistics", passed, elapsed, detail, 60.0)
+
+
+def slack_passed(slack: float) -> bool:
+    """A bound holds when its slack (bound minus value) is at least -1e-9, past rounding."""
+    return slack >= -1e-9
 
 
 def check_bound_validity_sweep() -> CheckResult:
@@ -178,15 +185,12 @@ def check_bound_validity_sweep() -> CheckResult:
                 random_orthonormal(6, m_count, seed=44_001 + 2 * i))
         g = stream_generator(44, i)
         pairs.append([MixedKernelSpec(g.random(m_count), fam) for fam in fams])
-    violations = 0
-    min_slack = math.inf
-    for spec_a, spec_b in pairs:
-        report = verify_instance(spec_a, spec_b, mode="exact")
-        min_slack = min(min_slack, report.tv_slack, report.wsharp_slack)
-        violations += (report.tv_slack < -1e-9) + (report.wsharp_slack < -1e-9)
+    reports = [verify_instance(spec_a, spec_b, mode="exact") for spec_a, spec_b in pairs]
+    slacks = [slack for r in reports for slack in (r.tv_slack, r.wsharp_slack)]
+    violations = sum(not slack_passed(slack) for slack in slacks)
     elapsed = time.perf_counter() - start
     passed = violations == 0 and elapsed < 300.0
-    detail = f"violations {violations}, smallest slack {min_slack:.3e}"
+    detail = f"violations {violations}, smallest slack {min(slacks):.3e}"
     return CheckResult("bound_validity_sweep", passed, elapsed, detail, 300.0)
 
 
@@ -226,9 +230,7 @@ def check_transport_sandwich() -> CheckResult:
 
     product_dev = 0.0
     for d in (2, 3):
-        rho1 = _random_density(d, 55, d, 0)
-        sigma1 = _random_density(d, 55, d, 1)
-        tau = _random_density(d, 55, d, 2)
+        rho1, sigma1, tau = (_random_density(d, 55, d, j) for j in range(3))
         rho = DensityOperator((d, d), np.kron(rho1, tau))
         sigma = DensityOperator((d, d), np.kron(sigma1, tau))
         single = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho1 - sigma1))))
@@ -269,8 +271,7 @@ def check_rdm_monotonicity() -> CheckResult:
     fam = random_orthonormal(4, 2, seed=60_100)
     same = [v for _, v in rdm_monotonicity_check(fam, fam)]
     elapsed = time.perf_counter() - start
-    passed = (worst_margin >= 0.0 and all(v == 0.0 for v in same)
-              and elapsed < 180.0)
+    passed = worst_margin >= 0.0 and all(v == 0.0 for v in same) and elapsed < 180.0
     detail = (f"smallest certified monotonicity margin {worst_margin:.3e}, "
               f"equal-pair values {same}, {_solver_summary(certs)}")
     return CheckResult("rdm_monotonicity", passed, elapsed, detail, 180.0)
@@ -317,8 +318,7 @@ def check_stabilizer_ascent_agreement() -> CheckResult:
 def check_transport_solver() -> CheckResult:
     """Unit off-diagonal cost recovers total variation; plans have exact marginals."""
     start = time.perf_counter()
-    worst_value = 0.0
-    worst_marginal = 0.0
+    worst_value = worst_marginal = 0.0
     for i in range(200):
         g = stream_generator(99, i)
         size = int(g.integers(2, 9))

@@ -139,8 +139,7 @@ def full_state_vector(family: OrthonormalFamily, cap: int = 100_000) -> DensityO
     if (entries := family.space.n_points ** (2 * family.n)) > cap:
         raise EnumerationCapError(entries, cap, "density-matrix entries")
     vec = slater_state_vector(family, cap=cap)
-    return DensityOperator((family.space.n_points,) * family.n,
-                           np.outer(vec, vec.conj()))
+    return DensityOperator((family.space.n_points,) * family.n, np.outer(vec, vec.conj()))
 
 
 def _partial_trace_matrix(mat: np.ndarray, dims, traced) -> np.ndarray:

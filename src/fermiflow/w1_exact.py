@@ -58,7 +58,7 @@ v in exact arithmetic; the projection's rounding does not, and the part
 outside their fixed subspace is otherwise never damped and can overflow.
 The gap test takes n times block 0's objective, and block 0's spectrum
 with the drift of all n blocks for the dual point. The swaps form the
-other blocks once, after the loop, where the parts are measured.
+other blocks once, after the loop.
 
 When delta has no imaginary part, the loop runs in float64, as it does
 for every pair of determinant states through `rdm_certificates`: the
@@ -97,6 +97,9 @@ from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
 from .transport import hamming_graph, metric_transport_values, ot_cost
 
 DIM_CAP = 64
+# the solver's default certified gap and iteration ceiling, read by every caller
+TOL = 1e-5
+MAX_ITER = 50_000
 # ADMM over-relaxation factor
 OVER_RELAX = 1.7
 # iterations between duality-gap tests; the first and last iterations are tested too
@@ -130,93 +133,77 @@ def _apply(operator, x: np.ndarray) -> np.ndarray:
     return operator @ x.reshape(-1)
 
 
-@functools.lru_cache(maxsize=LAYOUT_CACHE)
-def _build_layout(dims: tuple, held: int, labels: tuple) -> tuple:
-    """Gathers and sparse operators of the projection of h = `held` blocks on the sectors.
+class _Layout:
+    """Projection P(v) = M v + c onto {(Z_i): tr_i Z_i = 0, sum_i Z_i = delta}, on held blocks.
 
-    Q, every site's reflection after the interleave permutation, takes packed
-    entries to basis coefficients, orthogonally since every map here keeps
-    the sectors. The linear part C keeps block i's coefficients where site i
-    is not the identity (A_i), less Sh times the allowed blocks' sum, Sh the
-    reciprocal of their number; block j is held block source[j] with tuple
-    entries 0 and j swapped, or itself. `drift` holds the row blocks of
-    Q^T C Q on all n blocks, the first h of them as one operator, M; `offset`
-    takes packed delta to c. Exact entries are rationals with denominators
-    dividing D lcm(1..n): those below 1e-12 are rounding.
-    """
-    import scipy.sparse as sp
-
-    n, total, labels = len(dims), math.prod(dims), np.array(labels)
-    sectors = sorted((np.flatnonzero(labels == s) for s in np.unique(labels)), key=len)
-    groups, positions = [], []
-    for size, group in itertools.groupby(sectors, key=len):
-        rows = np.array(list(group))
-        start = sum(map(len, positions))
-        positions.append((rows[:, :, None] * total + rows[:, None, :]).ravel())
-        groups.append((slice(start, start + rows.size * size), (len(rows), size, size)))
-    positions = np.concatenate(positions)
-    entries = np.arange(n * total * total)
-    orbit, expand, spread = (_swap_gathers(dims) if held == 1 else
-                             (entries[None], entries.reshape(n, -1), entries.reshape(n, -1)))
-    # the orbit and the transposition composed onto packed positions: a site
-    # permutation keeps each tuple's sector, and the sectors are square blocks
-    full = (np.arange(held)[:, None] * total * total + positions).ravel()
-    slot = np.zeros(orbit.shape[1], dtype=np.intp)
-    slot[full] = np.arange(full.size)
-
-    # (rows..., cols...) -> (row_1, col_1, ..., row_n, col_n), each entry's coefficient slot
-    where = np.argsort(np.arange(total * total).reshape(dims * 2)
-                       .transpose([a for i in range(n) for a in (i, n + i)]).ravel())
-    q = (functools.reduce(sp.kron, map(_identity_first_reflection, dims), sp.identity(1))
-         .tocsc()[:, where[positions]].tocsr())
-    allowed = (np.indices([d * d for d in dims]) != 0).reshape(n, -1)
-    share = 1.0 / np.maximum(allowed.sum(axis=0), 1)
-    # block j's coefficients are held block source[j]'s, gathered by coeffs[j] (S_j)
-    source, coeffs = spread[:, 0] // total ** 2, spread % total ** 2
-    same = coeffs[0]  # block 0 is held block 0 itself
-
-    def sandwich(terms):  # Q^T (sum of diag(w) S over the terms (w, S)) Q, rounding dropped
-        w, cols = (np.concatenate(x) for x in zip(*terms))
-        op = q.T @ (sp.csr_matrix((w, (np.tile(same, len(terms)), cols)), (total ** 2,) * 2) @ q)
-        op.data[np.abs(op.data) < 1e-12] = 0.0  # in place, keeping the build's peak memory low
-        op.eliminate_zeros()
-        return op
-
-    # output block i from held block k: the sum over the blocks j drawn from k
-    # of Q^T A_i (delta_ij - Sh A_j) S_j Q; then Q^T A_i Sh Q
-    drift = [sp.bmat([[sandwich([(allowed[i] * ((i == j) - share * allowed[j]), coeffs[j])
-                                 for j in range(n) if source[j] == k]) for k in range(held)]],
-                     format="csr") for i in range(n)]
-    operator = sp.vstack(drift[:held], "csr")
-    offset = sp.vstack([sandwich([(allowed[i] * share, same)]) for i in range(held)], "csr")
-    return (tuple(map(len, sectors)), groups, positions,
-            slot[positions % total * total + positions // total], slot[orbit[:, full]], expand,
-            operator, [operator, *drift[held:]], offset)
-
-
-class _ConstraintProjector:
-    """Orthogonal projection onto {(Z_i): tr_i Z_i = 0, sum_i Z_i = delta}, on held blocks.
-
-    The h held blocks are packed over delta's sectors: h = 1 when every site
-    swap (0 i) fixes delta, block i being the swap (0 i) of block 0, else n.
-    The operators of the layout (sites, h, sectors) are built once and
-    cached; per delta only c = P(0) is formed.
+    One layout serves every delta of its sites, h held blocks (1 when every
+    site swap (0 i) fixes delta, block i being block 0 swapped, else n) and
+    sectors; per solve `offset` forms c = P(0), passed to `project` and
+    `dual_value`. Q, every site's reflection after the interleave
+    permutation, takes packed entries to basis coefficients, orthogonally.
+    The linear part C keeps block i's coefficients where site i is not the
+    identity (A_i), less Sh times the allowed blocks' sum, Sh the reciprocal
+    of their number. `drift` holds the row blocks of Q^T C Q on all n
+    blocks, the first h as one operator, M. Exact entries are rationals with
+    denominators dividing D lcm(1..n): those below 1e-12 are rounding.
     """
 
-    def __init__(self, dims, delta: np.ndarray):
-        self.dims = tuple(dims)
-        n, self.total = len(self.dims), math.prod(self.dims)
-        self.held = 1 if _swap_invariant(self.dims, delta) else n
-        labels = tuple(_parity_sectors(self.dims, delta).tolist())
-        (self.sectors, self.groups, self.positions, self._transpose, self._orbit, self._expand,
-         self.operator, self.drift, offset) = _build_layout(self.dims, self.held, labels)
-        self.offset = _apply(offset, delta.ravel()[self.positions]).reshape(self.held, -1)
+    def __init__(self, dims: tuple, held: int, labels: tuple):
+        import scipy.sparse as sp
 
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """The (h, D, D) stack, zero off the sectors, whose sector blocks are `packed`."""
-        out = np.zeros((len(packed), self.total ** 2), dtype=packed.dtype)
-        out[:, self.positions] = packed
-        return out.reshape(-1, self.total, self.total)
+        n, total, labels = len(dims), math.prod(dims), np.array(labels)
+        self.dims, self.held, self.total = dims, held, total
+        sectors = sorted((np.flatnonzero(labels == s) for s in np.unique(labels)), key=len)
+        self.sectors, self.groups, positions = tuple(map(len, sectors)), [], []
+        for size, group in itertools.groupby(sectors, key=len):
+            rows = np.array(list(group))
+            start = sum(map(len, positions))
+            positions.append((rows[:, :, None] * total + rows[:, None, :]).ravel())
+            self.groups.append((slice(start, start + rows.size * size), (len(rows), size, size)))
+        self.positions = positions = np.concatenate(positions)
+        entries = np.arange(n * total * total)
+        orbit, self._expand, spread = (_swap_gathers(dims) if held == 1 else
+                                       (entries[None], entries.reshape(n, -1),
+                                        entries.reshape(n, -1)))
+        # the orbit and the transposition composed onto packed positions: a site
+        # permutation keeps each tuple's sector, and the sectors are square blocks
+        full = (np.arange(held)[:, None] * total * total + positions).ravel()
+        slot = np.zeros(orbit.shape[1], dtype=np.intp)
+        slot[full] = np.arange(full.size)
+        self._transpose = slot[positions % total * total + positions // total]
+        self._orbit = slot[orbit[:, full]]
+
+        # (rows..., cols...) -> (row_1, col_1, ..., row_n, col_n), each entry's coefficient slot
+        where = np.argsort(np.arange(total * total).reshape(dims * 2)
+                           .transpose([a for i in range(n) for a in (i, n + i)]).ravel())
+        q = (functools.reduce(sp.kron, map(_identity_first_reflection, dims), sp.identity(1))
+             .tocsc()[:, where[positions]].tocsr())
+        allowed = (np.indices([d * d for d in dims]) != 0).reshape(n, -1)
+        share = 1.0 / np.maximum(allowed.sum(axis=0), 1)
+        # block j's coefficients are held block source[j]'s, gathered by coeffs[j] (S_j)
+        source, coeffs = spread[:, 0] // total ** 2, spread % total ** 2
+        same = coeffs[0]  # block 0 is held block 0 itself
+
+        def sandwich(terms):  # Q^T (sum of diag(w) S over the terms (w, S)) Q, rounding dropped
+            w, cols = (np.concatenate(x) for x in zip(*terms))
+            op = q.T @ (sp.csr_matrix((w, (np.tile(same, len(terms)), cols)), (total ** 2,) * 2) @ q)
+            op.data[np.abs(op.data) < 1e-12] = 0.0  # in place, keeping the build's peak memory low
+            op.eliminate_zeros()
+            return op
+
+        # output block i from held block k: the sum over the blocks j drawn from k
+        # of Q^T A_i (delta_ij - Sh A_j) S_j Q; then Q^T A_i Sh Q
+        drift = [sp.bmat([[sandwich([(allowed[i] * ((i == j) - share * allowed[j]), coeffs[j])
+                                     for j in range(n) if source[j] == k]) for k in range(held)]],
+                         format="csr") for i in range(n)]
+        self.operator = sp.vstack(drift[:held], "csr")
+        self.drift = [self.operator, *drift[held:]]
+        self._offset = sp.vstack([sandwich([(allowed[i] * share, same)]) for i in range(held)],
+                                 "csr")
+
+    def offset(self, delta: np.ndarray) -> np.ndarray:
+        """c = P(0), delta's share of each held block: the one array a solve forms."""
+        return _apply(self._offset, delta.ravel()[self.positions]).reshape(self.held, -1)
 
     def views(self, packed: np.ndarray) -> list:
         """Each size group's (h, count, size, size) view of a packed stack."""
@@ -238,32 +225,32 @@ class _ConstraintProjector:
         return blocks.reshape(-1)[self._orbit].mean(axis=0).reshape(blocks.shape)
 
     def expand(self, blocks: np.ndarray) -> np.ndarray:
-        """The (n, D, D) stack whose held blocks are packed in `blocks`."""
-        return self.unpack(blocks).reshape(-1)[self._expand].reshape(-1, self.total, self.total)
+        """The (n, D, D) stack, zero off the sectors, whose held blocks are packed in `blocks`;
+        the swaps permute block 0's entries, so its norm is sqrt(n / h) times theirs."""
+        out = np.zeros((len(blocks), self.total ** 2), dtype=blocks.dtype)
+        out[:, self.positions] = blocks
+        return out.reshape(-1)[self._expand].reshape(-1, self.total, self.total)
 
-    def project(self, blocks: np.ndarray) -> np.ndarray:
-        return self.hermitian(_apply(self.operator, blocks).reshape(blocks.shape) + self.offset)
+    def project(self, blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return self.hermitian(_apply(self.operator, blocks).reshape(blocks.shape) + c)
 
     def value(self, blocks: np.ndarray) -> float:
         """Objective sum_i (1/2) tr |Z_i| of the stack; swapped blocks share block 0's spectrum."""
         weights = sum(0.5 * np.abs(np.linalg.eigvalsh(b)).sum() for b in self.views(blocks))
         return len(self.dims) // len(blocks) * float(weights)
 
-    def dual_value(self, u: np.ndarray) -> float:
+    def dual_value(self, u: np.ndarray, c: np.ndarray) -> float:
         """Lower bound on the distance from a multiplier u near the adjoint's range.
 
         In the product basis the adjoint's range is the stacks whose allowed
         blocks share one coefficient, that of L. H_i keeps u_i where site i
         is the identity and takes L's coefficient elsewhere, so H_i = L +
         M_i (x) I_i and ||H_i||_op <= ||u_i||_op + ||H_i - u_i||_F, the drift
-        being block i of the linear projection of u's stack (an orthogonal
-        basis change), for all n blocks; swapped blocks share block 0's
-        spectrum. With t the reciprocal of twice the largest bound, -t H is
-        dual feasible, of value -t Re<L, delta> = -t Re sum_i <u_i, c_i>, c_i
-        block i's share of delta in c = P(0); a swapped block's term is block
-        0's, for the swap-symmetric delta the loop solves. The spectra are of
-        u's Hermitian part, which changes neither side for Hermitian delta,
-        and are the union of u's sector blocks' spectra.
+        being block i of C u (`drift`), for all n blocks. With t the reciprocal of twice
+        the largest bound, -t H is dual feasible, of value -t Re<L, delta> =
+        -t Re sum_i <u_i, c_i>; a swapped block's term and spectrum are block
+        0's. The spectra are of u's Hermitian part, which changes neither side
+        for Hermitian delta, and are the union of its sector blocks' spectra.
         """
         rows = np.concatenate([_apply(op, u) for op in self.drift])
         drift = np.linalg.norm(rows.reshape(len(self.dims), -1), axis=1)
@@ -272,7 +259,16 @@ class _ConstraintProjector:
         top = float(norms.max())
         if top == 0.0:
             return 0.0
-        return -0.5 / top * (len(self.dims) // len(u)) * float(np.vdot(self.offset, u).real)
+        return -0.5 / top * (len(self.dims) // len(u)) * float(np.vdot(c, u).real)
+
+
+_build_layout = functools.lru_cache(maxsize=LAYOUT_CACHE)(_Layout)  # (dims, held, labels)
+
+
+def _layout_of(dims, delta: np.ndarray) -> _Layout:
+    """delta's layout: block 0 alone held when every site swap (0 i) fixes delta, on its sectors."""
+    held = 1 if _swap_invariant(dims, delta) else len(dims)
+    return _build_layout(tuple(dims), held, tuple(_parity_sectors(dims, delta).tolist()))
 
 
 def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
@@ -397,8 +393,9 @@ class W1Certificate:
     """Solver output: the certified interval [lower, value] holding the distance.
 
     `value` is the objective at the feasible iterate `primal_parts`, `lower`
-    the dual value of the scaled multiplier, and gap = value - lower <= tol.
-    `symmetric_step` says whether the loop held block 0 alone, the other
+    the dual value of the scaled multiplier, and gap = value - lower <= tol
+    (TOL by default). `primal_residual` and `dual_residual` are the last
+    iteration's ||x - z|| and ||z - z_prev|| over all n blocks. `symmetric_step` says whether the loop held block 0 alone, the other
     blocks being its site swaps (0 i), formed after the loop; the parts
     then sum to a swap-symmetrized delta, off delta by the order of the
     swap test's 1e-12, and `feasibility_error` reports the difference.
@@ -408,7 +405,7 @@ class W1Certificate:
     site, where nothing iterates). `real_step` says the solve ran in float64
     (delta is real). `sectors` are the sizes of the sign-flip sectors the
     loop ran on ((D,) if none). `stage_seconds` splits the call's wall clock
-    into "setup" (checks, the projector and any operator it builds),
+    into "setup" (checks, the layout if not cached, and its c = P(0)),
     "iterations" and "gap_tests" (those in the loop, and measuring the parts).
     """
 
@@ -444,7 +441,7 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,
-             tol: float = 1e-5, max_iter: int = 50_000,
+             tol: float = TOL, max_iter: int = MAX_ITER,
              dim_cap: int = DIM_CAP) -> W1Certificate:
     """Solve the transport program for a pair of density operators.
 
@@ -461,7 +458,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         raise ValueError("operators live on different site structures")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    dims, total = list(rho.dims), math.prod(rho.dims)
+    dims, total = rho.dims, math.prod(rho.dims)
     if total > dim_cap:
         raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
     delta = rho.matrix - sigma.matrix
@@ -481,33 +478,35 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             stage_seconds={"setup": time.perf_counter() - start, "iterations": 0.0,
                            "gap_tests": 0.0})
 
-    projector = _ConstraintProjector(dims, delta)
+    layout = _layout_of(dims, delta)
+    c = layout.offset(delta)
     # v = z + u, with u = 0 at the start
-    v = z = projector.project(np.zeros((projector.held, projector.positions.size), delta.dtype))
-    anderson = _Anderson(z.view(np.float64).size, projector.hermitian)
+    v = z = layout.project(np.zeros_like(c), c)
+    anderson = _Anderson(z.view(np.float64).size, layout.hermitian)
     threshold = trace_distance / (2.0 * math.sqrt(total))
     gaps, loop_start = 0.0, time.perf_counter()
     for iterations in range(1, max_iter + 1):
-        y = projector.hermitian(2.0 * z - v)
-        x = projector.blockwise(lambda b: _shrink_eigenvalues(b, threshold), y)
-        v = projector.average(anderson.step(v, OVER_RELAX * (x - z)))
-        z_prev, z = z, projector.project(v)
+        y = layout.hermitian(2.0 * z - v)
+        x = layout.blockwise(lambda b: _shrink_eigenvalues(b, threshold), y)
+        v = layout.average(anderson.step(v, OVER_RELAX * (x - z)))
+        z_prev, z = z, layout.project(v, c)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
             test_start = time.perf_counter()
-            value = projector.value(z)
-            lower = projector.dual_value(v - z)
+            value = layout.value(z)
+            lower = layout.dual_value(v - z, c)
             gaps += time.perf_counter() - test_start
             if value - lower <= tol:
                 break
     finish = time.perf_counter()
-    x, z, z_prev = (projector.expand(s) for s in (x, z, z_prev))
-    r_norm, s_norm = float(np.linalg.norm(x - z)), float(np.linalg.norm(z - z_prev))
+    scale = math.sqrt(n / layout.held)  # the whole stacks' norms from the packed ones
+    r_norm, s_norm = (scale * float(np.linalg.norm(r)) for r in (x - z, z - z_prev))
     if value - lower > tol:
         raise ConvergenceError(
             f"no certified gap of {tol:.1e} in {max_iter} iterations (gap "
             f"{value - lower:.3e} between {lower:.6f} and {value:.6f})",
             iterations=max_iter, primal_residual=r_norm, dual_residual=s_norm)
 
+    z = layout.expand(z)
     weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
     feas_sum = float(np.max(np.abs(z.sum(axis=0) - delta)))
     feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(zi, dims, [i]))))
@@ -516,8 +515,8 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         value=value, lower=lower, gap=value - lower, part_weights=tuple(map(float, weights)),
         primal_parts=tuple(z), iterations=iterations, primal_residual=r_norm,
         dual_residual=s_norm, feasibility_error=max(feas_sum, feas_tr),
-        symmetric_step=projector.held < n, accelerated_steps=anderson.accepted,
-        threshold=threshold, real_step=real, sectors=projector.sectors,
+        symmetric_step=layout.held < n, accelerated_steps=anderson.accepted,
+        threshold=threshold, real_step=real, sectors=layout.sectors,
         stage_seconds={"setup": loop_start - start, "iterations": finish - loop_start - gaps,
                        "gap_tests": gaps + time.perf_counter() - finish})
 
@@ -551,13 +550,13 @@ def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray, overlap: np.ndarray
     return OrthonormalFamily(space, np.eye(n, m)), OrthonormalFamily(space, frame_b)
 
 
-def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = 1e-5,
+def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TOL,
                      **solver_kwargs) -> list[W1Certificate]:
     """`w1_exact` certificates of the k-particle reduced states, k = 1..n.
 
     Families of different sizes or on different ground spaces are refused,
-    and the largest solve, on m**n, is held to `dim_cap`, before any state
-    is built. Every distance is unchanged by one unitary applied on every
+    and the largest solve, on m**n, is held to `dim_cap`, the path's only
+    cap (a state has (m**n)**2 entries), before any state is built. Every distance is unchanged by one unitary applied on every
     site, so both families are first rotated into their principal-angle
     frame, where they are real and so are their reduced states: the solves
     run in real arithmetic (`real_step`), and `primal_parts` are parts of
@@ -577,7 +576,7 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = 1e
     if total > cap:
         raise ValueError(f"total dimension {total} exceeds cap {cap}")
     frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap, tol)
-    state_a, state_b = map(full_state_vector, (frame_a, frame_b))
+    state_a, state_b = (full_state_vector(f, cap=cap * cap) for f in (frame_a, frame_b))
     return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
                      tol=tol, **solver_kwargs)
             for k in range(1, a.n + 1)]

@@ -5,11 +5,13 @@ import csv
 import io
 import json
 import contextlib
+import math
 
 import pytest
 
 from fermiflow import overlap_matrix, random_orthonormal, trace_distance_slater
 from fermiflow.cli import RunConfig, main
+from fermiflow.selftest import slack_passed
 
 
 def run_cli(args):
@@ -34,6 +36,15 @@ def parse_json(out):
     assert doc["schema_version"] == 1
     assert set(doc) == {"schema_version", "command", "seed", "timestamp", "report"}
     return doc
+
+
+def strict_json(out):
+    """parse_json, refusing the NaN and Infinity that json.dumps writes by default."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the output")
+
+    json.loads(out, parse_constant=refuse)
+    return parse_json(out)
 
 
 def strip_timestamp(out):
@@ -69,6 +80,19 @@ def test_verify_lemma_csv_per_seed_rows_and_summary(tmp_path):
     assert [row[:3] for row in rows[1:]] == [["4", "2", "0"], ["4", "2", "1"], ["4", "2", "all"]]
     assert all(row[6:] == ["", ""] for row in rows[1:-1])
     assert float(rows[-1][6]) <= float(rows[-1][7])
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_verify_lemma_on_a_full_family_passes(tmp_path, dim):
+    # n = dim: the law has one configuration, every draw is it, and the
+    # chi-square cutoff at zero degrees of freedom is 0, not NaN
+    cfg = write_config(tmp_path, f"verify_lemma.dim={dim}\nverify_lemma.n={dim}\n"
+                                 "verify_lemma.seeds=1\nverify_lemma.draws=10\n")
+    code, out, _ = run_cli(["verify-lemma", "--config", cfg])
+    assert code == 0
+    report = strict_json(out)["report"]
+    assert report["passed"] is True
+    assert report["chi2"] == report["chi2_cutoff"] == 0.0
 
 
 def test_verify_lemma_cap_exceeded(tmp_path):
@@ -188,6 +212,17 @@ def test_rdm_monotonicity_past_the_dim_cap_exits_2(tmp_path):
     assert out == ""
 
 
+def test_rdm_monotonicity_meets_no_cap_but_dim_cap(tmp_path):
+    # two functions on 20 points: 400 dimensions at k = 2, and states of
+    # 160,000 entries, which only dim_cap (squared) holds
+    cfg = write_config(tmp_path, "rdm.dim=20\nrdm.n=2\nrdm.seeds=1\ndim_cap=400\n")
+    code, out, err = run_cli(["rdm-monotonicity", "--config", cfg])
+    assert code == 0, err
+    report = parse_json(out)["report"]
+    assert report["passed"] is True
+    assert report["rows"][0]["iterations"][1] >= 1
+
+
 def test_unknown_flag_is_a_usage_error():
     code, _, _ = run_cli(["walsh", "--frobnicate"])
     assert code == 2
@@ -226,6 +261,23 @@ SMALL_CONFIGS = {
     "example-gap": "gap.n_max=3\n",
     "selftest": "selftest.only=walsh_exhibit,gap_table\n",
 }
+
+
+STRICT_CONFIGS = {
+    **{command: (command, text) for command, text in SMALL_CONFIGS.items()},
+    "bounds-empirical": ("bounds", "bounds.count=1\nbounds.dim=5\nbounds.mode=empirical\n"
+                                   "bounds.budget=2000\nbounds.bootstrap_resamples=50\n"),
+    "bounds-mixed": ("bounds", "bounds.count=1\nbounds.dim=5\nbounds.mixed_eigenvalues=3\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRICT_CONFIGS))
+def test_every_subcommand_writes_strict_json(tmp_path, case):
+    command, text = STRICT_CONFIGS[case]
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_cli([command, "--config", cfg, "--format", "json"])
+    assert code == 0, err
+    assert strict_json(out)["command"] == command
 
 
 @pytest.mark.parametrize("command", list(SMALL_CONFIGS))
@@ -275,6 +327,16 @@ def test_bounds_sweep_small(tmp_path):
     assert len(rep["instances"]) == 3
     assert rep["min_tv_slack"] >= -1e-9
     assert rep["min_wsharp_slack"] >= -1e-9
+
+
+def test_bounds_verdict_is_the_selftest_slack_verdict(tmp_path, monkeypatch):
+    # selftest check 4 and `bounds` judge a slack by the one function
+    assert slack_passed(-1e-9) and not slack_passed(-2e-9) and not slack_passed(math.nan)
+    cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=5\n")
+    assert run_cli(["bounds", "--config", cfg])[0] == 0
+    monkeypatch.setattr("fermiflow.cli.slack_passed", lambda slack: False)
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 1 and parse_json(out)["report"]["passed"] is False
 
 
 def test_bounds_csv_summary_row(tmp_path):

@@ -2,6 +2,7 @@
 its certified intervals, the classical Hamming reference, reduced-state
 monotonicity."""
 
+import copy
 import importlib
 import itertools
 import math
@@ -19,7 +20,7 @@ from fermiflow import (ConvergenceError, DensityOperator, GroundSpace, MixedKern
                        trace_distance_slater, w1_exact, w1_upper_slater)
 from fermiflow.selftest import _random_density as check_density
 from fermiflow.slater import _partial_trace_matrix
-from fermiflow.w1_exact import _ConstraintProjector
+from fermiflow.w1_exact import _Layout, _layout_of
 
 w1_module = importlib.import_module("fermiflow.w1_exact")
 DEFAULT_TOL = 1e-5
@@ -76,9 +77,16 @@ def test_partial_trace_index_out_of_range():
         _partial_trace_matrix(np.eye(4) / 4, (2, 2), (2,))
 
 
-def pack(projector, stack):
-    """The (h, N) sector blocks, as the projector holds them, of an (h, D, D) stack."""
-    return stack.reshape(len(stack), -1)[:, projector.positions]
+def pack(layout, stack):
+    """The (h, N) sector blocks, as the layout holds them, of an (h, D, D) stack."""
+    return stack.reshape(len(stack), -1)[:, layout.positions]
+
+
+def unpack(layout, packed):
+    """The (h, D, D) stack, zero off the sectors, whose sector blocks are `packed`."""
+    out = np.zeros((len(packed), layout.total ** 2), dtype=packed.dtype)
+    out[:, layout.positions] = packed
+    return out.reshape(-1, layout.total, layout.total)
 
 
 def constraint_map(dims):
@@ -122,26 +130,27 @@ def test_constraint_projection_matches_least_squares(dims):
     step = np.linalg.lstsq(amap, amap @ y - target, rcond=None)[0]
     expected = (y - step).reshape(n, total, total)
 
-    projector = _ConstraintProjector(dims, delta)
+    layout = _layout_of(dims, delta)
+    c = layout.offset(delta)
     # a dense delta is one sector: the packed blocks are the whole matrices
-    assert projector.sectors == (total,)
-    out = projector.project(pack(projector, blocks))
-    np.testing.assert_allclose(projector.unpack(out), expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(projector.project(out), out, rtol=0, atol=1e-12)
+    assert layout.sectors == (total,)
+    out = layout.project(pack(layout, blocks), c)
+    np.testing.assert_allclose(unpack(layout, out), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(layout.project(out, c), out, rtol=0, atol=1e-12)
 
 
 class BasisChangeReference:
     """The projection and the gap test by a basis change per site, on a
-    projector's layout: the formulas the sparse operators are built from.
+    layout's gathers: the formulas the sparse operators are built from.
 
     Block i's allowed coefficients keep their own value less an equal share
     of the allowed blocks' sum, plus that share of delta's coefficient; the
     gap test's drift and shared coefficient come from the same coefficients.
     """
 
-    def __init__(self, projector, delta):
-        self.projector, self.dims = projector, projector.dims
-        n, total = len(self.dims), projector.total
+    def __init__(self, layout, delta):
+        self.layout, self.dims = layout, layout.dims
+        n, total = len(self.dims), layout.total
         self.reflections = [w1_module._identity_first_reflection(d) for d in self.dims]
         # (m, rows..., cols...) -> (m, row_1, col_1, ..., row_n, col_n)
         self.interleave = (0,) + tuple(a for i in range(n) for a in (1 + i, 1 + n + i))
@@ -149,7 +158,7 @@ class BasisChangeReference:
         self.share = 1.0 / np.maximum(self.allowed.sum(axis=0), 1)
         self.delta_coeffs = self.to_basis(delta[None])[0]
         # block i's coefficients among the held blocks' (h = 1: block 0's, entries 0 and i swapped)
-        self.spread = (w1_module._swap_gathers(self.dims)[2] if projector.held == 1
+        self.spread = (w1_module._swap_gathers(self.dims)[2] if layout.held == 1
                        else np.arange(n * total * total).reshape(n, -1))
 
     def change_basis(self, coeffs):
@@ -163,24 +172,24 @@ class BasisChangeReference:
         return self.change_basis(stack.reshape((m,) + self.dims * 2).transpose(self.interleave))
 
     def from_basis(self, coeffs):
-        m, total = coeffs.shape[0], self.projector.total
+        m, total = coeffs.shape[0], self.layout.total
         pairs = self.change_basis(coeffs).reshape((m,) + tuple(np.repeat(self.dims, 2)))
         return pairs.transpose(np.argsort(self.interleave)).reshape(m, total, total)
 
     def coefficients(self, blocks):
-        stack = self.to_basis(self.projector.unpack(blocks))
+        stack = self.to_basis(unpack(self.layout, blocks))
         return stack.reshape(-1)[self.spread] * self.allowed
 
     def project(self, blocks):
         y, h = self.coefficients(blocks), len(blocks)
         coeffs = self.allowed[:h] * (y[:h] + self.share * (self.delta_coeffs - y.sum(axis=0)))
-        return self.projector.hermitian(pack(self.projector, self.from_basis(coeffs)))
+        return self.layout.hermitian(pack(self.layout, self.from_basis(coeffs)))
 
     def dual_value(self, u):
         coeffs = self.coefficients(u)
         common = self.share * coeffs.sum(axis=0)
         drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
-        views = self.projector.views(self.projector.hermitian(u))
+        views = self.layout.views(self.layout.hermitian(u))
         norms = np.max([np.abs(np.linalg.eigvalsh(b)).max(axis=(1, 2)) for b in views], axis=0)
         top = float((norms + drift).max())
         return 0.0 if top == 0.0 else -0.5 / top * float(np.vdot(common, self.delta_coeffs).real)
@@ -208,11 +217,11 @@ def test_w1_product_states_single_factor():
 
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_w1_single_site_is_trace_distance(dim, monkeypatch):
-    # the only feasible point is delta itself: no projector, no iteration, gap 0
+    # the only feasible point is delta itself: no projection layout, no iteration, gap 0
     def refuse(*args):
-        raise AssertionError("a one-site solve built the constraint projector")
+        raise AssertionError("a one-site solve looked up a projection layout")
 
-    monkeypatch.setattr(w1_module, "_ConstraintProjector", refuse)
+    monkeypatch.setattr(w1_module, "_build_layout", refuse)
     rho = DensityOperator((dim,), random_density(dim, 30 + dim))
     sig = DensityOperator((dim,), random_density(dim, 40 + dim))
     cert = w1_exact(rho, sig)
@@ -509,22 +518,22 @@ def test_random_densities_stay_complex():
 
 def test_anderson_skips_residual_differences_at_rounding_level():
     # packed stacks over the sectors [2, 4, 4, 6] of CLI pair 0 at k = 2
-    projector = _ConstraintProjector(*frame_difference(*CLI_PAIR_0, 2))
+    layout = _layout_of(*frame_difference(*CLI_PAIR_0, 2))
     rng = np.random.default_rng(89)
-    v0, v1, g = (projector.hermitian(rng.normal(size=(1, projector.positions.size)))
+    v0, v1, g = (layout.hermitian(rng.normal(size=(1, layout.positions.size)))
                  for _ in range(3))
-    anderson = w1_module._Anderson(g.size, projector.hermitian)
+    anderson = w1_module._Anderson(g.size, layout.hermitian)
     anderson.step(v0, g)
     # an equal residual has no direction: nothing is stored, the plain point comes back
     np.testing.assert_array_equal(anderson.step(v1, g.copy()), v1 + g)
     assert anderson.count == 0
     # a difference above 1e-12 of the residual is stored, and extrapolated along
-    direction = projector.hermitian(rng.normal(size=g.shape))
+    direction = layout.hermitian(rng.normal(size=g.shape))
     nudge = 1e-11 * np.linalg.norm(g) / np.linalg.norm(direction) * direction
     point = anderson.step(v0, g + nudge)
     assert anderson.count == 1 and anderson.extrapolated
     np.testing.assert_allclose(anderson.dg[0], nudge.ravel(), rtol=1e-3)
-    np.testing.assert_array_equal(projector.hermitian(point), point)
+    np.testing.assert_array_equal(layout.hermitian(point), point)
 
 
 def slater_reduced_pair(seed, k, n_functions=3, n_points=4):
@@ -545,12 +554,12 @@ def test_symmetric_step_matches_general_step(k, monkeypatch):
     # they are (one sector) and in their principal-angle frame (four sectors)
     frame = frame_states(random_orthonormal(4, 3, 70), random_orthonormal(4, 3, 71), k)
     for (rho, sig), sectors in ((slater_reduced_pair(70, k), 1), (frame[:2], 4)):
-        project = _ConstraintProjector.project
+        project = _Layout.project
         iterates = {"general": [], "symmetric": []}
 
         for path, stack in iterates.items():
-            def recording(self, blocks, stack=stack):
-                out = project(self, blocks)
+            def recording(self, blocks, c, stack=stack):
+                out = project(self, blocks, c)
                 # the one-block loop projects block 0; the swaps (0 i) give the stack
                 stack.append((len(out), self.expand(out)))
                 return out
@@ -558,7 +567,7 @@ def test_symmetric_step_matches_general_step(k, monkeypatch):
             with monkeypatch.context() as patch:
                 if path == "general":
                     general_step(patch)
-                patch.setattr(_ConstraintProjector, "project", recording)
+                patch.setattr(_Layout, "project", recording)
                 try:
                     w1_exact(rho, sig, tol=0.0, max_iter=300)
                 except ConvergenceError:
@@ -632,10 +641,10 @@ def test_averaging_keeps_permutation_invariant_densities_feasible():
 def test_block_zero_gap_test_matches_the_swapped_stack(k, monkeypatch):
     rho, sig = slater_reduced_pair(71, k)
     delta = rho.matrix - sig.matrix
-    symmetric = _ConstraintProjector(rho.dims, delta)
+    symmetric = _layout_of(rho.dims, delta)
     with monkeypatch.context() as patch:
         general_step(patch)
-        general = _ConstraintProjector(rho.dims, delta)
+        general = _layout_of(rho.dims, delta)
     assert (symmetric.held, general.held) == (1, k)
     rng = np.random.default_rng(k)
     total = math.prod(rho.dims)
@@ -645,8 +654,9 @@ def test_block_zero_gap_test_matches_the_swapped_stack(k, monkeypatch):
     u0, z0 = raw + raw.conj().swapaxes(-1, -2)
     assert symmetric.sectors == general.sectors == (total,)
     u0, z0 = pack(symmetric, u0), pack(symmetric, z0)
-    assert symmetric.dual_value(u0) == pytest.approx(
-        general.dual_value(pack(general, symmetric.expand(u0))), rel=0, abs=1e-12)
+    assert symmetric.dual_value(u0, symmetric.offset(delta)) == pytest.approx(
+        general.dual_value(pack(general, symmetric.expand(u0)), general.offset(delta)),
+        rel=0, abs=1e-12)
     assert symmetric.value(z0) == pytest.approx(
         general.value(pack(general, symmetric.expand(z0))), rel=1e-14)
 
@@ -733,9 +743,10 @@ def test_cli_pair_6_certifies_in_few_iterations():
 def layout_cache():
     """The solver's cached layout builder, emptied before and after the test; its
     `cache_info().misses` counts the layouts built."""
-    w1_module._build_layout.cache_clear()
-    yield w1_module._build_layout
-    w1_module._build_layout.cache_clear()
+    build = w1_module._build_layout
+    build.cache_clear()
+    yield build
+    build.cache_clear()
 
 
 class CountingOperator:
@@ -755,16 +766,17 @@ class CountingOperator:
 def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, monkeypatch,
                                                          layout_cache):
     calls = {"project": [], "shrink": [], "products": []}
-    project, shrink = _ConstraintProjector.project, w1_module._shrink_eigenvalues
-    init = _ConstraintProjector.__init__
+    project, shrink = _Layout.project, w1_module._shrink_eigenvalues
 
-    def counting_init(self, dims, delta):
-        init(self, dims, delta)
-        self.operator = CountingOperator(self.operator, calls["products"])
+    def counting_layout(*key):
+        # a copy of the cached layout whose projections count their products
+        layout = copy.copy(layout_cache(*key))
+        layout.operator = CountingOperator(layout.operator, calls["products"])
+        return layout
 
-    def counting_project(self, blocks):
+    def counting_project(self, blocks, c):
         calls["project"].append(len(blocks))
-        return project(self, blocks)
+        return project(self, blocks, c)
 
     def counting_shrink(stack, amount):
         calls["shrink"].append(len(stack))
@@ -773,8 +785,8 @@ def test_each_iteration_evaluates_the_splitting_map_once(pair, held, max_iter, m
     def refuse(*args):
         raise AssertionError("the solver changed basis site by site")
 
-    monkeypatch.setattr(_ConstraintProjector, "__init__", counting_init)
-    monkeypatch.setattr(_ConstraintProjector, "project", counting_project)
+    monkeypatch.setattr(w1_module, "_build_layout", counting_layout)
+    monkeypatch.setattr(_Layout, "project", counting_project)
     monkeypatch.setattr(w1_module, "_shrink_eigenvalues", counting_shrink)
     monkeypatch.setattr(BasisChangeReference, "change_basis", refuse)
     with pytest.raises(ConvergenceError):
@@ -881,7 +893,7 @@ def test_sectors_are_the_frame_blocks(pair, k, sizes):
     frame_labels = np.bitwise_xor.reduce(1 << block[tuples], axis=0)
     derived = partition(w1_module._parity_sectors(dims, delta))
     assert derived == partition(frame_labels)
-    assert sorted(map(len, derived)) == sizes == list(_ConstraintProjector(dims, delta).sectors)
+    assert sorted(map(len, derived)) == sizes == list(_layout_of(dims, delta).sectors)
 
 
 @pytest.mark.parametrize("pair", [check5_pair(41), product_case(3)], ids=["check5_41", "product"])
@@ -909,17 +921,17 @@ def test_sectored_solve_matches_the_unsplit_solve(monkeypatch):
     assert all(not part[off].any() for part in sectored.primal_parts)
 
 
-def random_packed(projector, seed, complex_entries):
-    """A random Hermitian packed stack of the projector's held blocks."""
+def random_packed(layout, seed, complex_entries):
+    """A random Hermitian packed stack of the layout's held blocks."""
     rng = np.random.default_rng(seed)
-    shape = (projector.held, projector.positions.size)
+    shape = (layout.held, layout.positions.size)
     raw = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
-    return projector.hermitian(raw)
+    return layout.hermitian(raw)
 
 
-def averaging_matrix(projector):
+def averaging_matrix(layout):
     """The site average of the held blocks as a sparse matrix on packed entries."""
-    orbit = projector._orbit
+    orbit = layout._orbit
     rows = np.tile(np.arange(orbit.shape[1]), len(orbit))
     return scipy.sparse.csr_matrix((np.full(orbit.size, 1.0 / len(orbit)), (rows, orbit.ravel())))
 
@@ -945,24 +957,25 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_cached_operator_matches_the_basis_change(case):
     dims, delta = ORACLE_CASES[case]
-    projector = _ConstraintProjector(dims, delta)
-    reference = BasisChangeReference(projector, delta)
+    layout = _layout_of(dims, delta)
+    c = layout.offset(delta)
+    reference = BasisChangeReference(layout, delta)
     complex_entries = np.iscomplexobj(delta)
     for seed in range(3):
-        x = random_packed(projector, seed, complex_entries)
-        np.testing.assert_allclose(projector.project(x), reference.project(x), rtol=0, atol=1e-12)
+        x = random_packed(layout, seed, complex_entries)
+        np.testing.assert_allclose(layout.project(x, c), reference.project(x), rtol=0, atol=1e-12)
         # x is not averaged: at n = 3 with h = 1 the swapped blocks drift by different amounts
-        assert projector.dual_value(x) == pytest.approx(reference.dual_value(x), rel=0, abs=1e-12)
+        assert layout.dual_value(x, c) == pytest.approx(reference.dual_value(x), rel=0, abs=1e-12)
     # the projection of 0 is delta's share
     zero = np.zeros_like(x)
-    np.testing.assert_allclose(projector.project(zero), reference.project(zero),
+    np.testing.assert_allclose(layout.project(zero, c), reference.project(zero),
                                rtol=0, atol=1e-12)
     # M is symmetric and idempotent on what the loop projects: the averaged stacks, which are
     # all stacks unless h = 1 and n >= 3
-    m, average = projector.operator, averaging_matrix(projector)
+    m, average = layout.operator, averaging_matrix(layout)
     assert abs(m - m.T).max() <= 1e-13
     assert abs(m @ m @ average - m @ average).max() <= 1e-13
-    if projector.held > 1 or len(dims) < 3:
+    if layout.held > 1 or len(dims) < 3:
         assert abs(average - scipy.sparse.eye(m.shape[0])).max() == 0.0
 
 
@@ -988,6 +1001,44 @@ def test_each_layout_builds_its_operator_once(layout_cache, monkeypatch):
         assert not w1_exact(rho, sig).symmetric_step
     assert w1_exact(*check5_pair(3)).sectors == (16,)
     assert layout_cache.cache_info()[:2] == (15, 4)
+
+
+@pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 3), 1), (product_case(3), 2)],
+                         ids=["symmetric_step", "general_step"])
+def test_packed_residuals_equal_the_expanded_ones(pair, held, monkeypatch):
+    # the solver measures x - z and z - z_prev on the packed held blocks, scaled
+    # by sqrt(n / h); here they are measured on the whole (n, D, D) stacks
+    seen = {"blockwise": [], "project": []}
+    for name, outputs in seen.items():
+        def recording(self, *args, method=getattr(_Layout, name), outputs=outputs):
+            outputs.append((self, method(self, *args)))
+            return outputs[-1][1]
+
+        monkeypatch.setattr(_Layout, name, recording)
+    cert = w1_exact(*pair)
+    layout, x = seen["blockwise"][-1]
+    (_, z_prev), (_, z) = seen["project"][-2:]
+    assert layout.held == held
+    x, z, z_prev = (layout.expand(s) for s in (x, z, z_prev))
+    assert len(x) == len(pair[0].dims)
+    assert cert.primal_residual == pytest.approx(float(np.linalg.norm(x - z)), rel=1e-12)
+    assert cert.dual_residual == pytest.approx(float(np.linalg.norm(z - z_prev)), rel=1e-12)
+
+
+def test_dim_cap_is_the_rdm_paths_only_cap(monkeypatch):
+    # two functions on 20 points: the k = 2 states have 400 dimensions and
+    # 160,000 entries each, past full_state_vector's default cap of 100,000
+    dims = []
+
+    def recording(rho, sigma, **kwargs):
+        dims.append(rho.dims)
+        return kwargs["dim_cap"]
+
+    monkeypatch.setattr(w1_module, "w1_exact", recording)
+    a = random_orthonormal(20, 2, seed=94)
+    b = random_orthonormal(20, 2, seed=95, space=a.space)
+    assert w1_module.rdm_certificates(a, b, dim_cap=400) == [400, 400]
+    assert dims == [(20,), (20, 20)]
 
 
 def test_stage_seconds_split_the_call():
