@@ -25,7 +25,7 @@ from .dpp import (ENUMERATION_CAP, MixedKernelSpec,
                   brute_force_configuration_distribution)
 from .errors import ConvergenceError, EnumerationCapError
 from .ground import random_orthonormal
-from .selftest import (law_deviations_pass, measurement_law_deviations,
+from .selftest import (interval_passed, law_deviations_pass, measurement_law_deviations,
                        monotonicity_margin, run_all, sampler_chi_square,
                        slack_passed, walsh_exhibit_passed)
 from .w1_bounds import example_gap_table
@@ -227,7 +227,12 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
     min_tv = min(r["tv_slack"] for r in instances)
     min_ws = min(r["wsharp_slack"] for r in instances)
-    ok = mode != "exact" or (slack_passed(min_tv) and slack_passed(min_ws))
+    if mode == "exact":
+        ok = slack_passed(min_tv) and slack_passed(min_ws)
+    else:
+        # a sampled value is judged by its interval: Clopper-Pearson for TV, bootstrap for W#
+        ok = all(interval_passed(r["tv_bound"], r["tv_ci"])
+                 and interval_passed(r["wsharp_bound"], r["wsharp_ci"]) for r in instances)
     report = {
         "count": count, "dim": dim, "n": size, "mode": mode,
         "mixed_eigenvalues": mixed,

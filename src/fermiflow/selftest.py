@@ -47,6 +47,10 @@ class CheckResult:
     detail: str
     budget: float | None = None
 
+    def __post_init__(self):
+        # a verdict computed from numpy values is a numpy bool, which JSON refuses
+        object.__setattr__(self, "passed", bool(self.passed))
+
     def line(self) -> str:
         budget = "" if self.budget is None else f" / budget {self.budget:.0f}s"
         status = "PASS" if self.passed else "FAIL"
@@ -168,6 +172,12 @@ def check_sampler_statistics() -> CheckResult:
 def slack_passed(slack: float) -> bool:
     """A bound holds when its slack (bound minus value) is at least -1e-9, past rounding."""
     return slack >= -1e-9
+
+
+def interval_passed(bound: float, interval: tuple) -> bool:
+    """A bound on a sampled distance holds unless it lies below the distance's
+    interval: the slack of the bound over the interval's lower end passes."""
+    return slack_passed(bound - interval[0])
 
 
 def check_bound_validity_sweep() -> CheckResult:

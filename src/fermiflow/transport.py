@@ -10,9 +10,11 @@ the graph (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 11), and
 with the lengths fixed a tree whose potentials are dual feasible is an
 optimal basis for every right-hand side whose tree flows are nonnegative.
 So the batch goes to HiGHS in rounds of 1, 2, 4, ... rows; the tree of
-each solved row answers every open row it serves, and only the rows no
-tree serves reach the next round. The values equal per-row LPs to about
-1e-15. Two builders give the graphs:
+each solved row answers every open row it serves. A tree that leaves rows
+open is repaired by dual simplex pivots (ch. 11 again) until it serves the
+first of them, and the repaired tree answers the open rows in turn; only
+the rows no tree or repair serves reach the next round. The values equal
+per-row LPs to about 1e-15. Two builders give the graphs:
 
 - `subset_graph`: configurations joined by adding or removing one point, at
   length 1/2, so the metric is (1/2) card(A delta B). Its vertices are the
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,62 +232,134 @@ def _min_cost_flows(graph: FlowGraph, excess: np.ndarray) -> tuple:
     return res.x.reshape(n_lps, n_arcs), np.hstack([duals, np.zeros((n_lps, 1))])
 
 
-def _optimal_tree(graph: FlowGraph, flow: np.ndarray, potentials: np.ndarray):
-    """A dual-feasible spanning tree read off one solved row, or None.
+class _Tree(NamedTuple):
+    """A spanning tree rooted at the last vertex, as a basis of the flow LPs.
 
-    The tree is a minimum spanning tree under arc ranks: arcs carrying
-    `flow` first, then arcs tight under the solver's `potentials`, then the
-    rest; each vertex pair offers its best-ranked arc. Its own potentials
-    are recomputed along the tree from y = 0 at the last vertex. Returns the
-    non-root vertices in breadth-first order from that root, their parents,
-    the sign of each one's parent arc (+1 if it points to the parent) and
-    that arc's length; None when the graph is not connected or some arc's
-    reduced cost under the tree potentials is below -1e-12.
+    `child` lists the other vertices in breadth-first order, `up` their
+    parents and `arc` the index of each one's parent arc; `sign` is +1 where
+    that arc points to the parent, and `length` is its length. `y` are the
+    tree's potentials: y[tail] - y[head] = length on every tree arc, and
+    y = 0 at the root.
+    """
+
+    child: np.ndarray
+    up: np.ndarray
+    arc: np.ndarray
+    sign: np.ndarray
+    length: np.ndarray
+    y: np.ndarray
+
+
+def _pair(a, b, n: int):
+    """One key per vertex pair, whichever way an arc between them points."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _spanning_tree(graph: FlowGraph, arcs: np.ndarray) -> _Tree | None:
+    """The tree of `arcs`, with its potentials computed along it from y = 0
+    at the last vertex; None when the arcs do not span the graph or some
+    arc's reduced cost under those potentials is below -1e-12.
     """
     from scipy import sparse
     from scipy.sparse import csgraph
 
     n, tail, head, length = graph.n_vertices, graph.tail, graph.head, graph.length
-
-    def pair(a, b):  # one key per vertex pair, whichever way an arc between them points
-        return np.minimum(a, b) * n + np.maximum(a, b)
-
-    tight = np.abs(length - potentials[tail] + potentials[head]) <= LP_TOL
-    rank = np.where(flow > 0, 1.0, np.where(tight, 2.0, 3.0))
-    keys = pair(tail, head)
-    order = np.lexsort((rank, keys))
-    arcs = order[np.r_[True, np.diff(keys[order]) != 0]]
-    tree = csgraph.minimum_spanning_tree(
-        sparse.csr_array((rank[arcs], np.divmod(keys[arcs], n)), shape=(n, n)))
-    reached, parent = csgraph.breadth_first_order(tree, n - 1, directed=False)
+    reached, parent = csgraph.breadth_first_order(
+        sparse.csr_array((np.ones(arcs.size), (tail[arcs], head[arcs])), shape=(n, n)),
+        n - 1, directed=False)
     if reached.size < n:
         return None
     child = reached[1:]
     up = parent[child]
-    arc = arcs[np.searchsorted(keys[arcs], pair(child, up))]
+    keys = _pair(tail[arcs], head[arcs], n)
+    order = np.argsort(keys)
+    arc = arcs[order[np.searchsorted(keys[order], _pair(child, up, n))]]
     sign = np.where(tail[arc] == child, 1.0, -1.0)
-    # y[tail] - y[head] = length on every tree arc; parents come before children
+    # parents come before children
     y = np.zeros(n)
     for v, u, step in zip(child.tolist(), up.tolist(), (sign * length[arc]).tolist()):
         y[v] = y[u] + step
     if np.any(length - y[tail] + y[head] < -1e-12):
         return None
-    return child, up, sign, length[arc]
+    return _Tree(child, up, arc, sign, length[arc], y)
 
 
-def _tree_values(tree, excess: np.ndarray) -> tuple:
-    """Which rows of `excess` the tree of `_optimal_tree` serves, and the cost of its flows.
+def _optimal_tree(graph: FlowGraph, flow: np.ndarray, potentials: np.ndarray) -> _Tree | None:
+    """A dual-feasible spanning tree read off one solved row, or None.
 
-    A tree arc carries the excess of the subtree below it, summed in
-    reverse breadth-first order; a row is served when every tree flow is
-    at least -1e-12, for then the tree is an optimal basis of its LP.
+    The tree is a minimum spanning tree under arc ranks: arcs carrying
+    `flow` first, then arcs tight under the solver's `potentials`, then the
+    rest; each vertex pair offers its best-ranked arc. Its own potentials
+    are checked by `_spanning_tree`; None when the graph is not connected or
+    they are not dual feasible.
     """
-    child, up, sign, length = tree
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    n, tail, head, length = graph.n_vertices, graph.tail, graph.head, graph.length
+    tight = np.abs(length - potentials[tail] + potentials[head]) <= LP_TOL
+    rank = np.where(flow > 0, 1.0, np.where(tight, 2.0, 3.0))
+    keys = _pair(tail, head, n)
+    order = np.lexsort((rank, keys))
+    arcs = order[np.r_[True, np.diff(keys[order]) != 0]]
+    tree = csgraph.minimum_spanning_tree(
+        sparse.csr_array((rank[arcs], np.divmod(keys[arcs], n)), shape=(n, n))).tocoo()
+    return _spanning_tree(graph, arcs[np.searchsorted(keys[arcs], _pair(tree.row, tree.col, n))])
+
+
+def _tree_flows(tree: _Tree, excess: np.ndarray) -> np.ndarray:
+    """The flow of each tree arc, one column per row of `excess`: an arc
+    carries the excess of the subtree below it, summed in reverse
+    breadth-first order."""
     sums = excess.T.copy()
-    for v, u in zip(child[::-1].tolist(), up[::-1].tolist()):
+    for v, u in zip(tree.child[::-1].tolist(), tree.up[::-1].tolist()):
         sums[u] += sums[v]
-    flows = sign[:, None] * sums[child]
-    return (flows >= -1e-12).all(axis=0), length @ flows
+    return tree.sign[:, None] * sums[tree.child]
+
+
+def _tree_values(tree: _Tree, excess: np.ndarray) -> tuple:
+    """Which rows of `excess` the tree serves, and the cost of its flows.
+
+    A row is served when every tree flow is at least -1e-12, for then the
+    tree is an optimal basis of its LP.
+    """
+    flows = _tree_flows(tree, excess)
+    return (flows >= -1e-12).all(axis=0), tree.length @ flows
+
+
+def _repaired_tree(graph: FlowGraph, tree: _Tree, excess: np.ndarray) -> _Tree | None:
+    """Dual simplex pivots from `tree` to a tree that serves the row `excess`.
+
+    Each pivot drops the tree arc of most negative flow; S is the subtree
+    below it. If that arc points out of S, the arc into S of least reduced
+    cost enters, as S's potentials fall by that cost; if it points into S,
+    the arc out of S of least reduced cost enters, as they rise by it. Ties
+    go to the lowest arc index. `_spanning_tree` then recomputes the
+    potentials and refuses a tree that is not dual feasible. Returns None
+    when no arc crosses the cut, a tree is refused, or `graph.n_vertices`
+    pivots do not serve the row.
+    """
+    tail, head = graph.tail, graph.head
+    flows = _tree_flows(tree, excess[None])[:, 0]
+    for _ in range(graph.n_vertices):
+        leave = int(np.argmin(flows))
+        below = np.zeros(graph.n_vertices, dtype=bool)
+        below[tree.child[leave]] = True
+        for v, u in zip(tree.child[leave + 1:].tolist(), tree.up[leave + 1:].tolist()):
+            below[v] = below[u]
+        into, out_of = below[head] & ~below[tail], below[tail] & ~below[head]
+        crossing = np.flatnonzero(into if below[tail[tree.arc[leave]]] else out_of)
+        if not crossing.size:
+            return None
+        reduced = graph.length[crossing] - tree.y[tail[crossing]] + tree.y[head[crossing]]
+        tree = _spanning_tree(graph, np.append(np.delete(tree.arc, leave),
+                                               crossing[np.argmin(reduced)]))
+        if tree is None:
+            return None
+        flows = _tree_flows(tree, excess[None])[:, 0]
+        if flows.min() >= -1e-12:
+            return tree
+    return None
 
 
 def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
@@ -337,10 +412,15 @@ def metric_transport_values(p_rows, q_rows, graph: FlowGraph) -> np.ndarray:
     4, ... rows, at most k = LP_VARIABLES // arcs (or 1) per call. After each
     round, the optimal tree of every solved row answers each open row whose
     tree flows are all nonnegative, at the cost of those flows, since that
-    tree is then an optimal basis of the row's LP. Rows no tree serves wait
-    for the next round, so every value equals its own LP's to about 1e-15,
-    within ceil(rows / k) + ceil(log2 k) HiGHS calls; a single row takes one
-    call and builds no tree.
+    tree is then an optimal basis of the row's LP. While rows stay open, dual
+    simplex pivots (`_repaired_tree`) repair the last tree until it serves
+    the first open row, and the repaired tree answers every open row it
+    serves. A repair gives up after `graph.n_vertices` pivots, and repairs
+    end for the batch at the first that gives up or serves only its own row:
+    then the rows need bases of their own. Rows no tree serves wait for the
+    next round. Repairs only take rows out of rounds, so every value equals
+    its own LP's to about 1e-15 within ceil(rows / k) + ceil(log2 k) HiGHS
+    calls still; a single row takes one call and builds no tree.
     """
     p, q = np.atleast_2d(p_rows), np.atleast_2d(q_rows)
     if p.shape != q.shape or p.shape[1] != len(graph.labels):
@@ -354,15 +434,24 @@ def metric_transport_values(p_rows, q_rows, graph: FlowGraph) -> np.ndarray:
     open_rows = np.flatnonzero((excess > 0).any(axis=1) & (excess < 0).any(axis=1))
     values = np.zeros(len(p))
     size, per_lp = 1, max(1, LP_VARIABLES // max(graph.tail.size, 1))
+    repairs = True
     while open_rows.size:
         solved, open_rows = open_rows[:size], open_rows[size:]
         flows, potentials = _min_cost_flows(graph, excess[solved])
         values[solved] = flows @ graph.length
         for flow, y in zip(flows, potentials):
             tree = _optimal_tree(graph, flow, y) if open_rows.size else None
-            if tree is not None:
+            repaired = False
+            while tree is not None:
                 served, tree_values = _tree_values(tree, excess[open_rows])
                 values[open_rows[served]] = tree_values[served]
                 open_rows = open_rows[~served]
+                # a repair serving only its own row, or giving up, shows that the
+                # rows need bases of their own: no more repairs in this batch
+                repairs &= not (repaired and served.sum() == 1)
+                if not (repairs and open_rows.size):
+                    break
+                tree, repaired = _repaired_tree(graph, tree, excess[open_rows[0]]), True
+                repairs &= tree is not None
         size = min(2 * size, per_lp)
     return values

@@ -2,6 +2,7 @@
 reproducibility."""
 
 import csv
+import dataclasses
 import io
 import json
 import contextlib
@@ -10,8 +11,9 @@ import math
 import pytest
 
 from fermiflow import overlap_matrix, random_orthonormal, trace_distance_slater
+import fermiflow.cli as cli_module
 from fermiflow.cli import RunConfig, main
-from fermiflow.selftest import slack_passed
+from fermiflow.selftest import interval_passed, slack_passed
 
 
 def run_cli(args):
@@ -268,6 +270,8 @@ STRICT_CONFIGS = {
     "bounds-empirical": ("bounds", "bounds.count=1\nbounds.dim=5\nbounds.mode=empirical\n"
                                    "bounds.budget=2000\nbounds.bootstrap_resamples=50\n"),
     "bounds-mixed": ("bounds", "bounds.count=1\nbounds.dim=5\nbounds.mixed_eigenvalues=3\n"),
+    # its verdict is computed from numpy values
+    "selftest-ascent": ("selftest", "selftest.only=stabilizer_ascent_agreement\n"),
 }
 
 
@@ -335,6 +339,27 @@ def test_bounds_verdict_is_the_selftest_slack_verdict(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "bounds.count=1\nbounds.dim=5\n")
     assert run_cli(["bounds", "--config", cfg])[0] == 0
     monkeypatch.setattr("fermiflow.cli.slack_passed", lambda slack: False)
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 1 and parse_json(out)["report"]["passed"] is False
+
+
+@pytest.mark.parametrize("distance", ["tv", "wsharp"])
+def test_empirical_bounds_fail_when_a_bound_lies_below_its_interval(tmp_path, monkeypatch,
+                                                                     distance):
+    # a sampled value is judged by its interval: past rounding, a bound below
+    # the interval's lower end is refuted
+    assert interval_passed(0.0, (1e-9, 1.0)) and not interval_passed(0.0, (2e-9, 1.0))
+    cfg = write_config(tmp_path, STRICT_CONFIGS["bounds-empirical"][1])
+    code, out, _ = run_cli(["bounds", "--config", cfg])
+    assert code == 0 and parse_json(out)["report"]["passed"] is True
+    measure = cli_module.verify_instance
+
+    def above_the_bound(*args, **kwargs):
+        rep = measure(*args, **kwargs)
+        bound = getattr(rep, f"{distance}_bound")
+        return dataclasses.replace(rep, **{f"{distance}_ci": (bound + 1e-6, bound + 1.0)})
+
+    monkeypatch.setattr(cli_module, "verify_instance", above_the_bound)
     code, out, _ = run_cli(["bounds", "--config", cfg])
     assert code == 1 and parse_json(out)["report"]["passed"] is False
 

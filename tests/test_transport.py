@@ -2,6 +2,7 @@
 its certificates, batched min-cost-flow values on the subset and Hamming
 graphs against the dense solver, and the variable cap."""
 
+import functools
 import itertools
 import math
 import os
@@ -258,13 +259,27 @@ BATCHES = {
 }
 
 
+# HiGHS calls per batch in rounds alone, every open row waiting for a round
+# of its own unless a solved row's tree serves it
+ROUND_CALLS = {"dirichlet_200": 9, "hamming_grid": 6, "mixed_support": 6,
+               "presolve_infeasible": 2, "projection_support": 6, "sparse_and_equal": 5}
+
+
+@functools.lru_cache(maxsize=None)
+def batch_one_per_call(name):
+    graph, (p, q) = BATCHES[name]
+    return one_per_call(p, q, graph)
+
+
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_batch_equals_rows_solved_one_per_call(name, linprog_calls):
-    # rows answered by a reused spanning-tree basis equal their own LPs
+    # rows answered by a reused or repaired spanning-tree basis equal their own
+    # LPs, and repairs never cost a HiGHS call
     graph, (p, q) = BATCHES[name]
     values = metric_transport_values(p, q, graph)
     batch_calls = len(linprog_calls)
-    expected = one_per_call(p, q, graph)
+    assert batch_calls <= ROUND_CALLS[name]
+    expected = batch_one_per_call(name)
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
     moving = int(np.count_nonzero(expected))
     assert values[expected == 0.0].tolist() == [0.0] * (len(p) - moving)
@@ -288,6 +303,138 @@ def test_optimal_tree_refuses_a_basis_that_is_not_dual_feasible():
     assert values[0] == 3.0
 
 
+# a path 0 - 1 - 2 with arcs both ways at length 1, and a detour 0 - 2 at length 3
+TRIANGLE = FlowGraph((0, 1, 2), 3, [0, 1, 1, 2, 0, 2], [1, 0, 2, 1, 2, 0],
+                     [1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
+
+
+def test_repair_pivots_once_to_the_known_basis(monkeypatch):
+    # the tree of mass moved 0 -> 2 (arcs 0 -> 1 -> 2) sends mass moved 1 -> 0
+    # backwards along 0 -> 1. That arc leaves, S = {0}, and the arc into S of
+    # least reduced cost, 1 -> 0 at 2 against 2 -> 0 at 5, enters
+    spanning, pivots = transport_module._spanning_tree, []
+
+    def counting(*args):
+        pivots.append(None)
+        return spanning(*args)
+
+    tree = transport_module._optimal_tree(TRIANGLE, np.array([1.0, 0, 1, 0, 0, 0]), np.zeros(3))
+    assert tree.arc.tolist() == [2, 0] and tree.y.tolist() == [2.0, 1.0, 0.0]
+    monkeypatch.setattr(transport_module, "_spanning_tree", counting)
+    row = np.array([-1.0, 1.0, 0.0])
+    repaired = transport_module._repaired_tree(TRIANGLE, tree, row)
+    assert len(pivots) == 1
+    assert sorted(repaired.arc.tolist()) == [1, 2] and repaired.y.tolist() == [0.0, 1.0, 0.0]
+    served, values = transport_module._tree_values(repaired, row[None])
+    assert served.tolist() == [True] and values.tolist() == [1.0]
+
+
+def test_batch_repairs_the_solved_rows_tree(linprog_calls):
+    p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    q = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(metric_transport_values(p, q, TRIANGLE), [2.0, 1.0])
+    assert len(linprog_calls) == 1
+
+
+def optimal_basis_value(graph, arcs, excess):
+    """The cost of the flows of the tree `arcs` for the row `excess`, after
+    checking that the tree is an optimal basis of that row's LP; its potentials
+    and flows solve the tree's own linear systems, apart from the tree code."""
+    n, tail, head, length = graph.n_vertices, graph.tail, graph.head, graph.length
+    assert arcs.size == n - 1
+    incidence = np.zeros((n, n - 1))
+    incidence[tail[arcs], np.arange(n - 1)] = 1.0
+    incidence[head[arcs], np.arange(n - 1)] = -1.0
+    # y[tail] - y[head] = length on the tree arcs, y = 0 at the last vertex
+    y = np.append(np.linalg.solve(incidence[:-1].T, length[arcs]), 0.0)
+    flows = np.linalg.solve(incidence[:-1], excess[:-1])
+    assert np.all(length - y[tail] + y[head] >= -1e-12)
+    assert np.all(flows >= -1e-12)
+    return length[arcs] @ flows
+
+
+def adversarial_batch():
+    # every point mass to every other, each row one shortest path, then spread
+    # rows: few rows share a basis
+    graph = subset_graph(MIXED_SUPPORT)
+    n = len(graph.labels)
+    i, j = np.array([(i, j) for i in range(n) for j in range(n) if i != j]).T
+    spread_p, spread_q = dirichlet_rows(n, 60, 6, alpha=0.2)
+    return graph, (np.vstack([np.eye(n)[i], spread_p]), np.vstack([np.eye(n)[j], spread_q]))
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """A list that gains, per repair, its target row, pivot count and tree."""
+    spanning, repair, log = transport_module._spanning_tree, transport_module._repaired_tree, []
+
+    def counting(*args):
+        log[-1]["pivots"] += 1
+        return spanning(*args)
+
+    def recording(graph, tree, excess):
+        log.append({"excess": excess, "pivots": 0})
+        with monkeypatch.context() as patch:
+            patch.setattr(transport_module, "_spanning_tree", counting)
+            log[-1]["tree"] = repair(graph, tree, excess)
+        return log[-1]["tree"]
+
+    monkeypatch.setattr(transport_module, "_repaired_tree", recording)
+    return log
+
+
+@pytest.mark.parametrize("name", [*sorted(BATCHES), "adversarial"])
+def test_repaired_trees_are_optimal_bases(name, repairs):
+    graph, (p, q) = adversarial_batch() if name == "adversarial" else BATCHES[name]
+    metric_transport_values(p, q, graph)
+    assert all(r["pivots"] <= graph.n_vertices for r in repairs)
+    repaired = [r for r in repairs if r["tree"] is not None]
+    assert repaired
+    for r in repaired:
+        flows, _ = transport_module._min_cost_flows(graph, r["excess"][None])
+        assert abs(optimal_basis_value(graph, r["tree"].arc, r["excess"])
+                   - flows[0] @ graph.length) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(BATCHES))
+def test_refused_repairs_leave_their_rows_to_highs_rounds(name, linprog_calls, monkeypatch):
+    # every tree a pivot reaches is refused, so the repair gives up, and the
+    # batch takes the calls of rounds alone
+    repair, repaired = transport_module._repaired_tree, []
+
+    def refused(graph, tree, excess):
+        with monkeypatch.context() as patch:
+            patch.setattr(transport_module, "_spanning_tree", lambda *args: None)
+            repaired.append(repair(graph, tree, excess))
+        return repaired[-1]
+
+    monkeypatch.setattr(transport_module, "_repaired_tree", refused)
+    graph, (p, q) = BATCHES[name]
+    values = metric_transport_values(p, q, graph)
+    assert len(linprog_calls) == ROUND_CALLS[name]
+    assert repaired == [None]
+    np.testing.assert_allclose(values, batch_one_per_call(name), rtol=0, atol=1e-12)
+
+
+def test_repairs_stop_at_the_first_tree_serving_only_its_own_row(repairs, linprog_calls,
+                                                                 monkeypatch):
+    # dirichlet_200's rows need bases of their own: one repair shows it
+    graph, (p, q) = BATCHES["dirichlet_200"]
+    tree_values, served = transport_module._tree_values, []
+
+    def counting(tree, excess):
+        out = tree_values(tree, excess)
+        if repairs and tree is repairs[-1]["tree"]:
+            served.append(int(out[0].sum()))
+        return out
+
+    monkeypatch.setattr(transport_module, "_tree_values", counting)
+    metric_transport_values(p, q, graph)
+    assert served.count(1) <= 1 and len(served) == len(repairs)
+    per_lp = max(1, transport_module.LP_VARIABLES // graph.tail.size)
+    assert len(linprog_calls) <= math.ceil(len(p) / per_lp) + math.ceil(math.log2(per_lp))
+
+
 def test_disconnected_graph_solves_every_row_by_lp(linprog_calls):
     # two components, so no spanning tree exists and every moving row needs its LP
     graph = FlowGraph(range(4), 4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 2.0, 1.0, 3.0])
@@ -309,28 +456,26 @@ def test_single_rows_take_one_lp(linprog_calls):
 @pytest.mark.parametrize("seed", [41, 300_000, 300_002])
 def test_sampled_verify_instance_solves_few_lps(seed, linprog_calls):
     # the sampled benchmark shape (6 points, 2 functions, 20,000 draws, 1,000
-    # resamples) transports 1,001 pairs of rows; basis reuse answers nearly all
+    # resamples) transports 1,001 pairs of rows; the first row's tree, and its
+    # repairs, answer all the others
     a = random_orthonormal(6, 2, seed)
     b = random_orthonormal(6, 2, seed + 1, space=a.space)
     report = verify_instance(MixedKernelSpec(np.ones(2), a), MixedKernelSpec(np.ones(2), b),
                              mode="empirical", budget=20_000, seed=seed,
                              bootstrap_resamples=1_000)
     assert report.wsharp_value > 0.0
-    assert len(linprog_calls) <= 4
+    assert len(linprog_calls) == 1
 
 
 @pytest.mark.parametrize("trees", [True, False])
 def test_adversarial_batch_stays_within_the_round_budget(trees, linprog_calls, monkeypatch):
-    # every point mass to every other, each row one shortest path, then spread
-    # rows: few rows share a basis. With or without trees, the rounds of 1, 2,
-    # 4, ... rows add at most one LP per doubling to the packed count
+    # With or without trees, the rounds of 1, 2, 4, ... rows add at most one
+    # LP per doubling to the packed count
     if not trees:
         monkeypatch.setattr(transport_module, "_optimal_tree", lambda *args: None)
-    graph = subset_graph(MIXED_SUPPORT)
+    graph, (p, q) = adversarial_batch()
     n = len(graph.labels)
     i, j = np.array([(i, j) for i in range(n) for j in range(n) if i != j]).T
-    spread_p, spread_q = dirichlet_rows(n, 60, 6, alpha=0.2)
-    p, q = np.vstack([np.eye(n)[i], spread_p]), np.vstack([np.eye(n)[j], spread_q])
     values = metric_transport_values(p, q, graph)
     per_lp = max(1, transport_module.LP_VARIABLES // graph.tail.size)
     assert per_lp > 1
