@@ -27,7 +27,7 @@ from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
 from .transport import (CostMatrix, FlowGraph, TransportPlan, hamming_graph,
                         metric_transport_values, ot_cost, subset_graph, total_variation)
 from .w1_bounds import (GapRow, example_gap_table, stabilizer_max_overlap,
-                        stabilizer_max_overlap_ascent, w1_upper_slater)
+                        stabilizer_max_overlap_ascent, w1_lower_slater, w1_upper_slater)
 from .w1_exact import (W1Certificate, classical_hamming_w1, rdm_monotonicity_check,
                        w1_exact)
 
@@ -85,6 +85,7 @@ __all__ = [
     "tv_bound_general",
     "verify_instance",
     "w1_exact",
+    "w1_lower_slater",
     "w1_upper_slater",
     "walsh_counterexample_report",
     "walsh_family",

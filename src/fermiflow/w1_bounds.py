@@ -83,6 +83,21 @@ def w1_upper_slater(m: OverlapMatrix) -> float:
     return m.n * math.sqrt(max(0.0, 1.0 - s * s))
 
 
+def w1_lower_slater(m: OverlapMatrix) -> float:
+    """sum_i sin theta_i, the cos theta_i being the overlap's singular values.
+
+    At k = 1 the reduced states are P_a / n and P_b / n, P the projector on
+    a family's span, and P_a - P_b has eigenvalues +-sin theta_i, so the
+    one-site distance is sum_i sin theta_i / n. W1 of the k-particle states
+    over k does not decrease in k (`rdm_monotonicity_check`), so the
+    n-particle distance is at least n times that. With `w1_upper_slater`
+    it brackets W1, and the two ends meet exactly when all angles are
+    equal, the upper end's square root being strictly concave.
+    """
+    cos = np.clip(m.singular_values, 0.0, 1.0)
+    return float(np.sqrt(1.0 - cos * cos).sum())
+
+
 @dataclass(frozen=True)
 class GapRow:
     n: int

@@ -85,7 +85,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,6 +112,8 @@ ANDERSON_REG = 1e-10
 SINE_FLOOR = 1e-12
 # projection layouts (gathers and sparse operators) kept across solves
 LAYOUT_CACHE = 8
+# universal single-excitation solves, one per (points, functions, tol, max_iter), kept across pairs
+UNIVERSAL_CACHE = 8
 
 
 def _identity_first_reflection(d: int) -> np.ndarray:
@@ -407,6 +409,10 @@ class W1Certificate:
     loop ran on ((D,) if none). `stage_seconds` splits the call's wall clock
     into "setup" (checks, the layout if not cached, and its c = P(0)),
     "iterations" and "gap_tests" (those in the loop, and measuring the parts).
+    `scale` is None for a solved certificate, and sin theta for one that
+    `rdm_certificates` scaled from a cached solve of a single excitation;
+    such a certificate keeps that solve's `iterations`, `accelerated_steps`,
+    `symmetric_step`, `sectors` and `stage_seconds`, work done once.
     """
 
     value: float
@@ -424,6 +430,7 @@ class W1Certificate:
     real_step: bool
     sectors: tuple
     stage_seconds: dict
+    scale: float | None = None
 
 
 def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -438,6 +445,14 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
     """
     masses = np.maximum(np.real([np.diag(rho.matrix), np.diag(sigma.matrix)]), 0.0)
     return float(metric_transport_values(masses[:1], masses[1:], hamming_graph(rho.dims))[0])
+
+
+def _feasibility_error(parts, delta: np.ndarray, dims) -> float:
+    """Largest entry of sum_i X_i - delta and of every tr_i X_i."""
+    feas_sum = float(np.max(np.abs(np.sum(parts, axis=0) - delta)))
+    feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(part, dims, [i]))))
+                  for i, part in enumerate(parts))
+    return max(feas_sum, feas_tr)
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,
@@ -508,13 +523,10 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
 
     z = layout.expand(z)
     weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
-    feas_sum = float(np.max(np.abs(z.sum(axis=0) - delta)))
-    feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(zi, dims, [i]))))
-                  for i, zi in enumerate(z))
     return W1Certificate(
         value=value, lower=lower, gap=value - lower, part_weights=tuple(map(float, weights)),
         primal_parts=tuple(z), iterations=iterations, primal_residual=r_norm,
-        dual_residual=s_norm, feasibility_error=max(feas_sum, feas_tr),
+        dual_residual=s_norm, feasibility_error=_feasibility_error(z, delta, dims),
         symmetric_step=layout.held < n, accelerated_steps=anderson.accepted,
         threshold=threshold, real_step=real, sectors=layout.sectors,
         stage_seconds={"setup": loop_start - start, "iterations": finish - loop_start - gaps,
@@ -550,17 +562,63 @@ def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray, overlap: np.ndarray
     return OrthonormalFamily(space, np.eye(n, m)), OrthonormalFamily(space, frame_b)
 
 
+@functools.lru_cache(maxsize=UNIVERSAL_CACHE)
+def _universal_certificates(m: int, n: int, tol: float, max_iter: int) -> tuple:
+    """(certificate, difference) of the universal single excitation's k-particle states,
+    k = 1..n, on m points: a = (e_1..e_{n-1}, (e_n - e_{n+1}) / sqrt 2) and b the same
+    with e_n + e_{n+1}, the theta = pi/2 pair of the symmetric frame."""
+    space = GroundSpace(tuple(range(m)), np.ones(m))
+    functions = np.stack([np.eye(n, m)] * 2)
+    functions[:, n - 1, n - 1:n + 1] = [[math.sqrt(0.5), -math.sqrt(0.5)],
+                                        [math.sqrt(0.5), math.sqrt(0.5)]]
+    state_a, state_b = (full_state_vector(OrthonormalFamily(space, f), cap=m ** (2 * n))
+                        for f in functions)
+    pairs = [(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k))
+             for k in range(1, n + 1)]
+    return tuple((w1_exact(rho, sigma, tol=tol, max_iter=max_iter, dim_cap=m ** n),
+                  rho.matrix - sigma.matrix) for rho, sigma in pairs)
+
+
+def _scaled_certificates(frame_b: OrthonormalFamily, kept: int, tol: float,
+                         max_iter: int) -> list[W1Certificate]:
+    """The universal pair's certificates scaled by sin theta and rotated into the frame
+    whose one kept sine is b's column `kept` (see `rdm_certificates`)."""
+    m, n = frame_b.space.n_points, frame_b.n
+    sine = float(frame_b.functions[kept, n].real)
+    half = 0.5 * math.atan2(sine, frame_b.functions[kept, kept].real)
+    # O, from the universal pair's points to the frame's: swap points n - 1 and
+    # `kept`, then rotate by theta / 2 in the plane of `kept` and its sine slot n
+    o = np.eye(m)
+    o[[kept, n - 1]] = o[[n - 1, kept]]
+    o[[kept, n]] = np.array([[math.cos(half), -math.sin(half)],
+                             [math.sin(half), math.cos(half)]]) @ o[[kept, n]]
+    certs = []
+    for k, (cert, delta) in enumerate(_universal_certificates(m, n, tol, max_iter), start=1):
+        rotation = functools.reduce(np.kron, [o] * k)
+        parts = tuple(sine * rotation @ part @ rotation.T for part in cert.primal_parts)
+        value, lower = sine * cert.value, sine * cert.lower
+        certs.append(replace(
+            cert, value=value, lower=lower, gap=value - lower,
+            part_weights=tuple(sine * w for w in cert.part_weights), primal_parts=parts,
+            primal_residual=sine * cert.primal_residual, dual_residual=sine * cert.dual_residual,
+            feasibility_error=_feasibility_error(parts, sine * rotation @ delta @ rotation.T,
+                                                 (m,) * k),
+            threshold=sine * cert.threshold, stage_seconds=dict(cert.stage_seconds), scale=sine))
+    return certs
+
+
 def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TOL,
-                     **solver_kwargs) -> list[W1Certificate]:
+                     max_iter: int = MAX_ITER, dim_cap: int = DIM_CAP) -> list[W1Certificate]:
     """`w1_exact` certificates of the k-particle reduced states, k = 1..n.
 
     Families of different sizes or on different ground spaces are refused,
     and the largest solve, on m**n, is held to `dim_cap`, the path's only
-    cap (a state has (m**n)**2 entries), before any state is built. Every distance is unchanged by one unitary applied on every
-    site, so both families are first rotated into their principal-angle
-    frame, where they are real and so are their reduced states: the solves
-    run in real arithmetic (`real_step`), and `primal_parts` are parts of
-    the rotated states' difference, not of the original one.
+    cap (a state has (m**n)**2 entries), before any state is built. Every
+    distance is unchanged by one unitary applied on every site, so both
+    families are first rotated into their principal-angle frame, where they
+    are real and so are their reduced states: the solves run in real
+    arithmetic (`real_step`), and `primal_parts` are parts of the rotated
+    states' difference, not of the original one.
 
     Of the sines, at most min(n, m - n) are non-zero in exact arithmetic;
     the rest, and any at most SINE_FLOOR, are set to 0, so that equal or
@@ -570,15 +628,50 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TO
     trace distance) moves by at most k times the dropped sum. Families
     orthonormal to rounding drop angles of about SINE_FLOOR; a pair whose n
     times the dropped sum exceeds `tol` is refused before any state is built.
+
+    A pair whose frame keeps exactly one sine, sin theta in b's column i, is
+    a single excitation, and none of its states is built or solved: its
+    certificates are the universal pair's (`_universal_certificates`, on
+    the same m points, solved once per (m, n, tol, max_iter) and cached),
+    with `value`, `lower`, `gap`, `part_weights`, the residuals and
+    `threshold` multiplied by sin theta, and the parts multiplied by sin
+    theta and rotated into the frame (`scale` is sin theta). This is exact:
+
+    - Rotating the points by -theta/2 in the plane of e_i and the sine slot
+      e_s gives the symmetric frame, a_i = c e_i - t e_s and b_i = c e_i +
+      t e_s with c, t = cos, sin (theta/2), every other column e_j. A
+      determinant state is linear in its column i, so with U and W the
+      states holding e_i, resp. e_s, there, rho_a - rho_b = -2 c t (U W^H +
+      W U^H): sin theta times a matrix that does not depend on theta.
+      Swapping points i and n - 1 makes that matrix the universal pair's
+      difference, whose c = t = 1/sqrt 2.
+    - Partial traces are linear, so each reduced difference is
+      sin theta O^(x)k Delta_k O^(x)k^T, Delta_k the universal pair's and O
+      the swap followed by the rotation by theta/2.
+    - The program and its dual certificate are positively homogeneous, and
+      one orthogonal O on every site maps feasible points to feasible points
+      and dual points to dual points at the same values (it keeps every
+      partial trace zero and every norm). So the scaled, rotated parts are
+      feasible at sin theta times the value, the scaled dual point certifies
+      sin theta times the lower end, and the gap sin theta gap is at most
+      `tol`.
+
+    `feasibility_error` is measured on the returned parts. A universal solve
+    that does not certify within `max_iter` raises its ConvergenceError,
+    whose figures are the universal pair's. Pairs with no kept sine or with
+    two or more are solved as they are.
     """
     overlap = overlap_matrix(a, b).entries
-    total, cap = a.space.n_points ** a.n, solver_kwargs.get("dim_cap", DIM_CAP)
-    if total > cap:
-        raise ValueError(f"total dimension {total} exceeds cap {cap}")
+    total = a.space.n_points ** a.n
+    if total > dim_cap:
+        raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
     frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap, tol)
-    state_a, state_b = (full_state_vector(f, cap=cap * cap) for f in (frame_a, frame_b))
+    kept = np.flatnonzero(frame_b.functions[:, a.n:].any(axis=1))
+    if len(kept) == 1:
+        return _scaled_certificates(frame_b, int(kept[0]), tol, max_iter)
+    state_a, state_b = (full_state_vector(f, cap=dim_cap * dim_cap) for f in (frame_a, frame_b))
     return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
-                     tol=tol, **solver_kwargs)
+                     tol=tol, max_iter=max_iter, dim_cap=dim_cap)
             for k in range(1, a.n + 1)]
 
 
@@ -586,9 +679,23 @@ def rdm_monotonicity_check(a: OrthonormalFamily, b: OrthonormalFamily,
                            **solver_kwargs) -> list[tuple[int, float]]:
     """Per-size distances (k, W1(reduced_k) / k) for k = 1..n.
 
-    The sequence is non-decreasing in exact arithmetic; each value is within
-    the solver's `tol` / k above the distance. A monotonicity verdict should
-    compare the certified intervals of `rdm_certificates` instead.
+    The distances over k are non-decreasing: W1(Gamma_l) / l >= W1(Gamma_k) / k
+    for l >= k. Proof: take a dual-feasible H_k of the k-site program, so each
+    site i has some M_i with ||H_k + M_i (x) I_i|| <= 1/2. Place H_k on each
+    k-subset S of the l sites and average with weight 1 / C(l-1, k-1). For
+    site i, the C(l-1, k-1) subsets containing i keep their own M_{S,i}, and
+    the terms of the other subsets, the identity on site i, move into M_i;
+    so the average is dual-feasible for the l-site program. An antisymmetric
+    state has the same k-site marginal Gamma_k on every subset, so the
+    average's value is C(l, k) / C(l-1, k-1) = l / k times H_k's. The best
+    H_k attains W1(Gamma_k) (strong duality), which gives the claim; and a
+    certified `lower` at k gives the lower end (l / k) `lower` at every
+    l >= k with no solve at l. At k = 1 this is the one-site lower
+    bound of De Palma, Marvian, Trevisan & Lloyd (2021).
+
+    Each value is within the solver's `tol` / k above the distance. A
+    monotonicity verdict should compare the certified intervals of
+    `rdm_certificates` instead.
     """
     certs = rdm_certificates(a, b, **solver_kwargs)
     return [(k, cert.value / k) for k, cert in enumerate(certs, start=1)]

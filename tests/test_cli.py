@@ -497,6 +497,23 @@ def test_rdm_monotonicity_run(tmp_path):
         assert (row["iterations"][0], row["gap"][0]) == (0, 0.0)
         assert row["iterations"][1] >= 1
         assert all(gap <= 1e-5 for gap in row["gap"])
+        # two kept sines on four points: every size was solved
+        assert row["scale"] == [None, None]
+
+
+def test_rdm_monotonicity_rows_show_scaled_sizes(tmp_path):
+    # three functions on four points keep one sine: every size is the cached
+    # universal solve scaled by the pair's sin theta
+    cfg = write_config(tmp_path, "rdm.seeds=2\nrdm.n=3\n")
+    code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg])
+    assert code == 0
+    rows = parse_json(out)["report"]["rows"]
+    for row in rows:
+        scale = row["scale"][0]
+        assert 0.0 < scale < 1.0 and row["scale"] == [scale] * 3
+        assert row["monotone"] is True and all(gap <= 1e-5 for gap in row["gap"])
+    assert rows[0]["scale"] != rows[1]["scale"]
+    assert rows[0]["iterations"] == rows[1]["iterations"]
 
 
 def test_rdm_monotonicity_default_config_certifies_every_pair():

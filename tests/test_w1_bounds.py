@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from fermiflow import (OrthonormalFamily, OverlapMatrix, example_gap_table,
                        overlap_matrix, random_orthonormal, stabilizer_max_overlap,
-                       stabilizer_max_overlap_ascent, trace_distance_slater,
-                       w1_upper_slater)
+                       rdm_monotonicity_check, stabilizer_max_overlap_ascent,
+                       trace_distance_slater, w1_lower_slater, w1_upper_slater)
 
 # frozen: 1 - (1 - 2^-20)/20 in exact rationals, then to float
 STAB_DIAG_20 = float(1 - (1 - Fraction(1, 2 ** 20)) / 20)
@@ -74,6 +74,30 @@ def test_bound_chain_random_instances():
         mid = w1_upper_slater(m)
         assert lower <= mid + 1e-9
         assert mid <= n * lower + 1e-9
+
+
+@pytest.mark.parametrize("m, n, seed", [(4, 2, 5_000), (5, 2, 5_002), (5, 3, 5_004)])
+def test_lower_bound_is_n_times_the_one_site_distance(m, n, seed):
+    a = random_orthonormal(m, n, seed=seed)
+    b = random_orthonormal(m, n, seed=seed + 1)
+    overlap = overlap_matrix(a, b)
+    # the one-site distance is the trace distance of P_a / n and P_b / n
+    (k, one_site), *_ = rdm_monotonicity_check(a, b, dim_cap=125)
+    assert k == 1
+    assert w1_lower_slater(overlap) == pytest.approx(n * one_site, abs=1e-12)
+    assert w1_lower_slater(overlap) < w1_upper_slater(overlap)
+
+
+def test_lower_and_upper_bounds_meet_at_equal_angles():
+    for n in (1, 3):
+        for c in (0.0, 0.6, 1.0):
+            m = OverlapMatrix(c * np.eye(n))
+            expected = n * np.sqrt(1.0 - c * c)
+            assert w1_lower_slater(m) == pytest.approx(expected, abs=1e-12)
+            assert w1_upper_slater(m) == pytest.approx(expected, abs=1e-12)
+    # unequal angles: a strict Jensen gap
+    m = OverlapMatrix(np.diag([1.0, 0.0]))
+    assert (w1_lower_slater(m), w1_upper_slater(m)) == pytest.approx((1.0, np.sqrt(3.0)))
 
 
 def test_ascent_oracle_matches_svd():

@@ -501,7 +501,8 @@ def frame_states(a, b, k):
     # a point carries one function of a (e_i, block i) or the sine of b's column i
     weight = sum(np.abs(f.functions) for f in frame)
     assert np.all(weight.max(axis=0) > 0)
-    rho, sig = (reduced_density_matrix(full_state_vector(f), k) for f in frame)
+    entries = a.space.n_points ** (2 * a.n)
+    rho, sig = (reduced_density_matrix(full_state_vector(f, cap=entries), k) for f in frame)
     return rho, sig, np.argmax(weight, axis=0)
 
 
@@ -985,22 +986,92 @@ def w1_cap_pairs():
              random_orthonormal(4, 3, seed=400_001 + 2 * i)) for i in range(8)]
 
 
-def test_each_layout_builds_its_operator_once(layout_cache, monkeypatch):
-    # the 16 multi-site solves of the eight pairs share two layouts in their frame:
-    # (4, 4) on sectors [2, 4, 4, 6] and (4, 4, 4) on [12, 16, 16, 20], block 0 held
-    for a, b in w1_cap_pairs():
-        assert {c.sectors for c in w1_module.rdm_certificates(a, b)[1:]} <= {
-            (2, 4, 4, 6), (12, 16, 16, 20)}
-    assert layout_cache.cache_info()[:2] == (14, 2)
+@pytest.fixture
+def universal_cache():
+    """The cached universal single-excitation solves, emptied before and after the test."""
+    universal = w1_module._universal_certificates
+    universal.cache_clear()
+    yield universal
+    universal.cache_clear()
+
+
+def test_each_layout_builds_its_operator_once(layout_cache, universal_cache, monkeypatch):
+    # the eight pairs are single excitations of one shape: one universal solve per
+    # size k, whose two multi-site solves build two layouts, (4, 4) on sectors
+    # [2, 4, 4, 6] and (4, 4, 4) on [12, 16, 16, 20], block 0 held
+    solve, solves = w1_module.w1_exact, []
+
+    def counting(rho, sigma, **kwargs):
+        solves.append(rho.dims)
+        return solve(rho, sigma, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(w1_module, "w1_exact", counting)
+        for a, b in w1_cap_pairs():
+            assert {c.sectors for c in w1_module.rdm_certificates(a, b)[1:]} <= {
+                (2, 4, 4, 6), (12, 16, 16, 20)}
+    assert solves == [(4,), (4, 4), (4, 4, 4)]
+    assert universal_cache.cache_info()[:2] == (7, 1)
+    assert layout_cache.cache_info()[:2] == (0, 2)
     rho, sig, _ = frame_states(*CLI_PAIR_0, 2)
     assert w1_exact(rho, sig).symmetric_step
-    assert layout_cache.cache_info()[:2] == (15, 2)
+    assert layout_cache.cache_info()[:2] == (1, 2)
     # the same sectors with every block held, then a new sector layout
     with monkeypatch.context() as patch:
         general_step(patch)
         assert not w1_exact(rho, sig).symmetric_step
     assert w1_exact(*check5_pair(3)).sectors == (16,)
-    assert layout_cache.cache_info()[:2] == (15, 4)
+    assert layout_cache.cache_info()[:2] == (1, 4)
+
+
+# single excitations: the eight w1_cap pairs, and random pairs with m = n + 1 (seeds named)
+SINGLE_EXCITATIONS = {
+    **{f"w1_cap_{i}": pair for i, pair in enumerate(w1_cap_pairs())},
+    **{f"m{m}_n{m - 1}_seed{seed}": (random_orthonormal(m, m - 1, seed=seed),
+                                     random_orthonormal(m, m - 1, seed=seed + 1))
+       for m in (3, 4, 5) for seed in (97_000 + 100 * m, 97_002 + 100 * m)},
+}
+
+
+@pytest.mark.parametrize("pair", SINGLE_EXCITATIONS.values(), ids=SINGLE_EXCITATIONS.keys())
+def test_scaled_certificates_match_the_direct_solves(pair):
+    a, b = pair
+    certs = w1_module.rdm_certificates(a, b, dim_cap=625)
+    for k, cert in enumerate(certs, start=1):
+        rho, sig, _ = frame_states(a, b, k)
+        direct = w1_exact(rho, sig, dim_cap=625)
+        assert direct.scale is None and 0.0 < cert.scale < 1.0
+        # both certified intervals hold the distance
+        assert max(cert.lower, direct.lower) <= min(cert.value, direct.value) + 1e-12
+        assert cert.gap <= DEFAULT_TOL
+        # the parts are feasible for the frame's own difference: they sum to it,
+        # up to the rounding of rotating the universal difference, and each has
+        # a zero partial trace over its own site
+        delta = (rho.matrix - sig.matrix).real
+        assert cert.feasibility_error <= 1e-12
+        assert np.max(np.abs(np.sum(cert.primal_parts, axis=0) - delta)) <= (
+            cert.feasibility_error + 1e-15)
+        for i, part in enumerate(cert.primal_parts):
+            assert np.max(np.abs(_partial_trace_matrix(part, rho.dims, [i]))) <= 1e-12
+        weights = [half_trace_norm(part) for part in cert.primal_parts]
+        np.testing.assert_allclose(cert.part_weights, weights, rtol=0, atol=1e-12)
+        assert sum(weights) == pytest.approx(cert.value, abs=1e-12)
+
+
+def test_scaled_constants_at_three_functions():
+    # n W1(Gamma_k) / sin theta at n = 3, k = 1..3: measured, not derived
+    certs = w1_module.rdm_certificates(*CLI_PAIR_0)
+    for cert, constant in zip(certs, [1.0, 1.0 + math.sqrt(3.0), 2.0 * math.sqrt(6.0)]):
+        assert 3 * cert.lower / cert.scale == pytest.approx(constant, abs=1e-4)
+        assert 3 * cert.value / cert.scale == pytest.approx(constant, abs=1e-4)
+
+
+def test_universal_solve_past_max_iter_still_raises(universal_cache):
+    with pytest.raises(ConvergenceError, match="in 1 iterations"):
+        w1_module.rdm_certificates(*CLI_PAIR_0, max_iter=1)
+    # nothing was cached: the next call solves anew and certifies
+    assert universal_cache.cache_info().currsize == 0
+    assert all(c.gap <= DEFAULT_TOL for c in w1_module.rdm_certificates(*CLI_PAIR_0))
 
 
 @pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 3), 1), (product_case(3), 2)],
