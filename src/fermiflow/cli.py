@@ -287,7 +287,8 @@ def cmd_example_gap(cfg: RunConfig) -> int:
     cfg.reject_unread()
     rows = [asdict(r) for r in example_gap_table(n_max)]
     _emit(cfg, "example-gap", {"n_max": n_max, "rows": rows},
-          ["n", "determinant", "mean_overlap", "trace_distance", "w1_upper_over_n"], rows)
+          ["n", "determinant", "mean_overlap", "trace_distance", "w1_lower_over_n",
+           "w1_upper_over_n"], rows)
     return 0
 
 

@@ -300,7 +300,7 @@ def check_rdm_monotonicity() -> CheckResult:
 
 
 def check_gap_table() -> CheckResult:
-    """Tilted pairs: determinant stays bounded away from 1 while overlap -> 1."""
+    """Tilted pairs: determinant stays away from 1 while overlap -> 1; W1 lower <= upper."""
     start = time.perf_counter()
     rows = example_gap_table(20)
     row = rows[-1]
@@ -310,11 +310,13 @@ def check_gap_table() -> CheckResult:
     overlap_target = float(1 - (1 - Fraction(1, 2 ** 20)) / 20)
     det_dev = abs(row.determinant - det_target)
     overlap_dev = abs(row.mean_overlap - overlap_target)
+    bracket = min(r.w1_upper_over_n - r.w1_lower_over_n for r in rows)
     elapsed = time.perf_counter() - start
-    passed = (det_dev <= 1e-9 and overlap_dev <= 1e-12
+    passed = (det_dev <= 1e-9 and overlap_dev <= 1e-12 and slack_passed(bracket)
               and row.w1_upper_over_n < 0.33 and row.trace_distance > 0.95)
     detail = (f"det dev {det_dev:.2e}, overlap dev {overlap_dev:.2e}, "
-              f"upper/n {row.w1_upper_over_n:.4f}, trace {row.trace_distance:.4f}")
+              f"upper/n {row.w1_upper_over_n:.4f}, lower/n {row.w1_lower_over_n:.4f}, "
+              f"smallest upper - lower {bracket:.2e}, trace {row.trace_distance:.4f}")
     return CheckResult("gap_table", passed, elapsed, detail)
 
 

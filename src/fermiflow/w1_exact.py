@@ -64,7 +64,9 @@ When delta has no imaginary part, the loop runs in float64, as it does
 for every pair of determinant states through `rdm_certificates`: the
 distance is unchanged by one unitary applied on every site, and two
 n-dimensional subspaces of C^m have a real canonical form through their
-principal angles (Bjorck & Golub 1973), into which both are rotated.
+principal angles theta_i (Bjorck & Golub 1973), into which both are rotated:
+the symmetric frame, where a's and b's i-th functions lie at -theta_i / 2
+and +theta_i / 2 from e_i, in the plane of e_i and one point of its own.
 
 The loop holds only the diagonal blocks of delta's sign-flip sectors. Bit p
 of a site tuple's parity vector pi(i) in GF(2)^d is set when point p occurs
@@ -397,7 +399,8 @@ class W1Certificate:
     `value` is the objective at the feasible iterate `primal_parts`, `lower`
     the dual value of the scaled multiplier, and gap = value - lower <= tol
     (TOL by default). `primal_residual` and `dual_residual` are the last
-    iteration's ||x - z|| and ||z - z_prev|| over all n blocks. `symmetric_step` says whether the loop held block 0 alone, the other
+    iteration's ||x - z|| and ||z - z_prev|| over all n blocks.
+    `symmetric_step` says whether the loop held block 0 alone, the other
     blocks being its site swaps (0 i), formed after the loop; the parts
     then sum to a swap-symmetrized delta, off delta by the order of the
     swap test's 1e-12, and `feasibility_error` reports the difference.
@@ -533,78 +536,60 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
                        "gap_tests": gaps + time.perf_counter() - finish})
 
 
-def _principal_frame(fold_a: np.ndarray, fold_b: np.ndarray, overlap: np.ndarray,
-                     tol: float) -> tuple[OrthonormalFamily, OrthonormalFamily]:
-    """Both families in their principal-angle frame (Bjorck & Golub 1973): real, unit weights.
+def _principal_angles(a: OrthonormalFamily, b: OrthonormalFamily, tol: float) -> np.ndarray:
+    """Principal angles of the spans (Bjorck & Golub 1973), dropped ones 0 (`rdm_certificates`).
 
-    With overlap = A^H B = P diag(cos) Q^H for the folded (m, n) columns,
-    the residuals r_i = B q_i - cos_i A p_i are orthogonal to A's span and
-    to each other, of norm sin_i. So one unitary U on the points sends A p_i
-    to e_i and r_i / sin_i to e_{n+j}, j counting the non-zero sines, and
-    the determinant states become U^(x)n times the originals, up to phase.
+    With A^H B = P diag(cos) Q^H for the folded (m, n) columns, the residuals
+    r_i = B q_i - cos_i A p_i are orthogonal to A's span and to each other,
+    of norm sin_i.
     """
-    m, n = fold_a.shape
-    p, cos, qh = np.linalg.svd(overlap)
+    fold_a, fold_b = a.folded(), b.folded()
+    p, cos, qh = np.linalg.svd(overlap_matrix(a, b).entries)
     sin = np.linalg.norm(fold_b @ qh.conj().T - (fold_a @ p) * cos, axis=0)
     dropped = sin <= SINE_FLOOR
-    dropped[np.argsort(-sin)[min(n, m - n):]] = True
-    angles = np.arctan2(sin[dropped], cos[dropped])
-    if (moved := n * angles.sum()) > tol:
-        raise ValueError(f"dropped principal angles {', '.join(map('{:.1e}'.format, angles))} "
-                         f"may move a {n}-particle value by {moved:.1e}, past tol {tol:.1e}")
-    sin[dropped] = 0.0
-    norm = np.hypot(cos, sin)
-    frame_b = np.zeros((n, m))
-    frame_b[np.arange(n), np.arange(n)] = cos / norm
-    kept = np.flatnonzero(sin)
-    frame_b[kept, n + np.arange(len(kept))] = sin[kept] / norm[kept]
+    dropped[np.argsort(-sin)[min(a.n, a.space.n_points - a.n):]] = True
+    angles = np.arctan2(sin, cos)
+    if (moved := a.n * angles[dropped].sum()) > tol:
+        listed = ", ".join(map("{:.1e}".format, angles[dropped]))
+        raise ValueError(f"dropped principal angles {listed} may move a {a.n}-particle value "
+                         f"by {moved:.1e}, past tol {tol:.1e}")
+    angles[dropped] = 0.0
+    return angles
+
+
+def _symmetric_frame(m: int, angles: np.ndarray) -> tuple[OrthonormalFamily, OrthonormalFamily]:
+    """Two real families on m unit-weight points with these principal angles.
+
+    Sorted, the non-zero angles come last, the j-th, theta_i, with the point
+    e_s, s = n + j: a_i, b_i = cos(theta_i / 2) e_i -+ sin(theta_i / 2) e_s.
+    One unitary U on the points sends the spans' A p_i to a_i and r_i / sin_i
+    to sin(theta_i / 2) e_i + cos(theta_i / 2) e_s (`_principal_angles`), so
+    the determinant states are U^(x)n times the originals, up to phase.
+    """
+    n, half = len(angles), 0.5 * np.sort(angles)
+    kept = np.flatnonzero(half)
+    sine = np.zeros((n, m))
+    sine[kept, n + np.arange(len(kept))] = np.sin(half[kept])
+    cosine = np.eye(n, m) * np.cos(half)[:, None]
     space = GroundSpace(tuple(range(m)), np.ones(m))
-    return OrthonormalFamily(space, np.eye(n, m)), OrthonormalFamily(space, frame_b)
+    return OrthonormalFamily(space, cosine - sine), OrthonormalFamily(space, cosine + sine)
+
+
+def _frame_certificates(m: int, angles: np.ndarray, tol: float, max_iter: int,
+                        dim_cap: int) -> list[tuple[W1Certificate, np.ndarray]]:
+    """(certificate, difference) of the frame states' k-particle reduced states, k = 1..n."""
+    state_a, state_b = (full_state_vector(f, cap=dim_cap * dim_cap)
+                        for f in _symmetric_frame(m, angles))
+    pairs = [(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k))
+             for k in range(1, len(angles) + 1)]
+    return [(w1_exact(rho, sigma, tol=tol, max_iter=max_iter, dim_cap=dim_cap),
+             rho.matrix - sigma.matrix) for rho, sigma in pairs]
 
 
 @functools.lru_cache(maxsize=UNIVERSAL_CACHE)
 def _universal_certificates(m: int, n: int, tol: float, max_iter: int) -> tuple:
-    """(certificate, difference) of the universal single excitation's k-particle states,
-    k = 1..n, on m points: a = (e_1..e_{n-1}, (e_n - e_{n+1}) / sqrt 2) and b the same
-    with e_n + e_{n+1}, the theta = pi/2 pair of the symmetric frame."""
-    space = GroundSpace(tuple(range(m)), np.ones(m))
-    functions = np.stack([np.eye(n, m)] * 2)
-    functions[:, n - 1, n - 1:n + 1] = [[math.sqrt(0.5), -math.sqrt(0.5)],
-                                        [math.sqrt(0.5), math.sqrt(0.5)]]
-    state_a, state_b = (full_state_vector(OrthonormalFamily(space, f), cap=m ** (2 * n))
-                        for f in functions)
-    pairs = [(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k))
-             for k in range(1, n + 1)]
-    return tuple((w1_exact(rho, sigma, tol=tol, max_iter=max_iter, dim_cap=m ** n),
-                  rho.matrix - sigma.matrix) for rho, sigma in pairs)
-
-
-def _scaled_certificates(frame_b: OrthonormalFamily, kept: int, tol: float,
-                         max_iter: int) -> list[W1Certificate]:
-    """The universal pair's certificates scaled by sin theta and rotated into the frame
-    whose one kept sine is b's column `kept` (see `rdm_certificates`)."""
-    m, n = frame_b.space.n_points, frame_b.n
-    sine = float(frame_b.functions[kept, n].real)
-    half = 0.5 * math.atan2(sine, frame_b.functions[kept, kept].real)
-    # O, from the universal pair's points to the frame's: swap points n - 1 and
-    # `kept`, then rotate by theta / 2 in the plane of `kept` and its sine slot n
-    o = np.eye(m)
-    o[[kept, n - 1]] = o[[n - 1, kept]]
-    o[[kept, n]] = np.array([[math.cos(half), -math.sin(half)],
-                             [math.sin(half), math.cos(half)]]) @ o[[kept, n]]
-    certs = []
-    for k, (cert, delta) in enumerate(_universal_certificates(m, n, tol, max_iter), start=1):
-        rotation = functools.reduce(np.kron, [o] * k)
-        parts = tuple(sine * rotation @ part @ rotation.T for part in cert.primal_parts)
-        value, lower = sine * cert.value, sine * cert.lower
-        certs.append(replace(
-            cert, value=value, lower=lower, gap=value - lower,
-            part_weights=tuple(sine * w for w in cert.part_weights), primal_parts=parts,
-            primal_residual=sine * cert.primal_residual, dual_residual=sine * cert.dual_residual,
-            feasibility_error=_feasibility_error(parts, sine * rotation @ delta @ rotation.T,
-                                                 (m,) * k),
-            threshold=sine * cert.threshold, stage_seconds=dict(cert.stage_seconds), scale=sine))
-    return certs
+    """`_frame_certificates` of the universal single excitation: theta = pi/2 on column n - 1."""
+    return tuple(_frame_certificates(m, np.eye(n)[-1] * (0.5 * math.pi), tol, max_iter, m ** n))
 
 
 def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TOL,
@@ -615,10 +600,11 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TO
     and the largest solve, on m**n, is held to `dim_cap`, the path's only
     cap (a state has (m**n)**2 entries), before any state is built. Every
     distance is unchanged by one unitary applied on every site, so both
-    families are first rotated into their principal-angle frame, where they
-    are real and so are their reduced states: the solves run in real
-    arithmetic (`real_step`), and `primal_parts` are parts of the rotated
-    states' difference, not of the original one.
+    families are rebuilt from their principal angles in the symmetric frame
+    (`_symmetric_frame`), where they are real and so are their reduced
+    states: the solves run in real arithmetic (`real_step`), and
+    `primal_parts` are parts of the frame states' difference, not of the
+    original one.
 
     Of the sines, at most min(n, m - n) are non-zero in exact arithmetic;
     the rest, and any at most SINE_FLOOR, are set to 0, so that equal or
@@ -629,50 +615,43 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TO
     orthonormal to rounding drop angles of about SINE_FLOOR; a pair whose n
     times the dropped sum exceeds `tol` is refused before any state is built.
 
-    A pair whose frame keeps exactly one sine, sin theta in b's column i, is
-    a single excitation, and none of its states is built or solved: its
-    certificates are the universal pair's (`_universal_certificates`, on
-    the same m points, solved once per (m, n, tol, max_iter) and cached),
-    with `value`, `lower`, `gap`, `part_weights`, the residuals and
-    `threshold` multiplied by sin theta, and the parts multiplied by sin
-    theta and rotated into the frame (`scale` is sin theta). This is exact:
+    A pair with exactly one non-zero angle theta is a single excitation, and
+    none of its states is built or solved: its certificates are the
+    universal pair's (`_universal_certificates`, theta = pi/2 on the same m
+    points, solved once per (m, n, tol, max_iter) and cached), with `value`,
+    `lower`, `gap`, `part_weights`, the residuals, `threshold` and the parts
+    multiplied by sin theta (`scale`). This is exact:
 
-    - Rotating the points by -theta/2 in the plane of e_i and the sine slot
-      e_s gives the symmetric frame, a_i = c e_i - t e_s and b_i = c e_i +
-      t e_s with c, t = cos, sin (theta/2), every other column e_j. A
-      determinant state is linear in its column i, so with U and W the
-      states holding e_i, resp. e_s, there, rho_a - rho_b = -2 c t (U W^H +
-      W U^H): sin theta times a matrix that does not depend on theta.
-      Swapping points i and n - 1 makes that matrix the universal pair's
-      difference, whose c = t = 1/sqrt 2.
-    - Partial traces are linear, so each reduced difference is
-      sin theta O^(x)k Delta_k O^(x)k^T, Delta_k the universal pair's and O
-      the swap followed by the rotation by theta/2.
-    - The program and its dual certificate are positively homogeneous, and
-      one orthogonal O on every site maps feasible points to feasible points
-      and dual points to dual points at the same values (it keeps every
-      partial trace zero and every norm). So the scaled, rotated parts are
-      feasible at sin theta times the value, the scaled dual point certifies
-      sin theta times the lower end, and the gap sin theta gap is at most
-      `tol`.
+    - A determinant state is linear in its last column, c e_{n-1} -+ t e_n
+      with c, t = cos, sin (theta / 2), so rho_a - rho_b = -2 c t (U W^H +
+      W U^H), U and W the states with e_{n-1}, resp. e_n, there: sin theta
+      times the universal pair's difference.
+    - Partial traces are linear: so is every reduced difference.
+    - The program and its dual are positively homogeneous: the scaled parts
+      are feasible at sin theta times the value, the scaled dual point
+      certifies sin theta times the lower end, and the gap is at most `tol`.
 
     `feasibility_error` is measured on the returned parts. A universal solve
     that does not certify within `max_iter` raises its ConvergenceError,
-    whose figures are the universal pair's. Pairs with no kept sine or with
-    two or more are solved as they are.
+    whose figures are the universal pair's. Pairs with no non-zero angle or
+    with two or more are solved in their frame.
     """
-    overlap = overlap_matrix(a, b).entries
-    total = a.space.n_points ** a.n
-    if total > dim_cap:
-        raise ValueError(f"total dimension {total} exceeds cap {dim_cap}")
-    frame_a, frame_b = _principal_frame(a.folded(), b.folded(), overlap, tol)
-    kept = np.flatnonzero(frame_b.functions[:, a.n:].any(axis=1))
-    if len(kept) == 1:
-        return _scaled_certificates(frame_b, int(kept[0]), tol, max_iter)
-    state_a, state_b = (full_state_vector(f, cap=dim_cap * dim_cap) for f in (frame_a, frame_b))
-    return [w1_exact(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k),
-                     tol=tol, max_iter=max_iter, dim_cap=dim_cap)
-            for k in range(1, a.n + 1)]
+    m, n, angles = a.space.n_points, a.n, _principal_angles(a, b, tol)
+    if m ** n > dim_cap:
+        raise ValueError(f"total dimension {m ** n} exceeds cap {dim_cap}")
+    if np.count_nonzero(angles) != 1:
+        return [cert for cert, _ in _frame_certificates(m, angles, tol, max_iter, dim_cap)]
+    sine, certs = math.sin(angles.max()), []
+    for k, (cert, delta) in enumerate(_universal_certificates(m, n, tol, max_iter), start=1):
+        parts = tuple(sine * part for part in cert.primal_parts)
+        value, lower = sine * cert.value, sine * cert.lower
+        certs.append(replace(
+            cert, value=value, lower=lower, gap=value - lower,
+            part_weights=tuple(sine * w for w in cert.part_weights), primal_parts=parts,
+            primal_residual=sine * cert.primal_residual, dual_residual=sine * cert.dual_residual,
+            feasibility_error=_feasibility_error(parts, sine * delta, (m,) * k),
+            threshold=sine * cert.threshold, stage_seconds=dict(cert.stage_seconds), scale=sine))
+    return certs
 
 
 def rdm_monotonicity_check(a: OrthonormalFamily, b: OrthonormalFamily,

@@ -560,7 +560,7 @@ def test_example_gap_csv_columns(tmp_path):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "determinant", "mean_overlap", "trace_distance",
-                       "w1_upper_over_n"]
+                       "w1_lower_over_n", "w1_upper_over_n"]
     assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
 
 

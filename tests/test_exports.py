@@ -1,15 +1,18 @@
 """Public names: everything `fermiflow` exports resolves, and every name a
 demo imports from `fermiflow` is exported, so removing a name cannot leave
-a demo broken. The demos are parsed, not run."""
+a demo broken. The demos are parsed; the two quick ones that call the
+solver and the gap table are also run."""
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
 
 import fermiflow
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -26,6 +29,12 @@ def test_demo_imports_only_exported_names(demo):
                 for alias in node.names]
     assert imported, f"{demo.name} imports nothing from fermiflow"
     assert sorted(set(imported) - set(fermiflow.__all__)) == []
+
+
+@pytest.mark.parametrize("name", ["quantum_sandwich.py", "overlap_gap.py"])
+def test_quick_demos_run(name, capsys):
+    runpy.run_path(str(DEMO_DIR / name), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def test_demos_are_found():

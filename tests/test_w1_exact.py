@@ -17,7 +17,7 @@ from fermiflow import (ConvergenceError, DensityOperator, GroundSpace, MixedKern
                        OrthonormalFamily, classical_hamming_w1, full_state_vector,
                        orthonormalize, overlap_matrix, random_orthonormal,
                        rdm_monotonicity_check, reduced_density_matrix,
-                       trace_distance_slater, w1_exact, w1_upper_slater)
+                       trace_distance_slater, w1_exact, w1_lower_slater, w1_upper_slater)
 from fermiflow.selftest import _random_density as check_density
 from fermiflow.slater import _partial_trace_matrix
 from fermiflow.w1_exact import _Layout, _layout_of
@@ -454,6 +454,20 @@ def test_principal_frame_matches_the_original_states(pair):
         assert cert.value == pytest.approx(original.value, abs=DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("m, n, theta", [(4, 2, 0.4), (4, 2, 1.1), (6, 2, 0.7), (6, 3, 0.5)])
+def test_equal_angles_meet_both_closed_form_ends(m, n, theta):
+    # at equal angles sum_i sin theta_i = n sqrt(1 - cos^2 theta): W1 = n sin theta exactly
+    a, b = w1_module._symmetric_frame(m, np.full(n, theta))
+    exact = n * math.sin(theta)
+    overlap = overlap_matrix(a, b)
+    assert w1_lower_slater(overlap) == pytest.approx(exact, rel=0, abs=1e-12)
+    assert w1_upper_slater(overlap) == pytest.approx(exact, rel=0, abs=1e-12)
+    cert = w1_module.rdm_certificates(a, b, dim_cap=216)[-1]
+    # the certified interval, of width at most tol, holds n sin theta up to rounding
+    assert cert.gap <= DEFAULT_TOL
+    assert cert.lower - 1e-12 <= exact <= cert.value + 1e-12
+
+
 def test_recombined_family_gives_exactly_zero_in_the_frame():
     a = random_orthonormal(4, 3, seed=86)
     certs = w1_module.rdm_certificates(a, recombined(a, 87))
@@ -466,9 +480,7 @@ def test_frame_keeps_at_most_m_minus_n_sines():
     a = random_orthonormal(4, 3, seed=88)
     noise = np.random.default_rng(88).normal(size=a.functions.shape)
     b = OrthonormalFamily(a.space, a.functions + 1e-10 * noise)
-    fold_a, fold_b = a.folded(), b.folded()
-    frame_a, frame_b = w1_module._principal_frame(fold_a, fold_b, fold_a.conj().T @ fold_b,
-                                                     DEFAULT_TOL)
+    frame_a, frame_b = principal_frame(a, b)
     assert np.count_nonzero(frame_b.functions[:, 3:]) <= 1
     assert not frame_a.functions.imag.any() and not frame_b.functions.imag.any()
     # the dropped sines move every value by about k * 1e-10
@@ -493,12 +505,17 @@ def test_frame_refuses_dropped_angles_past_tol(monkeypatch):
 CLI_PAIR_0 = (random_orthonormal(4, 3, seed=400_000), random_orthonormal(4, 3, seed=400_001))
 
 
+def principal_frame(a, b):
+    """The families in the symmetric principal-angle frame `rdm_certificates` builds."""
+    angles = w1_module._principal_angles(a, b, DEFAULT_TOL)
+    return w1_module._symmetric_frame(a.space.n_points, angles)
+
+
 def frame_states(a, b, k):
     """The k-particle reduced states in the principal-angle frame, as
     `rdm_certificates` solves them, and each point's frame block."""
-    fold_a, fold_b = a.folded(), b.folded()
-    frame = w1_module._principal_frame(fold_a, fold_b, fold_a.conj().T @ fold_b, DEFAULT_TOL)
-    # a point carries one function of a (e_i, block i) or the sine of b's column i
+    frame = principal_frame(a, b)
+    # a point carries column i's cosine (e_i, block i) or its sine (column i's own point)
     weight = sum(np.abs(f.functions) for f in frame)
     assert np.all(weight.max(axis=0) > 0)
     entries = a.space.n_points ** (2 * a.n)
@@ -1045,7 +1062,7 @@ def test_scaled_certificates_match_the_direct_solves(pair):
         assert max(cert.lower, direct.lower) <= min(cert.value, direct.value) + 1e-12
         assert cert.gap <= DEFAULT_TOL
         # the parts are feasible for the frame's own difference: they sum to it,
-        # up to the rounding of rotating the universal difference, and each has
+        # up to the rounding of scaling the universal difference, and each has
         # a zero partial trace over its own site
         delta = (rho.matrix - sig.matrix).real
         assert cert.feasibility_error <= 1e-12
