@@ -215,12 +215,14 @@ def _solver_summary(certs) -> str:
     """Work of the solves among `certs`; a certificate scaled from a cached solve
     is counted apart, so that solve's work is not counted once per pair."""
     solved = [c for c in certs if c.scale is None]
+    looped = [c for c in solved if c.iterations]  # a one-site solve runs no loop
     return (f"{sum(c.iterations for c in solved)} solver iterations "
             f"({sum(c.accelerated_steps for c in solved)} extrapolated), worst certified gap "
             f"{max(c.gap for c in certs):.1e}, {sum(c.symmetric_step for c in solved)} of "
             f"{len(solved)} solves on the symmetric step, {sum(c.real_step for c in solved)} "
             f"in real arithmetic, {sum(len(c.sectors) > 1 for c in solved)} of {len(solved)} "
-            f"split into sectors, {len(certs) - len(solved)} scaled from a cached solve; "
+            f"split into sectors, {sum(c.graded for c in looped)} of {len(looped)} loops graded, "
+            f"{len(certs) - len(solved)} scaled from a cached solve; "
             f"solver time " + ", ".join(
                 f"{sum(c.stage_seconds[stage] for c in solved):.2f}s {stage.replace('_', ' ')}"
                 for stage in ("setup", "iterations", "gap_tests")))
@@ -276,9 +278,10 @@ def check_rdm_monotonicity() -> CheckResult:
     start = time.perf_counter()
     worst_margin = worst_bracket = math.inf
     certs = []
-    # 20 pairs of two functions on four points, then three functions on five
-    # points, whose k = 3 solve has 125 dimensions, past DIM_CAP
-    for m, n, seed in [(4, 2, 60_000 + 2 * s) for s in range(20)] + [(5, 3, 90_002)]:
+    # 20 pairs of two functions on four points, then two of three functions on
+    # five points, whose k = 3 solves have 125 dimensions, past DIM_CAP
+    for m, n, seed in [(4, 2, 60_000 + 2 * s) for s in range(20)] + [(5, 3, 90_002),
+                                                                    (5, 3, 90_000)]:
         fam_a = random_orthonormal(m, n, seed=seed)
         fam_b = random_orthonormal(m, n, seed=seed + 1)
         pair = rdm_certificates(fam_a, fam_b, dim_cap=125)

@@ -16,9 +16,10 @@ array of their sector blocks (below). It iterates the over-relaxed map
     T(v) = v + OVER_RELAX (prox(2 z - v) - z),   z = P(v),
 
 on the single variable v: prox, the objective's proximal map with step
-2 tau, is one batched soft-thresholding of eigenvalues by tau, the trace
-distance (1/2) tr |delta| over 2 sqrt(D), and P is the exact orthogonal
-projection onto the affine constraint set. The program is positively
+2 tau, is one batched soft-thresholding of eigenvalues by tau (of singular
+values on a graded layout, below), the trace distance (1/2) tr |delta|
+over 2 sqrt(D), and P is the exact orthogonal projection onto the affine
+constraint set. The program is positively
 homogeneous: delta scaled by c > 0 scales every feasible point, the
 distance and tau by c, hence every iterate, so with tol scaled alike the
 iteration count does not depend on delta's units (with a fixed tau it does).
@@ -26,8 +27,8 @@ In a product operator basis whose first element per site is -I/sqrt(d),
 tr_i X_i = 0 says block i vanishes wherever site i carries the identity,
 so the projection splits coefficient by coefficient. Its linear part does
 not depend on delta: P(v) = M v + c with one real symmetric sparse M,
-built once per layout (sites, held blocks, sectors) and cached across
-solves, so no iteration changes basis. Plain iteration of T is
+built once per layout (sites, held blocks, sectors, grades) and cached
+across solves, so no iteration changes basis. Plain iteration of T is
 over-relaxed ADMM with iterate z and scaled multiplier u = v - z; near a
 degenerate optimum it takes thousands of steps. So it is accelerated by
 safeguarded type-II Anderson extrapolation (Walker & Ni 2011; Zhang,
@@ -72,10 +73,20 @@ The loop holds only the diagonal blocks of delta's sign-flip sectors. Bit p
 of a site tuple's parity vector pi(i) in GF(2)^d is set when point p occurs
 in i an odd number of times; W is spanned by pi(i) XOR pi(j) over the
 non-zero delta_ij. Each s orthogonal to W gives a product unitary
-diag((-1)^s_p)^(x)n that fixes delta, and the projection, the shrink,
-Anderson's real combinations and the site average commute with it, as with
-the swaps above, so in exact arithmetic every iterate is block-diagonal over
-the cosets of W (one for a dense delta). Equal-sized blocks are batched and
+diag((-1)^s_p)^(x)n that fixes delta, and the projection, the odd and
+unitarily invariant shrink, Anderson's real combinations and the site
+average commute with it, as with the swaps above, so in exact arithmetic
+every iterate is block-diagonal over the cosets of W (one for a dense
+delta). A real delta may also be odd under such a flip: the flip R of the
+symmetric frame's sine points maps each a_i to b_i, so R^(x)n takes a's
+state to b's and R^(x)k delta R^(x)k = -delta for every reduced difference
+(partial traces commute with product unitaries). Then X -> -R^(x)k X R^(x)k
+also commutes with every map of the loop and fixes c = P(0): with each
+sector's indices split by grade, its block is [[0, B], [B^T, 0]], and the
+loop holds B alone, shrinking its singular values. The grading is found
+from delta, not from the frame, since `w1_exact` is public: one exists
+unless (0, 1) is in the span of the (pi(i) XOR pi(j), 1) (`_grading`).
+Equal-shaped blocks are batched and
 every spectrum is taken block by block. The parts are formed whole after
 the loop, exactly block-diagonal, so their spectra are the union of their
 blocks' and the certificate stays rigorous.
@@ -149,39 +160,54 @@ class _Layout:
     identity (A_i), less Sh times the allowed blocks' sum, Sh the reciprocal
     of their number. `drift` holds the row blocks of Q^T C Q on all n
     blocks, the first h as one operator, M. Exact entries are rationals with
-    denominators dividing D lcm(1..n): those below 1e-12 are rounding.
+    denominators dividing D lcm(1..n): those below 1e-12 are rounding. A
+    graded layout holds each sector's even-odd corner B, whose entries stand
+    for their mirrors too: M_B = M[B, B] + M[B, B^T], norms sqrt(2) times.
     """
 
-    def __init__(self, dims: tuple, held: int, labels: tuple):
+    def __init__(self, dims: tuple, held: int, labels: tuple, grades: tuple | None):
         import scipy.sparse as sp
 
         n, total, labels = len(dims), math.prod(dims), np.array(labels)
         self.dims, self.held, self.total = dims, held, total
+        self.graded = grades is not None
+        self.copies = 1 + self.graded  # entries of the stack that each held entry stands for
         sectors = sorted((np.flatnonzero(labels == s) for s in np.unique(labels)), key=len)
         self.sectors, self.groups, positions = tuple(map(len, sectors)), [], []
-        for size, group in itertools.groupby(sectors, key=len):
-            rows = np.array(list(group))
+        # each sector's (rows, columns): its square block, or the corner between its grades,
+        # the larger one's rows, so that B^H B is the smaller Gram; empty corners dropped
+        odd = np.array(grades or (), dtype=bool)
+        corners = [sorted((s[~odd[s]], s[odd[s]]), key=len, reverse=True) if self.graded
+                   else (s, s) for s in sectors]
+        shape = lambda corner: tuple(map(len, corner))  # noqa: E731
+        corners = sorted((c for c in corners if len(c[1])), key=shape)
+        for size, group in itertools.groupby(corners, key=shape):
+            rows, cols = map(np.array, zip(*group))
             start = sum(map(len, positions))
-            positions.append((rows[:, :, None] * total + rows[:, None, :]).ravel())
-            self.groups.append((slice(start, start + rows.size * size), (len(rows), size, size)))
-        self.positions = positions = np.concatenate(positions)
+            positions.append((rows[:, :, None] * total + cols[:, None, :]).ravel())
+            self.groups.append((slice(start, start + positions[-1].size), (len(rows),) + size))
+        self.positions = positions = np.concatenate([np.zeros(0, dtype=np.intp), *positions])
+        mirror = positions % total * total + positions // total
         entries = np.arange(n * total * total)
         orbit, self._expand, spread = (_swap_gathers(dims) if held == 1 else
                                        (entries[None], entries.reshape(n, -1),
                                         entries.reshape(n, -1)))
         # the orbit and the transposition composed onto packed positions: a site
-        # permutation keeps each tuple's sector, and the sectors are square blocks
+        # permutation keeps each tuple's sector and grade, and square blocks hold their mirror
         full = (np.arange(held)[:, None] * total * total + positions).ravel()
         slot = np.zeros(orbit.shape[1], dtype=np.intp)
         slot[full] = np.arange(full.size)
-        self._transpose = slot[positions % total * total + positions // total]
+        self._mirror, self._transpose = mirror, slot[mirror]
         self._orbit = slot[orbit[:, full]]
 
         # (rows..., cols...) -> (row_1, col_1, ..., row_n, col_n), each entry's coefficient slot
         where = np.argsort(np.arange(total * total).reshape(dims * 2)
                            .transpose([a for i in range(n) for a in (i, n + i)]).ravel())
-        q = (functools.reduce(sp.kron, map(_identity_first_reflection, dims), sp.identity(1))
-             .tocsc()[:, where[positions]].tocsr())
+        reflections = functools.reduce(sp.kron, map(_identity_first_reflection, dims),
+                                       sp.identity(1)).tocsc()
+        q = reflections[:, where[positions]].tocsr()
+        # a corner's entry stands for itself and its mirror: the operators read both
+        q_in = q + reflections[:, where[mirror]].tocsr() if self.graded else q
         allowed = (np.indices([d * d for d in dims]) != 0).reshape(n, -1)
         share = 1.0 / np.maximum(allowed.sum(axis=0), 1)
         # block j's coefficients are held block source[j]'s, gathered by coeffs[j] (S_j)
@@ -190,7 +216,8 @@ class _Layout:
 
         def sandwich(terms):  # Q^T (sum of diag(w) S over the terms (w, S)) Q, rounding dropped
             w, cols = (np.concatenate(x) for x in zip(*terms))
-            op = q.T @ (sp.csr_matrix((w, (np.tile(same, len(terms)), cols)), (total ** 2,) * 2) @ q)
+            op = q.T @ (sp.csr_matrix((w, (np.tile(same, len(terms)), cols)), (total ** 2,) * 2)
+                        @ q_in)
             op.data[np.abs(op.data) < 1e-12] = 0.0  # in place, keeping the build's peak memory low
             op.eliminate_zeros()
             return op
@@ -210,7 +237,7 @@ class _Layout:
         return _apply(self._offset, delta.ravel()[self.positions]).reshape(self.held, -1)
 
     def views(self, packed: np.ndarray) -> list:
-        """Each size group's (h, count, size, size) view of a packed stack."""
+        """Each size group's (h, count, rows, columns) view of a packed stack."""
         return [packed[:, cols].reshape((len(packed),) + shape) for cols, shape in self.groups]
 
     def blockwise(self, fn, packed: np.ndarray) -> np.ndarray:
@@ -220,19 +247,36 @@ class _Layout:
             out[:, cols] = fn(view).reshape(len(packed), -1)
         return out
 
+    def shrink(self, packed: np.ndarray, amount: float) -> np.ndarray:
+        """Each block's eigenvalues soft-thresholded by `amount` (+-sigma of a corner)."""
+        shrink = _shrink_singular_values if self.graded else _shrink_eigenvalues
+        return self.blockwise(lambda b: shrink(b, amount), packed)
+
+    def moduli(self, packed: np.ndarray) -> list:
+        """Each size group's |eigenvalues| per block, or per corner its singular values sigma."""
+        if self.graded:
+            return [np.linalg.svd(b, compute_uv=False) for b in self.views(packed)]
+        return [np.abs(np.linalg.eigvalsh(b)) for b in self.views(packed)]
+
     def hermitian(self, packed: np.ndarray) -> np.ndarray:
-        """The Hermitian part of each packed block."""
+        """The Hermitian part of each packed block; corners are held as Hermitian blocks."""
+        if self.graded:
+            return packed
         return 0.5 * (packed + packed.take(self._transpose, axis=1).conj())
 
     def average(self, blocks: np.ndarray) -> np.ndarray:
-        """Held blocks averaged over the permutations of sites 1..n-1 (h = n: copied)."""
+        """Held blocks averaged over the permutations of sites 1..n-1 (one: returned)."""
+        if len(self._orbit) == 1:
+            return blocks
         return blocks.reshape(-1)[self._orbit].mean(axis=0).reshape(blocks.shape)
 
     def expand(self, blocks: np.ndarray) -> np.ndarray:
         """The (n, D, D) stack, zero off the sectors, whose held blocks are packed in `blocks`;
-        the swaps permute block 0's entries, so its norm is sqrt(n / h) times theirs."""
+        the swaps permute block 0's entries, so its norm is sqrt(copies n / h) times theirs."""
         out = np.zeros((len(blocks), self.total ** 2), dtype=blocks.dtype)
         out[:, self.positions] = blocks
+        if self.graded:
+            out[:, self._mirror] = blocks.conj()
         return out.reshape(-1)[self._expand].reshape(-1, self.total, self.total)
 
     def project(self, blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -240,7 +284,7 @@ class _Layout:
 
     def value(self, blocks: np.ndarray) -> float:
         """Objective sum_i (1/2) tr |Z_i| of the stack; swapped blocks share block 0's spectrum."""
-        weights = sum(0.5 * np.abs(np.linalg.eigvalsh(b)).sum() for b in self.views(blocks))
+        weights = 0.5 * self.copies * sum(m.sum() for m in self.moduli(blocks))
         return len(self.dims) // len(blocks) * float(weights)
 
     def dual_value(self, u: np.ndarray, c: np.ndarray) -> float:
@@ -254,25 +298,28 @@ class _Layout:
         the largest bound, -t H is dual feasible, of value -t Re<L, delta> =
         -t Re sum_i <u_i, c_i>; a swapped block's term and spectrum are block
         0's. The spectra are of u's Hermitian part, which changes neither side
-        for Hermitian delta, and are the union of its sector blocks' spectra.
+        for Hermitian delta, and are the union of its sector blocks' spectra
+        (+-sigma of a corner, whose norms are sqrt(2) and inner products 2 times).
         """
         rows = np.concatenate([_apply(op, u) for op in self.drift])
-        drift = np.linalg.norm(rows.reshape(len(self.dims), -1), axis=1)
-        spectra = [np.linalg.eigvalsh(b) for b in self.views(self.hermitian(u))]
-        norms = np.max([np.abs(e).max(axis=(1, 2)) for e in spectra], axis=0) + drift
+        drift = math.sqrt(self.copies) * np.linalg.norm(rows.reshape(len(self.dims), -1), axis=1)
+        moduli = [m.max(axis=(1, 2)) for m in self.moduli(self.hermitian(u))]
+        norms = np.max(moduli, axis=0, initial=0.0) + drift
         top = float(norms.max())
         if top == 0.0:
             return 0.0
-        return -0.5 / top * (len(self.dims) // len(u)) * float(np.vdot(c, u).real)
+        return -0.5 * self.copies / top * (len(self.dims) // len(u)) * float(np.vdot(c, u).real)
 
 
-_build_layout = functools.lru_cache(maxsize=LAYOUT_CACHE)(_Layout)  # (dims, held, labels)
+_build_layout = functools.lru_cache(maxsize=LAYOUT_CACHE)(_Layout)  # (dims, held, labels, grades)
 
 
 def _layout_of(dims, delta: np.ndarray) -> _Layout:
-    """delta's layout: block 0 alone held when every site swap (0 i) fixes delta, on its sectors."""
+    """delta's layout: block 0 alone held when every site swap (0 i) fixes delta, on its
+    sectors, and on their even-odd corners when delta has a grading."""
     held = 1 if _swap_invariant(dims, delta) else len(dims)
-    return _build_layout(tuple(dims), held, tuple(_parity_sectors(dims, delta).tolist()))
+    return _build_layout(tuple(dims), held, tuple(_parity_sectors(dims, delta).tolist()),
+                         _grading(dims, delta))
 
 
 def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
@@ -280,6 +327,15 @@ def _shrink_eigenvalues(stack: np.ndarray, amount: float) -> np.ndarray:
     vals, vecs = np.linalg.eigh(stack)
     shrunk = np.sign(vals) * np.maximum(np.abs(vals) - amount, 0.0)
     return (vecs * shrunk[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _shrink_singular_values(stack: np.ndarray, amount: float) -> np.ndarray:
+    """Singular values of a stack of rectangles B soft-thresholded by `amount`: B f(B^H B),
+    f(l) = max(1 - amount / sqrt(l), 0), from one eigendecomposition of B^H B."""
+    vals, vecs = np.linalg.eigh(stack.conj().swapaxes(-1, -2) @ stack)
+    # 0 where sqrt(l) <= amount; with amount 0 (delta 0) nothing is shrunk
+    factor = 1.0 - amount / np.maximum(np.sqrt(np.maximum(vals, 0.0)), amount or 1.0)
+    return (stack @ vecs) * factor[..., None, :] @ vecs.conj().swapaxes(-1, -2)
 
 
 def _swap_gathers(dims: tuple) -> tuple:
@@ -310,14 +366,14 @@ def _swap_invariant(dims: tuple, delta: np.ndarray) -> bool:
         for i in range(1, n))
 
 
-def _parity_sectors(dims, delta: np.ndarray) -> np.ndarray:
-    """Sector label of each product basis index: its parity vector modulo W (see the
-    module docstring), reduced by XOR elimination to the coset's pivot-free member."""
-    # points from 62 on share one bit: fewer sign flips, a coarser partition, still exact
-    parity = np.bitwise_xor.reduce(1 << np.minimum(np.indices(dims), 62).reshape(len(dims), -1))
-    rows, cols = np.nonzero(delta)
+def _reduced_parities(dims, delta: np.ndarray, shift: int) -> np.ndarray:
+    """Each basis index's parity vector pi(i), shifted by `shift` bits, reduced by XOR
+    elimination of the pi(i) XOR pi(j) over the non-zero delta_ij, those bits set."""
+    # points from 61 on share one bit: fewer sign flips, a coarser partition, still exact
+    parity = np.bitwise_xor.reduce(1 << np.minimum(np.indices(dims), 61).reshape(len(dims), -1))
+    parity, rows, cols = parity << shift, *np.nonzero(delta)
     basis = []  # distinct leading bits, in decreasing order
-    for x in np.unique(parity[rows] ^ parity[cols]).tolist():
+    for x in np.unique(parity[rows] ^ parity[cols] | (1 << shift) - 1).tolist():
         for b in basis:
             x = min(x, x ^ b)
         if x:
@@ -325,6 +381,22 @@ def _parity_sectors(dims, delta: np.ndarray) -> np.ndarray:
     for b in basis:
         parity = np.minimum(parity, parity ^ b)
     return parity
+
+
+def _parity_sectors(dims, delta: np.ndarray) -> np.ndarray:
+    """Sector label of each product basis index: its parity vector modulo W (see the
+    module docstring), the coset's pivot-free member."""
+    return _reduced_parities(dims, delta, 0)
+
+
+def _grading(dims, delta: np.ndarray) -> tuple | None:
+    """Grade of each basis index, delta_ij != 0 only between unequal grades, or None: the
+    last bit of (pi(i), 0) reduced by the (pi(i) XOR pi(j), 1), valid unless (0, 1) is
+    in their span. None for complex delta: a corner's mirror is its conjugate."""
+    if np.iscomplexobj(delta):
+        return None
+    grades, (rows, cols) = _reduced_parities(dims, delta, 1) & 1, np.nonzero(delta)
+    return tuple(grades.tolist()) if (grades[rows] != grades[cols]).all() else None
 
 
 class _Anderson:
@@ -409,13 +481,14 @@ class W1Certificate:
     2 sqrt(D), which scales with delta as the distance does (0.0 on one
     site, where nothing iterates). `real_step` says the solve ran in float64
     (delta is real). `sectors` are the sizes of the sign-flip sectors the
-    loop ran on ((D,) if none). `stage_seconds` splits the call's wall clock
+    loop ran on ((D,) if none), `graded` whether only on their even-odd
+    corners. `stage_seconds` splits the call's wall clock
     into "setup" (checks, the layout if not cached, and its c = P(0)),
     "iterations" and "gap_tests" (those in the loop, and measuring the parts).
     `scale` is None for a solved certificate, and sin theta for one that
     `rdm_certificates` scaled from a cached solve of a single excitation;
     such a certificate keeps that solve's `iterations`, `accelerated_steps`,
-    `symmetric_step`, `sectors` and `stage_seconds`, work done once.
+    `symmetric_step`, `sectors`, `graded` and `stage_seconds`, work done once.
     """
 
     value: float
@@ -432,6 +505,7 @@ class W1Certificate:
     threshold: float
     real_step: bool
     sectors: tuple
+    graded: bool
     stage_seconds: dict
     scale: float | None = None
 
@@ -492,7 +566,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             value=trace_distance, lower=trace_distance, gap=0.0, part_weights=(trace_distance,),
             primal_parts=(delta,), iterations=0, primal_residual=0.0, dual_residual=0.0,
             feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
-            accelerated_steps=0, threshold=0.0, real_step=real, sectors=(total,),
+            accelerated_steps=0, threshold=0.0, real_step=real, sectors=(total,), graded=False,
             stage_seconds={"setup": time.perf_counter() - start, "iterations": 0.0,
                            "gap_tests": 0.0})
 
@@ -505,7 +579,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     gaps, loop_start = 0.0, time.perf_counter()
     for iterations in range(1, max_iter + 1):
         y = layout.hermitian(2.0 * z - v)
-        x = layout.blockwise(lambda b: _shrink_eigenvalues(b, threshold), y)
+        x = layout.shrink(y, threshold)
         v = layout.average(anderson.step(v, OVER_RELAX * (x - z)))
         z_prev, z = z, layout.project(v, c)
         if iterations % GAP_EVERY == 0 or iterations in (1, max_iter):
@@ -516,7 +590,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
             if value - lower <= tol:
                 break
     finish = time.perf_counter()
-    scale = math.sqrt(n / layout.held)  # the whole stacks' norms from the packed ones
+    scale = math.sqrt(n * layout.copies / layout.held)  # the whole stacks' norms from the packed
     r_norm, s_norm = (scale * float(np.linalg.norm(r)) for r in (x - z, z - z_prev))
     if value - lower > tol:
         raise ConvergenceError(
@@ -531,7 +605,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
         primal_parts=tuple(z), iterations=iterations, primal_residual=r_norm,
         dual_residual=s_norm, feasibility_error=_feasibility_error(z, delta, dims),
         symmetric_step=layout.held < n, accelerated_steps=anderson.accepted,
-        threshold=threshold, real_step=real, sectors=layout.sectors,
+        threshold=threshold, real_step=real, sectors=layout.sectors, graded=layout.graded,
         stage_seconds={"setup": loop_start - start, "iterations": finish - loop_start - gaps,
                        "gap_tests": gaps + time.perf_counter() - finish})
 

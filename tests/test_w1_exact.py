@@ -83,10 +83,14 @@ def pack(layout, stack):
 
 
 def unpack(layout, packed):
-    """The (h, D, D) stack, zero off the sectors, whose sector blocks are `packed`."""
-    out = np.zeros((len(packed), layout.total ** 2), dtype=packed.dtype)
-    out[:, layout.positions] = packed
-    return out.reshape(-1, layout.total, layout.total)
+    """The (h, D, D) stack, zero off the sectors, whose sector blocks are `packed`; a
+    graded layout's packed corner B stands for the block [[0, B], [B^H, 0]]."""
+    total, positions = layout.total, layout.positions
+    out = np.zeros((len(packed), total ** 2), dtype=packed.dtype)
+    out[:, positions] = packed
+    if layout.graded:
+        out[:, positions % total * total + positions // total] = packed.conj()
+    return out.reshape(-1, total, total)
 
 
 def constraint_map(dims):
@@ -189,8 +193,8 @@ class BasisChangeReference:
         coeffs = self.coefficients(u)
         common = self.share * coeffs.sum(axis=0)
         drift = np.linalg.norm(coeffs - self.allowed * common, axis=1)
-        views = self.layout.views(self.layout.hermitian(u))
-        norms = np.max([np.abs(np.linalg.eigvalsh(b)).max(axis=(1, 2)) for b in views], axis=0)
+        stack = unpack(self.layout, self.layout.hermitian(u))
+        norms = np.abs(np.linalg.eigvalsh(stack)).max(axis=1)
         top = float((norms + drift).max())
         return 0.0 if top == 0.0 else -0.5 / top * float(np.vdot(common, self.delta_coeffs).real)
 
@@ -535,7 +539,7 @@ def test_random_densities_stay_complex():
 
 
 def test_anderson_skips_residual_differences_at_rounding_level():
-    # packed stacks over the sectors [2, 4, 4, 6] of CLI pair 0 at k = 2
+    # packed stacks over the even-odd corners of CLI pair 0's sectors [2, 4, 4, 6] at k = 2
     layout = _layout_of(*frame_difference(*CLI_PAIR_0, 2))
     rng = np.random.default_rng(89)
     v0, v1, g = (layout.hermitian(rng.normal(size=(1, layout.positions.size)))
@@ -1091,11 +1095,12 @@ def test_universal_solve_past_max_iter_still_raises(universal_cache):
     assert all(c.gap <= DEFAULT_TOL for c in w1_module.rdm_certificates(*CLI_PAIR_0))
 
 
-@pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 3), 1), (product_case(3), 2)],
-                         ids=["symmetric_step", "general_step"])
+@pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 3), 1), (product_case(3), 2),
+                                        (frame_states(*CLI_PAIR_0, 3)[:2], 1)],
+                         ids=["symmetric_step", "general_step", "graded"])
 def test_packed_residuals_equal_the_expanded_ones(pair, held, monkeypatch):
     # the solver measures x - z and z - z_prev on the packed held blocks, scaled
-    # by sqrt(n / h); here they are measured on the whole (n, D, D) stacks
+    # by sqrt(copies n / h), copies 2 for corners; here on the whole (n, D, D) stacks
     seen = {"blockwise": [], "project": []}
     for name, outputs in seen.items():
         def recording(self, *args, method=getattr(_Layout, name), outputs=outputs):
@@ -1139,3 +1144,145 @@ def test_stage_seconds_split_the_call():
     one_site = w1_exact(DensityOperator((3,), random_density(3, 5)),
                         DensityOperator((3,), random_density(3, 6)))
     assert one_site.stage_seconds["iterations"] == one_site.stage_seconds["gap_tests"] == 0.0
+
+
+def ungraded(patch):
+    """Make the grading detector report no grading: the loop holds square blocks."""
+    patch.setattr(w1_module, "_grading", lambda dims, delta: None)
+
+
+def graded_difference(pair, k):
+    """The frame states at k, as `frame_states` builds them but with unused points
+    allowed, their real difference and its grading."""
+    entries = pair[0].space.n_points ** (2 * pair[0].n)
+    rho, sig = (reduced_density_matrix(full_state_vector(f, cap=entries), k)
+                for f in principal_frame(*pair))
+    delta = (rho.matrix - sig.matrix).real
+    return rho, sig, delta, np.array(w1_module._grading(rho.dims, delta))
+
+
+# pair 0 of `fermiflow rdm-monotonicity` with two functions, as the w1_pairs workload solves it
+W1_PAIRS_0 = (random_orthonormal(4, 2, seed=400_000), random_orthonormal(4, 2, seed=400_001))
+D125_PAIR = (random_orthonormal(5, 3, seed=90_002), random_orthonormal(5, 3, seed=90_003))
+
+
+@pytest.mark.parametrize("pair, k", [(CLI_PAIR_0, 2), (CLI_PAIR_0, 3), (W1_PAIRS_0, 2)],
+                         ids=["cli0_k2", "cli0_k3", "w1_pairs0_k2"])
+def test_graded_solve_matches_the_square_blocks(pair, k, monkeypatch):
+    rho, sig, _, grades = graded_difference(pair, k)
+    graded = w1_exact(rho, sig)
+    with monkeypatch.context() as patch:
+        ungraded(patch)
+        square = w1_exact(rho, sig)
+    assert (graded.graded, square.graded) == (True, False)
+    assert graded.sectors == square.sectors
+    assert graded.iterations == square.iterations
+    assert graded.value == pytest.approx(square.value, rel=0, abs=1e-12)
+    assert graded.gap <= DEFAULT_TOL and graded.feasibility_error <= 1e-10
+    # the returned parts are exactly zero on the even-even and odd-odd entries
+    same = grades[:, None] == grades[None, :]
+    assert all(not part[same].any() for part in graded.primal_parts)
+
+
+@pytest.mark.parametrize("pair", [CLI_PAIR_0, W1_PAIRS_0, D125_PAIR],
+                         ids=["cli0_single_excitation", "w1_pairs0", "d125"])
+def test_frame_differences_are_graded_at_every_k(pair):
+    n = pair[0].n
+    for k in range(1, n + 1):
+        rho, _, delta, grades = graded_difference(pair, k)
+        assert grades.shape == (len(delta),)
+        assert not delta[grades[:, None] == grades[None, :]].any()
+        # derived from delta alone, the grades are the parity of the tuple's sine
+        # points (points n on), up to a flip of a whole sector
+        sines = (np.indices(rho.dims).reshape(k, -1) >= n).sum(axis=0) % 2
+        labels = w1_module._parity_sectors(rho.dims, delta)
+        assert all(len(np.unique((grades ^ sines)[labels == s])) == 1 for s in np.unique(labels))
+    certs = w1_module.rdm_certificates(*pair, dim_cap=125)
+    # one site runs no loop; CLI pair 0 is a single excitation, scaled from the universal solve
+    assert [c.graded for c in certs] == [False] + [True] * (n - 1)
+    assert all(c.scale is not None for c in certs) == (pair is CLI_PAIR_0)
+
+
+@pytest.mark.parametrize("pair", [check5_pair(41), product_case(3)], ids=["check5_41", "product"])
+def test_dense_differences_are_not_graded(pair):
+    rho, sig = pair
+    delta = rho.matrix - sig.matrix
+    assert w1_module._grading(rho.dims, delta) is None
+    # dense real parts have no grading either
+    assert w1_module._grading(rho.dims, delta.real) is None
+    assert not w1_exact(rho, sig).graded
+
+
+def test_complex_differences_keep_square_blocks():
+    # a frame difference under a diagonal phase on every site keeps its grading's
+    # pattern, but a complex corner would need a second operator for its imaginary part
+    rho, sig, delta, grades = graded_difference(CLI_PAIR_0, 2)
+    phases = np.kron(*[np.exp(1j * np.arange(4))] * 2)
+    rotated = phases[:, None] * delta * phases.conj()[None, :]
+    assert grades.shape == (16,) and w1_module._grading(rho.dims, rotated) is None
+
+
+def test_equal_families_hold_no_corner():
+    fam = random_orthonormal(4, 3, seed=19)
+    certs = w1_module.rdm_certificates(fam, fam)
+    assert [(c.value, c.lower, c.gap) for c in certs] == [(0.0, 0.0, 0.0)] * 3
+    assert [c.graded for c in certs] == [False, True, True]
+    # delta = 0: every tuple has grade 0, so every corner is empty
+    for k in (2, 3):
+        rho, _, delta, grades = graded_difference((fam, fam), k)
+        assert not delta.any() and not grades.any()
+        assert _layout_of(rho.dims, delta).positions.size == 0
+
+
+def test_frame_with_empty_half_sectors_certifies(monkeypatch):
+    # two functions on eight points: the frame leaves points 4..7 unused, and a
+    # sector of tuples through them may hold one grade only, an empty corner
+    pair = (random_orthonormal(8, 2, seed=96), random_orthonormal(8, 2, seed=97))
+    rho, sig, delta, grades = graded_difference(pair, 2)
+    labels = w1_module._parity_sectors(rho.dims, delta)
+    halves = [np.bincount(grades[labels == s], minlength=2) for s in np.unique(labels)]
+    assert any(0 in half for half in halves)
+    assert _layout_of(rho.dims, delta).positions.size == sum(even * odd for even, odd in halves)
+    cert = w1_module.rdm_certificates(*pair)[-1]
+    assert cert.graded and cert.gap <= DEFAULT_TOL and cert.feasibility_error <= 1e-10
+    with monkeypatch.context() as patch:
+        ungraded(patch)
+        square = w1_exact(rho, sig)
+    # both certified intervals hold the distance
+    assert square.iterations == cert.iterations
+    assert max(square.lower, cert.lower) <= min(square.value, cert.value) + 1e-12
+
+
+def svd_soft_threshold(stack, amount):
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    return (u * np.maximum(s - amount, 0.0)[..., None, :]) @ vh
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (2, 3, 2, 6)])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_rectangle_shrink_is_singular_value_soft_thresholding(shape, complex_entries):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
+    # the same stack with its smallest singular value set to zero
+    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    s[..., -1] = 0.0
+    deficient = (u * s[..., None, :]) @ vh
+    for b in (stack, deficient):
+        top = np.linalg.svd(b, compute_uv=False).max()
+        for amount in (0.0, 0.3 * top, 2.0 * top):
+            shrunk = w1_module._shrink_singular_values(b, amount)
+            np.testing.assert_allclose(shrunk, svd_soft_threshold(b, amount), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pair, held", [(frame_difference(*CLI_PAIR_0, 2), 1),
+                                        (difference(*product_case(3)), 2)],
+                         ids=["two_sites_block_0", "every_block"])
+def test_one_permutation_average_returns_its_input(pair, held):
+    layout = _layout_of(*pair)
+    assert layout.held == held and len(layout._orbit) == 1
+    x = random_packed(layout, 5, np.iscomplexobj(pair[1]))
+    assert layout.average(x) is x
+    # the gather it skips is the identity, and its mean of one row changes no bit
+    np.testing.assert_array_equal(x.reshape(-1)[layout._orbit].mean(axis=0).reshape(x.shape), x)
+    # three sites with block 0 held average over the swap (1 2)
+    assert len(_layout_of(*frame_difference(*CLI_PAIR_0, 3))._orbit) == 2
