@@ -29,7 +29,7 @@ from .slater import (DensityOperator, OverlapMatrix, full_state_vector,
 from .transport import CostMatrix, ot_cost, total_variation
 from .w1_bounds import (example_gap_table, stabilizer_max_overlap,
                         stabilizer_max_overlap_ascent, w1_lower_slater, w1_upper_slater)
-from .w1_exact import rdm_certificates, rdm_monotonicity_check, w1_exact
+from .w1_exact import DIM_CAP, rdm_certificates, rdm_monotonicity_check, w1_exact
 
 SOLVER_TOL = 1e-4
 INCLUSION_TOL = 1e-9
@@ -278,13 +278,14 @@ def check_rdm_monotonicity() -> CheckResult:
     start = time.perf_counter()
     worst_margin = worst_bracket = math.inf
     certs = []
-    # 20 pairs of two functions on four points, then two of three functions on
-    # five points, whose k = 3 solves have 125 dimensions, past DIM_CAP
-    for m, n, seed in [(4, 2, 60_000 + 2 * s) for s in range(20)] + [(5, 3, 90_002),
-                                                                    (5, 3, 90_000)]:
+    # 20 pairs of two functions on four points, one on 64 points, solved on its
+    # frame's four, then two of three functions on five points, whose k = 3
+    # solves have 125 dimensions, past DIM_CAP
+    for m, n, seed in [(4, 2, 60_000 + 2 * s) for s in range(20)] + [
+            (64, 2, 60_040), (5, 3, 90_002), (5, 3, 90_000)]:
         fam_a = random_orthonormal(m, n, seed=seed)
         fam_b = random_orthonormal(m, n, seed=seed + 1)
-        pair = rdm_certificates(fam_a, fam_b, dim_cap=125)
+        pair = rdm_certificates(fam_a, fam_b, dim_cap=DIM_CAP if n == 2 else 125)
         certs += pair
         worst_margin = min(worst_margin, monotonicity_margin(pair))
         # the k = n interval and the closed-form bracket both hold the distance, so they meet

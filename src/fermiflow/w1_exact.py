@@ -62,12 +62,10 @@ with the drift of all n blocks for the dual point. The swaps form the
 other blocks once, after the loop.
 
 When delta has no imaginary part, the loop runs in float64, as it does
-for every pair of determinant states through `rdm_certificates`: the
-distance is unchanged by one unitary applied on every site, and two
-n-dimensional subspaces of C^m have a real canonical form through their
-principal angles theta_i (Bjorck & Golub 1973), into which both are rotated:
-the symmetric frame, where a's and b's i-th functions lie at -theta_i / 2
-and +theta_i / 2 from e_i, in the plane of e_i and one point of its own.
+for every pair of determinant states through `rdm_certificates`, which
+rebuilds both in the real symmetric frame of their principal angles theta_i
+(Bjorck & Golub 1973): a's and b's i-th functions lie at -theta_i / 2 and
++theta_i / 2 from e_i, in the plane of e_i and one point of its own.
 
 The loop holds only the diagonal blocks of delta's sign-flip sectors. Bit p
 of a site tuple's parity vector pi(i) in GF(2)^d is set when point p occurs
@@ -125,7 +123,7 @@ ANDERSON_REG = 1e-10
 SINE_FLOOR = 1e-12
 # projection layouts (gathers and sparse operators) kept across solves
 LAYOUT_CACHE = 8
-# universal single-excitation solves, one per (points, functions, tol, max_iter), kept across pairs
+# universal single-excitation solves, one per (functions, tol, max_iter), kept across pairs
 UNIVERSAL_CACHE = 8
 
 
@@ -631,17 +629,19 @@ def _principal_angles(a: OrthonormalFamily, b: OrthonormalFamily, tol: float) ->
     return angles
 
 
-def _symmetric_frame(m: int, angles: np.ndarray) -> tuple[OrthonormalFamily, OrthonormalFamily]:
-    """Two real families on m unit-weight points with these principal angles.
+def _symmetric_frame(angles: np.ndarray) -> tuple[OrthonormalFamily, OrthonormalFamily]:
+    """Two real families with these principal angles on n + r unit-weight points, r non-zero.
 
     Sorted, the non-zero angles come last, the j-th, theta_i, with the point
     e_s, s = n + j: a_i, b_i = cos(theta_i / 2) e_i -+ sin(theta_i / 2) e_s.
-    One unitary U on the points sends the spans' A p_i to a_i and r_i / sin_i
-    to sin(theta_i / 2) e_i + cos(theta_i / 2) e_s (`_principal_angles`), so
-    the determinant states are U^(x)n times the originals, up to phase.
+    One isometry V into the pair's points sends a_i to the spans' A p_i and
+    sin(theta_i / 2) e_i + cos(theta_i / 2) e_s to r_i / sin_i
+    (`_principal_angles`), so the original determinant states are V^(x)n
+    times these, up to phase.
     """
     n, half = len(angles), 0.5 * np.sort(angles)
     kept = np.flatnonzero(half)
+    m = n + len(kept)
     sine = np.zeros((n, m))
     sine[kept, n + np.arange(len(kept))] = np.sin(half[kept])
     cosine = np.eye(n, m) * np.cos(half)[:, None]
@@ -649,11 +649,11 @@ def _symmetric_frame(m: int, angles: np.ndarray) -> tuple[OrthonormalFamily, Ort
     return OrthonormalFamily(space, cosine - sine), OrthonormalFamily(space, cosine + sine)
 
 
-def _frame_certificates(m: int, angles: np.ndarray, tol: float, max_iter: int,
+def _frame_certificates(angles: np.ndarray, tol: float, max_iter: int,
                         dim_cap: int) -> list[tuple[W1Certificate, np.ndarray]]:
     """(certificate, difference) of the frame states' k-particle reduced states, k = 1..n."""
     state_a, state_b = (full_state_vector(f, cap=dim_cap * dim_cap)
-                        for f in _symmetric_frame(m, angles))
+                        for f in _symmetric_frame(angles))
     pairs = [(reduced_density_matrix(state_a, k), reduced_density_matrix(state_b, k))
              for k in range(1, len(angles) + 1)]
     return [(w1_exact(rho, sigma, tol=tol, max_iter=max_iter, dim_cap=dim_cap),
@@ -661,69 +661,68 @@ def _frame_certificates(m: int, angles: np.ndarray, tol: float, max_iter: int,
 
 
 @functools.lru_cache(maxsize=UNIVERSAL_CACHE)
-def _universal_certificates(m: int, n: int, tol: float, max_iter: int) -> tuple:
-    """`_frame_certificates` of the universal single excitation: theta = pi/2 on column n - 1."""
-    return tuple(_frame_certificates(m, np.eye(n)[-1] * (0.5 * math.pi), tol, max_iter, m ** n))
+def _universal_certificates(n: int, tol: float, max_iter: int) -> tuple:
+    """`_frame_certificates` of the universal single excitation, theta = pi/2 on column n - 1."""
+    angles = np.eye(n)[-1] * (0.5 * math.pi)
+    return tuple(_frame_certificates(angles, tol, max_iter, (n + 1) ** n))
 
 
 def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TOL,
                      max_iter: int = MAX_ITER, dim_cap: int = DIM_CAP) -> list[W1Certificate]:
     """`w1_exact` certificates of the k-particle reduced states, k = 1..n.
 
-    Families of different sizes or on different ground spaces are refused,
-    and the largest solve, on m**n, is held to `dim_cap`, the path's only
-    cap (a state has (m**n)**2 entries), before any state is built. Every
-    distance is unchanged by one unitary applied on every site, so both
-    families are rebuilt from their principal angles in the symmetric frame
-    (`_symmetric_frame`), where they are real and so are their reduced
-    states: the solves run in real arithmetic (`real_step`), and
-    `primal_parts` are parts of the frame states' difference, not of the
-    original one.
+    Families of different sizes or on different ground spaces are refused.
+    Both are rebuilt from their principal angles in the symmetric frame
+    (`_symmetric_frame`), on the n + r points that carry them, r the non-zero
+    angles, whatever their space's m: the largest solve, on (n + r)**n, is
+    held to `dim_cap`, the path's only cap (a state has its square of
+    entries), before any state is built. The frame is real, so the solves
+    run in real arithmetic (`real_step`); `primal_parts` are parts of the
+    frame states' difference. No value moves (De Palma, Marvian, Trevisan &
+    Lloyd 2021): with V the frame's isometry into the m points, V^H V = I,
+    and tr_i(V^(x)k X V^H(x)k) = V^(x)k-1 tr_i(X) V^H(x)k-1, V^(x)k maps a
+    split of the frame's reduced difference to a split of the original's at
+    equal cost; the channel X -> V^H X V + tr((I - V V^H) X) tau on every
+    site, trace-preserving and so commuting with each tr_i, maps the
+    original's states to the frame's and a split back, raising no trace norm.
 
     Of the sines, at most min(n, m - n) are non-zero in exact arithmetic;
     the rest, and any at most SINE_FLOOR, are set to 0, so that equal or
     recombined families give equal states and the value 0.0. Setting an
     angle t to 0 moves a column of b, hence b's state vector, by at most t,
-    so the k-particle distance (a norm of rho - sigma, at most k times the
-    trace distance) moves by at most k times the dropped sum. Families
-    orthonormal to rounding drop angles of about SINE_FLOOR; a pair whose n
-    times the dropped sum exceeds `tol` is refused before any state is built.
+    so the k-particle distance (at most k times the trace distance) moves by
+    at most k times the dropped sum; a pair whose n times the dropped sum
+    exceeds `tol` is refused before any state is built.
 
-    A pair with exactly one non-zero angle theta is a single excitation, and
-    none of its states is built or solved: its certificates are the
-    universal pair's (`_universal_certificates`, theta = pi/2 on the same m
-    points, solved once per (m, n, tol, max_iter) and cached), with `value`,
-    `lower`, `gap`, `part_weights`, the residuals, `threshold` and the parts
-    multiplied by sin theta (`scale`). This is exact:
-
-    - A determinant state is linear in its last column, c e_{n-1} -+ t e_n
-      with c, t = cos, sin (theta / 2), so rho_a - rho_b = -2 c t (U W^H +
-      W U^H), U and W the states with e_{n-1}, resp. e_n, there: sin theta
-      times the universal pair's difference.
-    - Partial traces are linear: so is every reduced difference.
-    - The program and its dual are positively homogeneous: the scaled parts
-      are feasible at sin theta times the value, the scaled dual point
-      certifies sin theta times the lower end, and the gap is at most `tol`.
-
-    `feasibility_error` is measured on the returned parts. A universal solve
-    that does not certify within `max_iter` raises its ConvergenceError,
-    whose figures are the universal pair's. Pairs with no non-zero angle or
-    with two or more are solved in their frame.
+    A single excitation, one non-zero angle theta on n + 1 points, is not
+    solved: its certificates are the universal pair's (theta = pi/2,
+    `_universal_certificates`, solved once per (n, tol, max_iter) and cached)
+    with `value`, `lower`, `gap`, `part_weights`, the residuals, `threshold`
+    and the parts times sin theta (`scale`). This is exact: a determinant
+    state is linear in its last column, c e_{n-1} -+ t e_n with c, t = cos,
+    sin (theta / 2), so rho_a - rho_b = -2 c t (U W^H + W U^H), U and W the
+    states with e_{n-1}, resp. e_n, there: sin theta times the universal
+    pair's difference; partial traces are linear; and the program and its
+    dual are positively homogeneous, so the scaled parts and dual point
+    certify sin theta times the interval. `feasibility_error` is measured on
+    the returned parts; a universal solve that does not certify within
+    `max_iter` raises its ConvergenceError, with the universal pair's figures.
     """
-    m, n, angles = a.space.n_points, a.n, _principal_angles(a, b, tol)
-    if m ** n > dim_cap:
-        raise ValueError(f"total dimension {m ** n} exceeds cap {dim_cap}")
-    if np.count_nonzero(angles) != 1:
-        return [cert for cert, _ in _frame_certificates(m, angles, tol, max_iter, dim_cap)]
+    n, angles = a.n, _principal_angles(a, b, tol)
+    points = n + np.count_nonzero(angles)
+    if points ** n > dim_cap:
+        raise ValueError(f"total dimension {points ** n} exceeds cap {dim_cap}")
+    if points != n + 1:
+        return [cert for cert, _ in _frame_certificates(angles, tol, max_iter, dim_cap)]
     sine, certs = math.sin(angles.max()), []
-    for k, (cert, delta) in enumerate(_universal_certificates(m, n, tol, max_iter), start=1):
+    for k, (cert, delta) in enumerate(_universal_certificates(n, tol, max_iter), start=1):
         parts = tuple(sine * part for part in cert.primal_parts)
         value, lower = sine * cert.value, sine * cert.lower
         certs.append(replace(
             cert, value=value, lower=lower, gap=value - lower,
             part_weights=tuple(sine * w for w in cert.part_weights), primal_parts=parts,
             primal_residual=sine * cert.primal_residual, dual_residual=sine * cert.dual_residual,
-            feasibility_error=_feasibility_error(parts, sine * delta, (m,) * k),
+            feasibility_error=_feasibility_error(parts, sine * delta, (points,) * k),
             threshold=sine * cert.threshold, stage_seconds=dict(cert.stage_seconds), scale=sine))
     return certs
 

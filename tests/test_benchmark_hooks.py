@@ -12,8 +12,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from fermiflow.bounds import verify_instance  # noqa: E402
-from fermiflow.w1_exact import DIM_CAP, rdm_monotonicity_check, w1_exact  # noqa: E402
-from perfbench import tracing  # noqa: E402
+from fermiflow.w1_exact import (DIM_CAP, TOL, _principal_angles,  # noqa: E402
+                                rdm_monotonicity_check, w1_exact)
+from perfbench import inputs, tracing  # noqa: E402
 
 
 @pytest.mark.parametrize("module, cls, attr",
@@ -55,3 +56,14 @@ def test_benchmark_calls_bind_to_the_library():
         ("verify_instance", 2, ("mode",)),
         ("verify_instance", 2, ("mode", "budget", "seed", "bootstrap_resamples")),
     }
+
+
+@pytest.mark.parametrize("workload", ["w1_pairs", "w1_cap"])
+@pytest.mark.parametrize("seed", [7, 1101])
+def test_determinant_workloads_use_every_point(workload, seed):
+    # rdm_certificates solves a pair on its frame's n + r points, r the non-zero
+    # principal angles; while that is every point, the timed solves are those of
+    # the pair on all its points
+    for pair in inputs.build(workload, seed):
+        r = int((_principal_angles(pair.a, pair.b, TOL) != 0).sum())
+        assert pair.a.n + r == pair.a.space.n_points

@@ -214,15 +214,28 @@ def test_rdm_monotonicity_past_the_dim_cap_exits_2(tmp_path):
     assert out == ""
 
 
+def test_rdm_monotonicity_on_64_points_solves_on_the_frames_4(tmp_path):
+    # two functions on 64 points: 4,096 dimensions at k = 2 on all points, 16 on
+    # the frame's 4, within the default dim_cap of 64
+    cfg = write_config(tmp_path, "rdm.dim=64\nrdm.n=2\n")
+    code, out, err = run_cli(["rdm-monotonicity", "--config", cfg])
+    assert code == 0, err
+    report = parse_json(out)["report"]
+    assert report["passed"] is True and len(report["rows"]) == 20
+    assert all(row["points"] == 4 for row in report["rows"])
+    assert all(max(row["gap"]) <= 1e-5 for row in report["rows"])
+
+
 def test_rdm_monotonicity_meets_no_cap_but_dim_cap(tmp_path):
-    # two functions on 20 points: 400 dimensions at k = 2, and states of
-    # 160,000 entries, which only dim_cap (squared) holds
+    # two functions on 20 points, solved on the frame's 4 points: 16 dimensions
+    # at k = 2, within dim_cap
     cfg = write_config(tmp_path, "rdm.dim=20\nrdm.n=2\nrdm.seeds=1\ndim_cap=400\n")
     code, out, err = run_cli(["rdm-monotonicity", "--config", cfg])
     assert code == 0, err
     report = parse_json(out)["report"]
     assert report["passed"] is True
     assert report["rows"][0]["iterations"][1] >= 1
+    assert report["rows"][0]["points"] == 4
 
 
 def test_unknown_flag_is_a_usage_error():

@@ -376,6 +376,14 @@ def test_rdm_monotonicity_haar_pair():
     assert values[1] >= lower - 1e-4
 
 
+def padded(family, m):
+    """`family` on m unit-weight points, its functions extended by zero columns: the
+    isometry V of `rdm_certificates`'s proof, embedding the points it uses."""
+    functions = np.zeros((family.n, m), dtype=family.functions.dtype)
+    functions[:, :family.space.n_points] = family.functions
+    return OrthonormalFamily(GroundSpace(tuple(range(m)), np.ones(m)), functions)
+
+
 def refuse_states(patch):
     def refuse(*_, **__):
         raise AssertionError("a state was built before the inputs were checked")
@@ -458,10 +466,31 @@ def test_principal_frame_matches_the_original_states(pair):
         assert cert.value == pytest.approx(original.value, abs=DEFAULT_TOL)
 
 
+# pairs whose frames leave points unused: n + r = 2n < m
+EMBEDDED = {f"m{m}_n{n}_s{s}": (m, n, 800 + 2 * s + 100 * m + 1000 * n)
+            for m, n in [(5, 2), (6, 2), (8, 2)] for s in range(4)}
+
+
+@pytest.mark.parametrize("m, n, seed", EMBEDDED.values(), ids=EMBEDDED.keys())
+def test_frame_points_match_the_padded_frame(m, n, seed):
+    # the frame's states on its n + r points against the same frame padded with
+    # zero columns to all m points: the embedding keeps every distance
+    a, b = random_orthonormal(m, n, seed=seed), random_orthonormal(m, n, seed=seed + 1)
+    certs = w1_module.rdm_certificates(a, b)
+    assert certs[0].primal_parts[0].shape == (2 * n, 2 * n)
+    states = [full_state_vector(f) for f in principal_frame(a, b)]
+    for k, cert in enumerate(certs, start=1):
+        embedded = w1_exact(*(reduced_density_matrix(state, k) for state in states))
+        assert embedded.primal_parts[0].shape == (m ** k, m ** k)
+        # both certified intervals hold the distance
+        assert max(cert.lower, embedded.lower) <= min(cert.value, embedded.value) + 1e-12
+        assert cert.value == pytest.approx(embedded.value, abs=DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("m, n, theta", [(4, 2, 0.4), (4, 2, 1.1), (6, 2, 0.7), (6, 3, 0.5)])
 def test_equal_angles_meet_both_closed_form_ends(m, n, theta):
     # at equal angles sum_i sin theta_i = n sqrt(1 - cos^2 theta): W1 = n sin theta exactly
-    a, b = w1_module._symmetric_frame(m, np.full(n, theta))
+    a, b = (padded(f, m) for f in w1_module._symmetric_frame(np.full(n, theta)))
     exact = n * math.sin(theta)
     overlap = overlap_matrix(a, b)
     assert w1_lower_slater(overlap) == pytest.approx(exact, rel=0, abs=1e-12)
@@ -510,14 +539,16 @@ CLI_PAIR_0 = (random_orthonormal(4, 3, seed=400_000), random_orthonormal(4, 3, s
 
 
 def principal_frame(a, b):
-    """The families in the symmetric principal-angle frame `rdm_certificates` builds."""
+    """The families in the symmetric principal-angle frame `rdm_certificates` builds,
+    padded to the pair's own points."""
     angles = w1_module._principal_angles(a, b, DEFAULT_TOL)
-    return w1_module._symmetric_frame(a.space.n_points, angles)
+    return tuple(padded(f, a.space.n_points) for f in w1_module._symmetric_frame(angles))
 
 
 def frame_states(a, b, k):
     """The k-particle reduced states in the principal-angle frame, as
-    `rdm_certificates` solves them, and each point's frame block."""
+    `rdm_certificates` solves them when the frame uses every point, and each
+    point's frame block."""
     frame = principal_frame(a, b)
     # a point carries column i's cosine (e_i, block i) or its sine (column i's own point)
     weight = sum(np.abs(f.functions) for f in frame)
@@ -1095,6 +1126,28 @@ def test_universal_solve_past_max_iter_still_raises(universal_cache):
     assert all(c.gap <= DEFAULT_TOL for c in w1_module.rdm_certificates(*CLI_PAIR_0))
 
 
+def test_single_excitations_share_one_universal_solve_across_points(universal_cache):
+    # a single excitation of three functions on eight points, and w1_cap's pair 0
+    # on four: both scale the universal pair on four points, solved once
+    basis = random_orthonormal(8, 4, seed=98)
+    a = OrthonormalFamily(basis.space, basis.functions[:3])
+    b = OrthonormalFamily(basis.space, np.vstack([basis.functions[:2],
+                                                  0.8 * basis.functions[2:3]
+                                                  + 0.6 * basis.functions[3:]]))
+    certs = w1_module.rdm_certificates(a, b)
+    scaled = w1_module.rdm_certificates(*w1_cap_pairs()[0])
+    assert universal_cache.cache_info()[:2] == (1, 1)
+    assert len(certs[0].primal_parts[0]) == len(scaled[0].primal_parts[0]) == 4
+    # sin theta, theta the angle of cos 0.8
+    assert all(c.scale == pytest.approx(0.6, abs=1e-12) for c in certs)
+    states = [full_state_vector(f, cap=8 ** 6) for f in principal_frame(a, b)]
+    for k, cert in enumerate(certs[:2], start=1):
+        embedded = w1_exact(*(reduced_density_matrix(state, k) for state in states))
+        assert max(cert.lower, embedded.lower) <= min(cert.value, embedded.value) + 1e-12
+        assert cert.value == pytest.approx(embedded.value, abs=DEFAULT_TOL)
+    assert certs[2].gap <= DEFAULT_TOL and certs[2].feasibility_error <= 1e-12
+
+
 @pytest.mark.parametrize("pair, held", [(slater_reduced_pair(70, 3), 1), (product_case(3), 2),
                                         (frame_states(*CLI_PAIR_0, 3)[:2], 1)],
                          ids=["symmetric_step", "general_step", "graded"])
@@ -1119,8 +1172,8 @@ def test_packed_residuals_equal_the_expanded_ones(pair, held, monkeypatch):
 
 
 def test_dim_cap_is_the_rdm_paths_only_cap(monkeypatch):
-    # two functions on 20 points: the k = 2 states have 400 dimensions and
-    # 160,000 entries each, past full_state_vector's default cap of 100,000
+    # two functions on 20 points: their frame has 4 points, so the k = 2 states
+    # have 16 dimensions, not 400
     dims = []
 
     def recording(rho, sigma, **kwargs):
@@ -1131,7 +1184,19 @@ def test_dim_cap_is_the_rdm_paths_only_cap(monkeypatch):
     a = random_orthonormal(20, 2, seed=94)
     b = random_orthonormal(20, 2, seed=95, space=a.space)
     assert w1_module.rdm_certificates(a, b, dim_cap=400) == [400, 400]
-    assert dims == [(20,), (20, 20)]
+    assert dims == [(4,), (4, 4)]
+    # the frame's 16, one past the cap, is refused before any state is built
+    with monkeypatch.context() as patch:
+        refuse_states(patch)
+        with pytest.raises(ValueError, match="total dimension 16 exceeds cap 15"):
+            w1_module.rdm_certificates(a, b, dim_cap=15)
+    # four functions with two non-zero angles on 20 points: 6 frame points, 1,296
+    # dimensions at k = 4, and states of 1,679,616 entries, past full_state_vector's
+    # default cap of 100,000, which only dim_cap (squared) holds
+    dims.clear()
+    a, b = (padded(f, 20) for f in w1_module._symmetric_frame(np.array([0.0, 0.0, 0.5, 1.0])))
+    assert w1_module.rdm_certificates(a, b, dim_cap=1296) == [1296] * 4
+    assert dims == [(6,) * k for k in range(1, 5)]
 
 
 def test_stage_seconds_split_the_call():
@@ -1152,8 +1217,8 @@ def ungraded(patch):
 
 
 def graded_difference(pair, k):
-    """The frame states at k, as `frame_states` builds them but with unused points
-    allowed, their real difference and its grading."""
+    """The frame states at k, as `frame_states` builds them but with unused (padded)
+    points allowed, their real difference and its grading."""
     entries = pair[0].space.n_points ** (2 * pair[0].n)
     rho, sig = (reduced_density_matrix(full_state_vector(f, cap=entries), k)
                 for f in principal_frame(*pair))
@@ -1235,15 +1300,16 @@ def test_equal_families_hold_no_corner():
 
 
 def test_frame_with_empty_half_sectors_certifies(monkeypatch):
-    # two functions on eight points: the frame leaves points 4..7 unused, and a
-    # sector of tuples through them may hold one grade only, an empty corner
+    # two functions on eight points, their four-point frame padded to eight: points
+    # 4..7 are unused, and a sector of tuples through them may hold one grade only,
+    # an empty corner
     pair = (random_orthonormal(8, 2, seed=96), random_orthonormal(8, 2, seed=97))
     rho, sig, delta, grades = graded_difference(pair, 2)
     labels = w1_module._parity_sectors(rho.dims, delta)
     halves = [np.bincount(grades[labels == s], minlength=2) for s in np.unique(labels)]
     assert any(0 in half for half in halves)
     assert _layout_of(rho.dims, delta).positions.size == sum(even * odd for even, odd in halves)
-    cert = w1_module.rdm_certificates(*pair)[-1]
+    cert = w1_exact(rho, sig)
     assert cert.graded and cert.gap <= DEFAULT_TOL and cert.feasibility_error <= 1e-10
     with monkeypatch.context() as patch:
         ungraded(patch)
