@@ -263,10 +263,12 @@ def cmd_rdm_monotonicity(cfg: RunConfig) -> int:
             certs = rdm_certificates(fam_a, fam_b, tol=tol, max_iter=max_iter, dim_cap=dim_cap)
         except ConvergenceError as exc:
             rows.append({"seed": s, "values": None, "points": None, "iterations": None,
-                         "gap": None, "scale": None, "monotone": None, "error": str(exc)})
+                         "gap": None, "stage_seconds": None, "scale": None, "monotone": None,
+                         "error": str(exc)})
             continue
         rows.append({"seed": s, "values": [c.value / k for k, c in enumerate(certs, start=1)],
                      "iterations": [c.iterations for c in certs], "gap": [c.gap for c in certs],
+                     "stage_seconds": [c.stage_seconds for c in certs],
                      "scale": [c.scale for c in certs], "points": len(certs[0].primal_parts[0]),
                      "monotone": monotonicity_margin(certs) >= 0.0, "error": None})
 

@@ -216,7 +216,9 @@ def _solver_summary(certs) -> str:
     is counted apart, so that solve's work is not counted once per pair."""
     solved = [c for c in certs if c.scale is None]
     looped = [c for c in solved if c.iterations]  # a one-site solve runs no loop
-    return (f"{sum(c.iterations for c in solved)} solver iterations "
+    iterations = sum(c.iterations for c in looped)
+    per_iteration = sum(c.stage_seconds["iterations"] for c in looped) / max(iterations, 1)
+    return (f"{iterations} solver iterations "
             f"({sum(c.accelerated_steps for c in solved)} extrapolated), worst certified gap "
             f"{max(c.gap for c in certs):.1e}, {sum(c.symmetric_step for c in solved)} of "
             f"{len(solved)} solves on the symmetric step, {sum(c.real_step for c in solved)} "
@@ -225,7 +227,8 @@ def _solver_summary(certs) -> str:
             f"{len(certs) - len(solved)} scaled from a cached solve; "
             f"solver time " + ", ".join(
                 f"{sum(c.stage_seconds[stage] for c in solved):.2f}s {stage.replace('_', ' ')}"
-                for stage in ("setup", "iterations", "gap_tests")))
+                for stage in ("setup", "iterations", "gap_tests"))
+            + f", {1e6 * per_iteration:.1f} us per iteration of the looped solves")
 
 
 def check_transport_sandwich() -> CheckResult:

@@ -156,8 +156,8 @@ class _Layout:
     permutation, takes packed entries to basis coefficients, orthogonally.
     The linear part C keeps block i's coefficients where site i is not the
     identity (A_i), less Sh times the allowed blocks' sum, Sh the reciprocal
-    of their number. `drift` holds the row blocks of Q^T C Q on all n
-    blocks, the first h as one operator, M. Exact entries are rationals with
+    of their number. `drift` stacks the row blocks of Q^T C Q on all n
+    blocks, one operator, and M is its first h. Exact entries are rationals with
     denominators dividing D lcm(1..n): those below 1e-12 are rounding. A
     graded layout holds each sector's even-odd corner B, whose entries stand
     for their mirrors too: M_B = M[B, B] + M[B, B^T], norms sqrt(2) times.
@@ -225,8 +225,8 @@ class _Layout:
         drift = [sp.bmat([[sandwich([(allowed[i] * ((i == j) - share * allowed[j]), coeffs[j])
                                      for j in range(n) if source[j] == k]) for k in range(held)]],
                          format="csr") for i in range(n)]
-        self.operator = sp.vstack(drift[:held], "csr")
-        self.drift = [self.operator, *drift[held:]]
+        self.drift = sp.vstack(drift, "csr")
+        self.operator = self.drift if held == n else sp.vstack(drift[:held], "csr")
         self._offset = sp.vstack([sandwich([(allowed[i] * share, same)]) for i in range(held)],
                                  "csr")
 
@@ -238,17 +238,15 @@ class _Layout:
         """Each size group's (h, count, rows, columns) view of a packed stack."""
         return [packed[:, cols].reshape((len(packed),) + shape) for cols, shape in self.groups]
 
-    def blockwise(self, fn, packed: np.ndarray) -> np.ndarray:
-        """`fn` applied to each size group's view, packed again."""
-        out = np.empty_like(packed, order="C")
-        for (cols, _), view in zip(self.groups, self.views(packed)):
-            out[:, cols] = fn(view).reshape(len(packed), -1)
-        return out
+    def blockwise(self, fn, packed: np.ndarray, *args) -> np.ndarray:
+        """`fn(view, *args)` per size group, packed again: one group reshaped, no group (h, 0)."""
+        parts = [fn(view, *args).reshape(len(packed), -1) for view in self.views(packed)]
+        return parts[0] if len(parts) == 1 else np.concatenate([packed[:, :0], *parts], axis=1)
 
     def shrink(self, packed: np.ndarray, amount: float) -> np.ndarray:
         """Each block's eigenvalues soft-thresholded by `amount` (+-sigma of a corner)."""
         shrink = _shrink_singular_values if self.graded else _shrink_eigenvalues
-        return self.blockwise(lambda b: shrink(b, amount), packed)
+        return self.blockwise(shrink, packed, amount)
 
     def moduli(self, packed: np.ndarray) -> list:
         """Each size group's |eigenvalues| per block, or per corner its singular values sigma."""
@@ -278,6 +276,8 @@ class _Layout:
         return out.reshape(-1)[self._expand].reshape(-1, self.total, self.total)
 
     def project(self, blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
+        if self.graded:  # real corners: no complex dispatch, already Hermitian
+            return (self.operator @ blocks.reshape(-1)).reshape(blocks.shape) + c
         return self.hermitian(_apply(self.operator, blocks).reshape(blocks.shape) + c)
 
     def value(self, blocks: np.ndarray) -> float:
@@ -299,8 +299,8 @@ class _Layout:
         for Hermitian delta, and are the union of its sector blocks' spectra
         (+-sigma of a corner, whose norms are sqrt(2) and inner products 2 times).
         """
-        rows = np.concatenate([_apply(op, u) for op in self.drift])
-        drift = math.sqrt(self.copies) * np.linalg.norm(rows.reshape(len(self.dims), -1), axis=1)
+        rows = _apply(self.drift, u).reshape(len(self.dims), -1)
+        drift = math.sqrt(self.copies) * np.linalg.norm(rows, axis=1)
         moduli = [m.max(axis=(1, 2)) for m in self.moduli(self.hermitian(u))]
         norms = np.max(moduli, axis=0, initial=0.0) + drift
         top = float(norms.max())
@@ -421,6 +421,7 @@ class _Anderson:
         self.dg = np.empty((ANDERSON_DEPTH, size))
         self.dt = np.empty((ANDERSON_DEPTH, size))
         self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        self.eye = np.eye(ANDERSON_DEPTH)
         self.count = self.slot = 0
         self.g = self.t = None
         self.residual = math.inf
@@ -431,7 +432,7 @@ class _Anderson:
     def step(self, v: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The next point to evaluate, from the point v just evaluated and g = T(v) - v."""
         g_flat = g.view(np.float64).ravel()
-        residual = float(np.linalg.norm(g_flat))
+        residual = math.sqrt(g_flat.dot(g_flat))  # np.linalg.norm's arithmetic, without its checks
         if self.extrapolated and residual > self.residual:
             self.count = self.slot = 0
             self.rejections += 1
@@ -443,23 +444,28 @@ class _Anderson:
             self.rejections = 0
         t = v + g
         t_flat = t.view(np.float64).ravel()
-        dg = None if self.g is None else g_flat - self.g.view(np.float64).ravel()
-        if dg is not None and np.linalg.norm(dg) > 1e-12 * residual:
+        dg = None if self.g is None else g_flat - self.g
+        if dg is not None and math.sqrt(dg.dot(dg)) > 1e-12 * residual:
             s, k = self.slot, min(self.count + 1, ANDERSON_DEPTH)
             self.dg[s] = dg
             np.subtract(t_flat, self.t.view(np.float64).ravel(), out=self.dt[s])
-            self.gram[s, :k] = self.gram[:k, s] = self.dg[:k] @ self.dg[s]
+            self.gram[s, :k] = self.gram[:k, s] = self.dg[:k].dot(dg)
             self.count, self.slot = k, (s + 1) % ANDERSON_DEPTH
-        self.g, self.t, self.residual = g, t, residual
+        self.g, self.t, self.residual = g_flat, t, residual
         self.plain_steps -= 1
         k = self.count
-        scale = float(np.trace(self.gram[:k, :k]))
+        gram = self.gram[:k, :k]
+        scale = float(gram.trace())
         self.extrapolated = self.plain_steps <= 0 and scale > 0.0
         if not self.extrapolated:
             return t
-        gamma = np.linalg.solve(self.gram[:k, :k] + ANDERSON_REG * scale * np.eye(k),
-                                self.dg[:k] @ g_flat)
-        return self.hermitian((t_flat - gamma @ self.dt[:k]).view(t.dtype).reshape(t.shape))
+        # the LU solve np.linalg.solve calls, without its checks
+        from scipy.linalg.lapack import dgesv
+        *_, gamma, info = dgesv(gram + ANDERSON_REG * scale * self.eye[:k, :k],
+                                self.dg[:k].dot(g_flat))
+        if info:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return self.hermitian((t_flat - gamma.dot(self.dt[:k])).view(t.dtype).reshape(t.shape))
 
 
 @dataclass(frozen=True, eq=False)

@@ -308,6 +308,8 @@ def test_deterministic_output(tmp_path, command):
         del doc["timestamp"]
         for result in doc["report"].get("results", ()):
             del result["elapsed_seconds"]  # selftest wall clock
+        for row in doc["report"].get("rows", ()):
+            row.pop("stage_seconds", None)  # rdm-monotonicity's solver wall clock
         docs.append(doc)
     assert docs[0] == docs[1]
 
@@ -510,6 +512,11 @@ def test_rdm_monotonicity_run(tmp_path):
         assert (row["iterations"][0], row["gap"][0]) == (0, 0.0)
         assert row["iterations"][1] >= 1
         assert all(gap <= 1e-5 for gap in row["gap"])
+        # each size's split of its solve's wall clock; iterations over them give the cost of one
+        stages = row["stage_seconds"]
+        assert [set(s) for s in stages] == [{"setup", "iterations", "gap_tests"}] * 2
+        assert stages[0]["iterations"] == stages[0]["gap_tests"] == 0.0
+        assert 0.0 < stages[1]["iterations"] / row["iterations"][1] < 0.01
         # two kept sines on four points: every size was solved
         assert row["scale"] == [None, None]
 
@@ -549,7 +556,8 @@ def test_rdm_monotonicity_convergence_failure_exits_2(tmp_path):
     assert rep["passed"] is False
     assert [r["seed"] for r in rep["rows"]] == [0, 1]
     for row in rep["rows"]:
-        assert (row["values"], row["iterations"], row["gap"], row["monotone"]) == (None,) * 4
+        assert (row["values"], row["iterations"], row["gap"], row["stage_seconds"],
+                row["monotone"]) == (None,) * 5
         assert row["error"].startswith("no certified gap of 1.0e-05 in 1 iterations (gap ")
     code, out, _ = run_cli(["rdm-monotonicity", "--config", cfg, "--format", "csv"])
     assert code == 2

@@ -1352,3 +1352,120 @@ def test_one_permutation_average_returns_its_input(pair, held):
     np.testing.assert_array_equal(x.reshape(-1)[layout._orbit].mean(axis=0).reshape(x.shape), x)
     # three sites with block 0 held average over the swap (1 2)
     assert len(_layout_of(*frame_difference(*CLI_PAIR_0, 3))._orbit) == 2
+
+
+class ReferenceAnderson:
+    """`_Anderson` as first written, with np.linalg.norm and np.linalg.solve: the
+    solver's leaner step must do the same arithmetic."""
+
+    def __init__(self, size, hermitian):
+        depth = w1_module.ANDERSON_DEPTH
+        self.hermitian = hermitian
+        self.dg, self.dt = np.empty((depth, size)), np.empty((depth, size))
+        self.gram = np.empty((depth, depth))
+        self.count = self.slot = self.rejections = self.plain_steps = self.accepted = 0
+        self.g = self.t = None
+        self.residual, self.extrapolated = math.inf, False
+
+    def step(self, v, g):
+        g_flat = g.view(np.float64).ravel()
+        residual = float(np.linalg.norm(g_flat))
+        if self.extrapolated and residual > self.residual:
+            self.count = self.slot = 0
+            self.rejections += 1
+            self.plain_steps = 2 ** (self.rejections - 1)
+            self.extrapolated = False
+            return self.t
+        if self.extrapolated:
+            self.accepted += 1
+            self.rejections = 0
+        t = v + g
+        t_flat = t.view(np.float64).ravel()
+        dg = None if self.g is None else g_flat - self.g.view(np.float64).ravel()
+        if dg is not None and np.linalg.norm(dg) > 1e-12 * residual:
+            s, k = self.slot, min(self.count + 1, w1_module.ANDERSON_DEPTH)
+            self.dg[s] = dg
+            np.subtract(t_flat, self.t.view(np.float64).ravel(), out=self.dt[s])
+            self.gram[s, :k] = self.gram[:k, s] = self.dg[:k] @ self.dg[s]
+            self.count, self.slot = k, (s + 1) % w1_module.ANDERSON_DEPTH
+        self.g, self.t, self.residual = g, t, residual
+        self.plain_steps -= 1
+        k = self.count
+        scale = float(np.trace(self.gram[:k, :k]))
+        self.extrapolated = self.plain_steps <= 0 and scale > 0.0
+        if not self.extrapolated:
+            return t
+        gamma = np.linalg.solve(self.gram[:k, :k] + w1_module.ANDERSON_REG * scale * np.eye(k),
+                                self.dg[:k] @ g_flat)
+        return self.hermitian((t_flat - gamma @ self.dt[:k]).view(t.dtype).reshape(t.shape))
+
+
+def reference_projections(rho, sig, iterations):
+    """The splitting loop's projected iterates z, from the projection of 0 on, written
+    with `ReferenceAnderson` and one np.empty_like copy per size group of the shrink;
+    and the extrapolated points it accepted."""
+    delta = rho.matrix - sig.matrix
+    delta = delta.real if not delta.imag.any() else delta
+    layout = _layout_of(rho.dims, delta)
+    c = layout.offset(delta)
+    threshold = half_trace_norm(delta) / (2.0 * math.sqrt(layout.total))
+    shrink = (w1_module._shrink_singular_values if layout.graded
+              else w1_module._shrink_eigenvalues)
+
+    def project(blocks):
+        return layout.hermitian(w1_module._apply(layout.operator, blocks).reshape(blocks.shape)
+                                + c)
+
+    v = z = project(np.zeros_like(c))
+    anderson, projections = ReferenceAnderson(z.view(np.float64).size, layout.hermitian), [z]
+    for _ in range(iterations):
+        y = layout.hermitian(2.0 * z - v)
+        x = np.empty_like(y, order="C")
+        for (cols, _), view in zip(layout.groups, layout.views(y)):
+            x[:, cols] = shrink(view, threshold).reshape(len(y), -1)
+        v = layout.average(anderson.step(v, w1_module.OVER_RELAX * (x - z)))
+        z = project(v)
+        projections.append(z)
+    return projections, anderson.accepted
+
+
+@pytest.mark.parametrize("pair, graded", [(frame_states(*CLI_PAIR_0, 2)[:2], True),
+                                          (check5_pair(10), False)],
+                         ids=["cli0_k2_graded", "check5_10_square_complex"])
+def test_splitting_loop_matches_the_reference_loop(pair, graded, monkeypatch):
+    # the square complex loop is run by no benchmark workload: this keeps it honest
+    seen, project = [], _Layout.project
+
+    def recording(self, blocks, c):
+        seen.append((self, project(self, blocks, c)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_Layout, "project", recording)
+    with pytest.raises(ConvergenceError):
+        w1_exact(*pair, tol=0.0, max_iter=50)
+    expected, accepted = reference_projections(*pair, 50)
+    layout = seen[0][0]
+    assert layout.graded == graded and np.iscomplexobj(seen[0][1]) != graded
+    assert len(seen) == len(expected) == 51 and accepted > 0
+    for (_, got), want in zip(seen, expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_anderson_raises_on_a_singular_system(monkeypatch):
+    # LAPACK's dgesv reports a zero pivot by info > 0, where np.linalg.solve raises
+    lapack = importlib.import_module("scipy.linalg.lapack")
+    dgesv = lapack.dgesv
+    assert dgesv(np.zeros((2, 2)), np.ones(2))[-1] > 0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+    monkeypatch.setattr(lapack, "dgesv", lambda a, b: dgesv(np.zeros_like(a), b))
+    layout = _layout_of(*frame_difference(*CLI_PAIR_0, 2))
+    rng = np.random.default_rng(90)
+    v, g0, g1 = (rng.normal(size=(1, layout.positions.size)) for _ in range(3))
+    anderson = w1_module._Anderson(g0.size, layout.hermitian)
+    # no residual difference yet: the plain point, no solve
+    np.testing.assert_array_equal(anderson.step(v, g0), v + g0)
+    # one difference stored: the normal equations are solved, and found singular
+    with pytest.raises(np.linalg.LinAlgError):
+        anderson.step(v, g1)
+    assert anderson.count == 1
