@@ -158,11 +158,11 @@ def verify_instance(spec_a: MixedKernelSpec, spec_b: MixedKernelSpec,
     variable cap, are refused before anything runs. Slack is bound minus
     value and should never be negative beyond numerical tolerance.
     """
-    # that graph spans the points either kernel reaches, sizes from one below
-    # the fewest eigenvalues 1 to the most nonzero ones
+    # that graph spans the points either kernel reaches, sizes from the fewest eigenvalues
+    # 1 to the most nonzero ones: a support of one size between them has no more arcs
     lams = np.array(_paired_lambdas(spec_a, spec_b))
     reached = sum(np.abs(spec.family.folded()) ** 2 @ spec.lambdas for spec in (spec_a, spec_b))
-    check_subset_graph(np.count_nonzero(reached), int((lams == 1.0).sum(axis=1).min()) - 1,
+    check_subset_graph(np.count_nonzero(reached), int((lams == 1.0).sum(axis=1).min()),
                        int(np.count_nonzero(lams, axis=1).max()))
     sampled = {}
     if mode == "exact":

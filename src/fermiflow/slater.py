@@ -18,7 +18,7 @@ and the maximal possible distance is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,16 +31,19 @@ class OverlapMatrix:
     """Matrix of overlaps <a_i, b_j> between two orthonormal families.
 
     Any such matrix is a sub-block of a unitary, so all singular values
-    are at most one; construction enforces this within 1e-9.
+    are at most one; construction enforces this within 1e-9 from `svd`, its
+    one decomposition (P, s, Q^H): entries = P diag(s) Q^H, s decreasing.
     """
 
     entries: np.ndarray
+    svd: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("overlap matrix must be square")
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "svd", np.linalg.svd(m))
         top = self.singular_values[0] if m.size else 0.0
         if top > 1 + 1e-9:
             raise ValueError(f"largest singular value {top:.12f} exceeds 1")
@@ -51,17 +54,21 @@ class OverlapMatrix:
 
     @property
     def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.entries, compute_uv=False)
+        return self.svd[1]
 
 
-def overlap_matrix(a: OrthonormalFamily, b: OrthonormalFamily) -> OverlapMatrix:
-    """Pairwise overlaps of two equally sized families on the same space."""
+def _folded_pair(a: OrthonormalFamily, b: OrthonormalFamily) -> tuple:
+    """Both families' folded columns, refused on different spaces or of different sizes."""
     if not a.space.same_as(b.space):
         raise ValueError("families live on different ground spaces")
     if a.n != b.n:
         raise ValueError(f"family sizes differ: {a.n} vs {b.n}")
-    fold_a = a.folded()
-    fold_b = b.folded()
+    return a.folded(), b.folded()
+
+
+def overlap_matrix(a: OrthonormalFamily, b: OrthonormalFamily) -> OverlapMatrix:
+    """Pairwise overlaps of two equally sized families on the same space."""
+    fold_a, fold_b = _folded_pair(a, b)
     return OverlapMatrix(fold_a.conj().T @ fold_b)
 
 
@@ -153,13 +160,10 @@ def _partial_trace_matrix(mat: np.ndarray, dims, traced) -> np.ndarray:
     for i in traced:
         if not 0 <= i < len(dims):
             raise ValueError(f"factor index {i} out of range")
-    for i in traced:
-        pre = math.prod(dims[:i])
-        d = dims[i]
-        post = math.prod(dims[i + 1:])
+    for i in traced:  # from the last, so that i still indexes the factors left
+        pre, d, post = math.prod(dims[:i]), dims.pop(i), math.prod(dims[i:])
         t = mat.reshape(pre, d, post, pre, d, post)
         mat = np.einsum("apbcpd->abcd", t).reshape(pre * post, pre * post)
-        del dims[i]
     return mat
 
 

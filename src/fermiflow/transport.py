@@ -19,10 +19,11 @@ per-row LPs to about 1e-15. Two builders give the graphs:
 - `subset_graph`: configurations joined by adding or removing one point, at
   length 1/2, so the metric is (1/2) card(A delta B). Its vertices are the
   subsets of the support's points with sizes in the band of the support's
-  sizes, one size lower when all are equal. A shortest path from A to B
-  alternates removing a point of A not in B with adding one of B not in A,
-  so it stays between |A| and |B|, or within one of them when |A| = |B|:
-  it never leaves the band, and a swap needs no arc of its own.
+  sizes, for one size one lower or one higher, whichever has fewer arcs. A
+  shortest path from A to B alternates removing a point of A not in B with
+  adding one of B not in A, in either order, so it stays between |A| and
+  |B|, or within one of them when |A| = |B|: it never leaves the band, and
+  a swap needs no arc of its own.
 - `hamming_graph`: the outcome grid of a few sites, joined at length 1 by
   changing one site's outcome, so the metric is the Hamming distance.
 
@@ -160,10 +161,16 @@ class FlowGraph:
                              "and no more labels than vertices")
 
 
-def check_subset_graph(n_points: int, lo: int, hi: int) -> None:
-    """Hold the arcs of the subset graph on `n_points` points with sizes `lo` to
-    `hi` to VARIABLE_CAP: each subset above `lo` has one arc down per point, and back."""
-    _check_variables(2 * sum(k * math.comb(n_points, k) for k in range(lo + 1, hi + 1)))
+def check_subset_graph(n_points: int, lo: int, hi: int) -> tuple:
+    """The band of sizes of the subset graph of configurations of sizes `lo` to `hi` on
+    `n_points` points, its arcs held to VARIABLE_CAP: for one size s > 0, s - 1 to s or s to
+    s + 1, whichever has fewer arcs, the lower on a tie. Each subset above the band's bottom
+    has one arc down per point, and back."""
+    bands = [(lo - 1, hi), (lo, hi + 1)] if lo == hi > 0 else [(lo, hi)]
+    arcs, band = min((2 * sum(k * math.comb(n_points, k) for k in range(a + 1, b + 1)), (a, b))
+                     for a, b in bands)
+    _check_variables(arcs)
+    return band
 
 
 def subset_graph(configs) -> FlowGraph:
@@ -171,15 +178,13 @@ def subset_graph(configs) -> FlowGraph:
 
     Arcs have length 1/2, so the shortest-path metric is (1/2) card(A delta B).
     The given configurations come first; then every other subset of their
-    points in the band of sizes (see the module docstring). The arcs are
-    counted against VARIABLE_CAP before any subset is listed.
+    points in the band of sizes `check_subset_graph` picks (for one size, one
+    lower or one higher, whichever has fewer arcs), which counts the arcs
+    against VARIABLE_CAP before any subset is listed.
     """
     labels = tuple(configs)
     points = sorted(set().union(*labels))
-    lo, hi = min(map(len, labels)), max(map(len, labels))
-    if lo == hi > 0:
-        lo -= 1
-    check_subset_graph(len(points), lo, hi)
+    lo, hi = check_subset_graph(len(points), min(map(len, labels)), max(map(len, labels)))
     index = dict(zip(labels, itertools.count()))
     for size in range(lo, hi + 1):
         for subset in itertools.combinations(points, size):

@@ -102,8 +102,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .ground import GroundSpace, OrthonormalFamily
-from .slater import (DensityOperator, _partial_trace_matrix, full_state_vector,
-                     overlap_matrix, reduced_density_matrix)
+from .slater import (DensityOperator, OverlapMatrix, _folded_pair, full_state_vector,
+                     reduced_density_matrix)
 # ot_cost is not called here, but perfbench/tracing.py looks it up by this name
 from .transport import hamming_graph, metric_transport_values, ot_cost
 
@@ -472,10 +472,11 @@ class _Anderson:
 class W1Certificate:
     """Solver output: the certified interval [lower, value] holding the distance.
 
-    `value` is the objective at the feasible iterate `primal_parts`, `lower`
-    the dual value of the scaled multiplier, and gap = value - lower <= tol
-    (TOL by default). `primal_residual` and `dual_residual` are the last
-    iteration's ||x - z|| and ||z - z_prev|| over all n blocks.
+    `value` is the objective at the feasible iterate `primal_parts`, one
+    (n, D, D) array of the parts X_i, `lower` the dual value of the scaled
+    multiplier, and gap = value - lower <= tol (TOL by default).
+    `primal_residual` and `dual_residual` are the last iteration's
+    ||x - z|| and ||z - z_prev|| over all n blocks.
     `symmetric_step` says whether the loop held block 0 alone, the other
     blocks being its site swaps (0 i), formed after the loop; the parts
     then sum to a swap-symmetrized delta, off delta by the order of the
@@ -499,7 +500,7 @@ class W1Certificate:
     lower: float
     gap: float
     part_weights: tuple
-    primal_parts: tuple
+    primal_parts: np.ndarray
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -528,12 +529,12 @@ def classical_hamming_w1(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(metric_transport_values(masses[:1], masses[1:], hamming_graph(rho.dims))[0])
 
 
-def _feasibility_error(parts, delta: np.ndarray, dims) -> float:
-    """Largest entry of sum_i X_i - delta and of every tr_i X_i."""
-    feas_sum = float(np.max(np.abs(np.sum(parts, axis=0) - delta)))
-    feas_tr = max(float(np.max(np.abs(_partial_trace_matrix(part, dims, [i]))))
-                  for i, part in enumerate(parts))
-    return max(feas_sum, feas_tr)
+def _feasibility_error(parts: np.ndarray, delta: np.ndarray, dims) -> float:
+    """Largest entry of sum_i X_i - delta and of every tr_i X_i, from the (n, D, D) stack
+    seen as (n, d_1..d_n, d_1..d_n): tr_i X_i is X_i's trace over axes i and n + i."""
+    n, tensor = len(dims), parts.reshape((len(parts),) + tuple(dims) * 2)
+    return float(max(np.abs(parts.sum(axis=0) - delta).max(), *(
+        np.abs(np.trace(tensor[i], axis1=i, axis2=n + i)).max() for i in range(n))))
 
 
 def w1_exact(rho: DensityOperator, sigma: DensityOperator,
@@ -568,8 +569,8 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     if n == 1:
         return W1Certificate(
             value=trace_distance, lower=trace_distance, gap=0.0, part_weights=(trace_distance,),
-            primal_parts=(delta,), iterations=0, primal_residual=0.0, dual_residual=0.0,
-            feasibility_error=float(abs(np.trace(delta))), symmetric_step=False,
+            primal_parts=delta[None], iterations=0, primal_residual=0.0, dual_residual=0.0,
+            feasibility_error=_feasibility_error(delta[None], delta, dims), symmetric_step=False,
             accelerated_steps=0, threshold=0.0, real_step=real, sectors=(total,), graded=False,
             stage_seconds={"setup": time.perf_counter() - start, "iterations": 0.0,
                            "gap_tests": 0.0})
@@ -606,7 +607,7 @@ def w1_exact(rho: DensityOperator, sigma: DensityOperator,
     weights = 0.5 * np.abs(np.linalg.eigvalsh(z)).sum(axis=1)
     return W1Certificate(
         value=value, lower=lower, gap=value - lower, part_weights=tuple(map(float, weights)),
-        primal_parts=tuple(z), iterations=iterations, primal_residual=r_norm,
+        primal_parts=z, iterations=iterations, primal_residual=r_norm,
         dual_residual=s_norm, feasibility_error=_feasibility_error(z, delta, dims),
         symmetric_step=layout.held < n, accelerated_steps=anderson.accepted,
         threshold=threshold, real_step=real, sectors=layout.sectors, graded=layout.graded,
@@ -619,10 +620,10 @@ def _principal_angles(a: OrthonormalFamily, b: OrthonormalFamily, tol: float) ->
 
     With A^H B = P diag(cos) Q^H for the folded (m, n) columns, the residuals
     r_i = B q_i - cos_i A p_i are orthogonal to A's span and to each other,
-    of norm sin_i.
+    of norm sin_i. One fold per family and one SVD, refused as by `overlap_matrix`.
     """
-    fold_a, fold_b = a.folded(), b.folded()
-    p, cos, qh = np.linalg.svd(overlap_matrix(a, b).entries)
+    fold_a, fold_b = _folded_pair(a, b)
+    p, cos, qh = OverlapMatrix(fold_a.conj().T @ fold_b).svd
     sin = np.linalg.norm(fold_b @ qh.conj().T - (fold_a @ p) * cos, axis=0)
     dropped = sin <= SINE_FLOOR
     dropped[np.argsort(-sin)[min(a.n, a.space.n_points - a.n):]] = True
@@ -704,14 +705,15 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TO
     solved: its certificates are the universal pair's (theta = pi/2,
     `_universal_certificates`, solved once per (n, tol, max_iter) and cached)
     with `value`, `lower`, `gap`, `part_weights`, the residuals, `threshold`
-    and the parts times sin theta (`scale`). This is exact: a determinant
-    state is linear in its last column, c e_{n-1} -+ t e_n with c, t = cos,
+    and the parts times sin theta (`scale`), the stack by one multiply into a
+    new array, never the cache's. This is exact: a determinant state is
+    linear in its last column, c e_{n-1} -+ t e_n with c, t = cos,
     sin (theta / 2), so rho_a - rho_b = -2 c t (U W^H + W U^H), U and W the
     states with e_{n-1}, resp. e_n, there: sin theta times the universal
     pair's difference; partial traces are linear; and the program and its
     dual are positively homogeneous, so the scaled parts and dual point
     certify sin theta times the interval. `feasibility_error` is measured on
-    the returned parts; a universal solve that does not certify within
+    the returned stack; a universal solve that does not certify within
     `max_iter` raises its ConvergenceError, with the universal pair's figures.
     """
     n, angles = a.n, _principal_angles(a, b, tol)
@@ -722,8 +724,7 @@ def rdm_certificates(a: OrthonormalFamily, b: OrthonormalFamily, tol: float = TO
         return [cert for cert, _ in _frame_certificates(angles, tol, max_iter, dim_cap)]
     sine, certs = math.sin(angles.max()), []
     for k, (cert, delta) in enumerate(_universal_certificates(n, tol, max_iter), start=1):
-        parts = tuple(sine * part for part in cert.primal_parts)
-        value, lower = sine * cert.value, sine * cert.lower
+        parts, value, lower = sine * cert.primal_parts, sine * cert.value, sine * cert.lower
         certs.append(replace(
             cert, value=value, lower=lower, gap=value - lower,
             part_weights=tuple(sine * w for w in cert.part_weights), primal_parts=parts,

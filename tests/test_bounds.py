@@ -268,6 +268,20 @@ def test_exact_mode_enforces_the_law_cap_before_any_bound(monkeypatch):
         verify_instance(spec_a, spec_b, mode="exact", enumeration_cap=50)
 
 
+def test_precheck_counts_the_band_the_subset_graph_builds(monkeypatch):
+    # 22 of 26 points: the band above has 119,600 arcs, the one below 657,800,
+    # past the variable cap; the pre-check passes and the law cap refuses next
+    bands = []
+    monkeypatch.setattr(bounds, "check_subset_graph",
+                        lambda *args: bands.append(transport.check_subset_graph(*args)))
+    fam = random_orthonormal(26, 22, 65)
+    fam_b = random_orthonormal(26, 22, 66, space=fam.space)
+    specs = [MixedKernelSpec(np.ones(22), f) for f in (fam, fam_b)]
+    with pytest.raises(EnumerationCapError):
+        verify_instance(*specs, mode="exact", enumeration_cap=50)
+    assert bands == [(22, 23)]
+
+
 def test_wsharp_exact_point_masses():
     da = ConfigurationDistribution([(0, 1)], [1.0])
     db = ConfigurationDistribution([(2, 3)], [1.0])

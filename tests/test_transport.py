@@ -493,6 +493,36 @@ def test_subset_graph_band():
     # the empty set alone needs no arc; mixed sizes keep their band
     assert subset_graph([()]).tail.size == 0
     assert subset_graph([(), (0, 1)]).n_vertices == 4
+    # one size: the band with fewer arcs, the lower one on a tie (24 arcs either way above)
+    assert transport_module.check_subset_graph(4, 2, 2) == (1, 2)
+    assert transport_module.check_subset_graph(8, 5, 5) == (5, 6)
+    assert transport_module.check_subset_graph(5, 0, 2) == (0, 2)
+    # 22 of 26 points: 2 * 22 * C(26, 22) = 657,800 arcs below, past the cap, and
+    # 2 * 23 * C(26, 23) = 119,600 above
+    assert transport_module.check_subset_graph(26, 22, 22) == (22, 23)
+    # 6 of 30 points: the band below is the smaller, and still past the cap
+    with pytest.raises(ValueError, match="needs 7125300 variables, past the variable cap"):
+        transport_module.check_subset_graph(30, 6, 6)
+
+
+@pytest.mark.parametrize("n, below, above", [(5, 560, 336), (6, 336, 112)])
+def test_both_subset_graph_bands_match_ot_cost(n, below, above, monkeypatch):
+    # n of 8 points: the band above has fewer arcs and is built; forced to
+    # either band, the graph gives the dense solver's values
+    a = random_orthonormal(8, n, seed=70 + n)
+    b = random_orthonormal(8, n, seed=80 + n, space=a.space)
+    p, q = (fermiflow.exact_mixed_distribution(MixedKernelSpec(np.ones(n), f)).as_dict()
+            for f in (a, b))
+    support = sorted(set(p) | set(q))
+    expected = ot_cost(p, q, half_symmetric_difference(support)).value
+    masses = np.array([[law.get(c, 0.0) for c in support] for law in (p, q)])
+    assert subset_graph(support).tail.size == above
+    for band, arcs in (((n - 1, n), below), ((n, n + 1), above)):
+        monkeypatch.setattr(transport_module, "check_subset_graph", lambda *args: band)
+        graph = subset_graph(support)
+        assert graph.tail.size == arcs
+        value = metric_transport_values(masses[:1], masses[1:], graph)[0]
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 2, 2), (4, 4)])

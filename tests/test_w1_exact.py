@@ -45,6 +45,13 @@ def half_trace_norm(x):
     return 0.5 * np.abs(np.linalg.eigvalsh(x)).sum()
 
 
+def reference_feasibility_error(parts, delta, dims):
+    """The per-part formula: sum_i X_i - delta, and each tr_i X_i by `_partial_trace_matrix`."""
+    sums = np.max(np.abs(sum(parts) - delta))
+    return float(max(sums, *(np.max(np.abs(_partial_trace_matrix(part, dims, [i])))
+                             for i, part in enumerate(parts))))
+
+
 def test_partial_trace_everything_gives_trace():
     m = random_density(4, 0)
     out = _partial_trace_matrix(m, (2, 2), (0, 1))
@@ -232,8 +239,12 @@ def test_w1_single_site_is_trace_distance(dim, monkeypatch):
     delta = rho.matrix - sig.matrix
     assert cert.value == pytest.approx(half_trace_norm(delta), abs=1e-12)
     assert (cert.lower, cert.gap, cert.iterations, cert.threshold) == (cert.value, 0.0, 0, 0.0)
-    assert len(cert.primal_parts) == 1
+    assert cert.primal_parts.shape == (1, dim, dim)
     np.testing.assert_array_equal(cert.primal_parts[0], delta)
+    # the trace of delta, at rounding level: the reference sums it in another order
+    assert cert.feasibility_error == abs(np.trace(delta))
+    assert cert.feasibility_error == pytest.approx(
+        reference_feasibility_error(cert.primal_parts, delta, (dim,)), rel=0, abs=1e-15)
 
 
 def test_w1_two_qubit_pure_sandwich():
@@ -1116,6 +1127,64 @@ def test_scaled_constants_at_three_functions():
     for cert, constant in zip(certs, [1.0, 1.0 + math.sqrt(3.0), 2.0 * math.sqrt(6.0)]):
         assert 3 * cert.lower / cert.scale == pytest.approx(constant, abs=1e-4)
         assert 3 * cert.value / cert.scale == pytest.approx(constant, abs=1e-4)
+
+
+def test_scaled_constant_at_four_functions(universal_cache):
+    # c_4 = sqrt(2) (3 + sqrt(5)) = n W1(Gamma_n) / sin theta at n = 4, k = 4: the
+    # universal pair (sin theta = 1) on five points, D = 625, certified to 1e-7
+    cert, _ = w1_module._universal_certificates(4, 1e-7, w1_module.MAX_ITER)[-1]
+    assert cert.gap <= 1e-7
+    assert 4 * cert.lower <= math.sqrt(2.0) * (3.0 + math.sqrt(5.0)) <= 4 * cert.value
+
+
+def test_scaled_parts_share_no_memory_with_the_cache(universal_cache):
+    # each call scales the cached stack into a new array: writing to a returned
+    # stack leaves the universal solve, and so the next call, as they were
+    first = w1_module.rdm_certificates(*CLI_PAIR_0)
+    kept = [cert.primal_parts.copy() for cert in first]
+    cached = w1_module._universal_certificates(3, DEFAULT_TOL, w1_module.MAX_ITER)
+    assert universal_cache.cache_info()[:2] == (1, 1)
+    for cert, (universal, _) in zip(first, cached):
+        assert not np.shares_memory(cert.primal_parts, universal.primal_parts)
+        cert.primal_parts[...] = 0.0
+    for cert, parts in zip(w1_module.rdm_certificates(*CLI_PAIR_0), kept):
+        np.testing.assert_array_equal(cert.primal_parts, parts)
+        assert cert.feasibility_error <= 1e-12
+
+
+def test_rdm_refuses_an_overlap_above_one(monkeypatch):
+    # a family scaled by 1 + 1e-6 passes a loose Gram check; its overlap does not,
+    # in `overlap_matrix` and in the one decomposition of `rdm_certificates` alike
+    refuse_states(monkeypatch)
+    a = random_orthonormal(4, 2, seed=1)
+    grown = OrthonormalFamily(a.space, (1 + 1e-6) * a.functions, tol=1e-5)
+    for entry in (overlap_matrix, w1_module.rdm_certificates):
+        with pytest.raises(ValueError, match=r"largest singular value 1\.0000010\d* exceeds 1"):
+            entry(a, grown)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 3)])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_stacked_feasibility_error_matches_the_per_part_formula(dims, complex_entries):
+    # unequal sites, where a stack traced over the wrong axes gives other numbers;
+    # delta is the exact sum (the traces decide), then far off it (the sum decides)
+    rng = np.random.default_rng(len(dims) + 10 * complex_entries)
+    total = math.prod(dims)
+    parts = rng.normal(size=(len(dims), total, total))
+    if complex_entries:
+        parts = parts + 1j * rng.normal(size=parts.shape)
+    for delta in (parts.sum(axis=0), parts.sum(axis=0) + 50.0):
+        expected = reference_feasibility_error(parts, delta, dims)
+        assert w1_module._feasibility_error(parts, delta, dims) == pytest.approx(
+            expected, rel=1e-15, abs=0.0)
+    # each site alone: only part i's trace over site i is off
+    for i in range(len(dims)):
+        single = np.zeros_like(parts)
+        single[i] = parts[i]
+        expected = reference_feasibility_error(single, single[i], dims)
+        assert expected > 0.0
+        assert w1_module._feasibility_error(single, single[i], dims) == pytest.approx(
+            expected, rel=1e-15, abs=0.0)
 
 
 def test_universal_solve_past_max_iter_still_raises(universal_cache):
