@@ -29,7 +29,12 @@ per-row LPs to about 1e-15. Two builders give the graphs:
 
 `ot_cost` solves the same LP, whole, on the complete bipartite graph of any
 cost, with dual potentials. Every LP is held to VARIABLE_CAP variables before
-it is built. scipy is imported at the first solve, keeping `import fermiflow` light.
+it is built. HiGHS is driven through scipy's bundled bindings
+(`scipy.optimize._highspy._core`), one model per call built from the arc
+arrays: `linprog`'s front end cost more than HiGHS's own solve. HiGHS
+takes those arrays unchecked, so masses and arcs are checked here before
+any solve. scipy is imported at the first solve, keeping `import fermiflow`
+light.
 """
 
 from __future__ import annotations
@@ -123,6 +128,8 @@ class TransportPlan:
 
 def _masses(dist, labels) -> np.ndarray:
     masses = np.array([float(dist.get(label, 0.0)) for label in labels])
+    if not np.all(np.isfinite(masses)):
+        raise ValueError("non-finite mass in distribution")
     if np.any(masses < -1e-12):
         raise ValueError("negative mass in distribution")
     masses = np.maximum(masses, 0.0)
@@ -139,7 +146,7 @@ def _check_variables(count: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FlowGraph:
-    """Arcs tail -> head of nonnegative length on `n_vertices` vertices.
+    """Arcs tail -> head of finite nonnegative length, between distinct vertices of `n_vertices`.
 
     The first len(labels) vertices carry the labels that masses are given
     on; the others only pass flow.
@@ -155,10 +162,13 @@ class FlowGraph:
         object.__setattr__(self, "labels", tuple(self.labels))
         for name, dtype in (("tail", np.intp), ("head", np.intp), ("length", float)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if (not self.tail.shape == self.head.shape == self.length.shape
-                or len(self.labels) > self.n_vertices or np.any(self.length < 0)):
-            raise ValueError("need one tail, head and nonnegative length per arc, "
-                             "and no more labels than vertices")
+        tail, head, length = self.tail, self.head, self.length
+        if (not tail.shape == head.shape == length.shape or len(self.labels) > self.n_vertices
+                or not np.all(np.isfinite(length) & (length >= 0))
+                or np.any((np.minimum(tail, head) < 0) | (np.maximum(tail, head) >= self.n_vertices)
+                          | (tail == head))):
+            raise ValueError("need one tail, head and finite nonnegative length per arc, "
+                             "ends two distinct vertices, and no more labels than vertices")
 
 
 def check_subset_graph(n_points: int, lo: int, hi: int) -> tuple:
@@ -209,32 +219,44 @@ def hamming_graph(dims) -> FlowGraph:
 def _min_cost_flows(graph: FlowGraph, excess: np.ndarray) -> tuple:
     """Cheapest flows on the graph whose divergences are the rows of `excess`.
 
-    Each row is one LP, one block of a single HiGHS call. A block's
+    Each row is one LP, one block of a single HiGHS model. A block's
     constraints are the divergences of every vertex but the last, which the
     others imply: kept, HiGHS presolve calls some balanced problems
     infeasible (presolve is off all the same; here it costs time and
-    memory). Returns per row the arc flows and the vertex potentials y, with
-    y[tail] - y[head] <= length and y = 0 at the last vertex.
+    memory). Each arc's column holds +1 at its tail and -1 at its head, in
+    ascending row order. Returns per row the arc flows and the vertex
+    potentials y, with y[tail] - y[head] <= length and y = 0 at the last vertex.
     """
-    _check_variables(graph.tail.size)
-    from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
     n_arcs, n_rows, n_lps = graph.tail.size, graph.n_vertices - 1, len(excess)
-    incidence = sparse.csr_array((np.repeat([1.0, -1.0], n_arcs),
-                                  (np.concatenate([graph.tail, graph.head]),
-                                   np.tile(np.arange(n_arcs), 2))),
-                                 shape=(graph.n_vertices, n_arcs))[:-1]
-    res = linprog(np.tile(graph.length, n_lps),
-                  A_eq=sparse.kron(sparse.eye_array(n_lps), incidence, format="csc"),
-                  b_eq=excess[:, :-1].ravel(), bounds=(0, None),
-                  method="highs", options={"presolve": False,
-                                           "primal_feasibility_tolerance": LP_TOL,
-                                           "dual_feasibility_tolerance": LP_TOL})
-    if res.status != 0:
-        raise ConvergenceError(f"transport LP not solved: {res.message}")
-    duals = res.eqlin.marginals.reshape(n_lps, n_rows)
-    return res.x.reshape(n_lps, n_arcs), np.hstack([duals, np.zeros((n_lps, 1))])
+    ends = np.sort(np.stack([graph.tail, graph.head], axis=1), axis=1)
+    signs = np.where(ends == graph.tail[:, None], 1.0, -1.0)
+    kept = ends < n_rows
+    lp = highs.HighsLp()
+    matrix = lp.a_matrix_
+    lp.num_col_, lp.num_row_ = matrix.num_col_, matrix.num_row_ = n_arcs * n_lps, n_rows * n_lps
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.start_ = np.r_[0, np.cumsum(np.tile(kept.sum(axis=1), n_lps))]
+    matrix.index_ = (ends[kept] + n_rows * np.arange(n_lps)[:, None]).ravel()
+    matrix.value_ = np.tile(signs[kept], n_lps)
+    lp.col_cost_ = np.tile(graph.length, n_lps)
+    lp.col_lower_, lp.col_upper_ = np.zeros(lp.num_col_), np.full(lp.num_col_, np.inf)
+    lp.row_lower_ = lp.row_upper_ = excess[:, :-1].ravel()
+    options = highs.HighsOptions()
+    options.presolve, options.output_flag = "off", False
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = LP_TOL
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise ConvergenceError(f"transport LP not solved: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    duals = np.reshape(solution.row_dual, (n_lps, n_rows))
+    return (np.reshape(solution.col_value, (n_lps, n_arcs)),
+            np.hstack([duals, np.zeros((n_lps, 1))]))
 
 
 class _Tree(NamedTuple):
@@ -383,10 +405,10 @@ def ot_cost(p, q, cost: CostMatrix) -> TransportPlan:
     missing = set(q) - set(cols)
     if missing:
         raise ValueError(f"target atoms missing from cost cols: {sorted(map(str, missing))[:3]}")
+    supply, demand = _masses(p, rows), _masses(q, cols)
     if abs(sum(p.values()) - sum(q.values())) > 1e-8:
         raise ValueError("total masses differ by more than 1e-8")
-
-    supply, demand = _masses(p, rows), _masses(q, cols)
+    _check_variables(cost.values.size)
     n_rows, n_cols = cost.values.shape
     i, j = np.divmod(np.arange(cost.values.size), n_cols)
     graph = FlowGraph(rows + cols, n_rows + n_cols, i, n_rows + j, cost.values.ravel())
@@ -430,10 +452,13 @@ def metric_transport_values(p_rows, q_rows, graph: FlowGraph) -> np.ndarray:
     p, q = np.atleast_2d(p_rows), np.atleast_2d(q_rows)
     if p.shape != q.shape or p.shape[1] != len(graph.labels):
         raise ValueError("mass rows must match each other and the graph labels")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise ValueError("non-finite mass in distribution")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("negative mass in distribution")
     if np.any(np.abs(p.sum(axis=1) - q.sum(axis=1)) > 1e-8):
         raise ValueError("total masses differ by more than 1e-8")
+    _check_variables(graph.tail.size)
     excess = np.zeros((len(p), graph.n_vertices))
     excess[:, :p.shape[1]] = p - q
     open_rows = np.flatnonzero((excess > 0).any(axis=1) & (excess < 0).any(axis=1))

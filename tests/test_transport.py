@@ -164,16 +164,12 @@ def test_ot_solves_instances_presolve_calls_infeasible(seed):
     assert total_variation(dict(enumerate(p)), dict(enumerate(q))) <= plan.value + 1e-9
 
 
-def test_ot_nonoptimal_status_raises_convergence_error(monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
-
-    message = "The problem is infeasible. (HiGHS Status 8: model_status is Infeasible)"
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *args, **kwargs: OptimizeResult(status=2, message=message))
-    p, q = random_pair(5, 4)
-    with pytest.raises(ConvergenceError, match="HiGHS Status 8"):
-        ot_cost(p, q, trivial_cost(p, q))
+def test_ot_nonoptimal_status_raises_convergence_error():
+    # two components, and the mass must cross from one to the other: HiGHS
+    # finds the LP infeasible, and the error names its status
+    graph = FlowGraph(range(4), 4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 2.0, 1.0, 3.0])
+    with pytest.raises(ConvergenceError, match="Infeasible"):
+        metric_transport_values([[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 0.0]], graph)
 
 
 def test_metric_values_match_ot_cost():
@@ -206,17 +202,15 @@ def one_per_call(p, q, graph):
 
 
 @pytest.fixture
-def linprog_calls(monkeypatch):
-    """A list that gains one entry per scipy.optimize.linprog call."""
-    import scipy.optimize
-
-    calls, solve = [], scipy.optimize.linprog
+def highs_calls(monkeypatch):
+    """A list that gains one entry per HiGHS solve, the entry `_min_cost_flows`."""
+    calls, solve = [], transport_module._min_cost_flows
 
     def counting(*args, **kwargs):
         calls.append(None)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(transport_module, "_min_cost_flows", counting)
     return calls
 
 
@@ -272,12 +266,12 @@ def batch_one_per_call(name):
 
 
 @pytest.mark.parametrize("name", sorted(BATCHES))
-def test_batch_equals_rows_solved_one_per_call(name, linprog_calls):
+def test_batch_equals_rows_solved_one_per_call(name, highs_calls):
     # rows answered by a reused or repaired spanning-tree basis equal their own
     # LPs, and repairs never cost a HiGHS call
     graph, (p, q) = BATCHES[name]
     values = metric_transport_values(p, q, graph)
-    batch_calls = len(linprog_calls)
+    batch_calls = len(highs_calls)
     assert batch_calls <= ROUND_CALLS[name]
     expected = batch_one_per_call(name)
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
@@ -289,6 +283,70 @@ def test_batch_equals_rows_solved_one_per_call(name, linprog_calls):
         # the first tree does not serve every row, so more than one basis is in use,
         # but far fewer LPs are solved than there are rows
         assert 1 < batch_calls < moving // 10
+
+
+def linprog_min_cost_flows(graph, excess):
+    """`_min_cost_flows` through scipy's `linprog` front end, the model built
+    by `scipy.sparse`: an independent reference for the direct HiGHS model."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n_arcs, n_rows, n_lps = graph.tail.size, graph.n_vertices - 1, len(excess)
+    incidence = sparse.csr_array((np.repeat([1.0, -1.0], n_arcs),
+                                  (np.concatenate([graph.tail, graph.head]),
+                                   np.tile(np.arange(n_arcs), 2))),
+                                 shape=(graph.n_vertices, n_arcs))[:-1]
+    res = linprog(np.tile(graph.length, n_lps),
+                  A_eq=sparse.kron(sparse.eye_array(n_lps), incidence, format="csc"),
+                  b_eq=excess[:, :-1].ravel(), bounds=(0, None),
+                  method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": transport_module.LP_TOL,
+                                           "dual_feasibility_tolerance": transport_module.LP_TOL})
+    assert res.status == 0, res.message
+    duals = res.eqlin.marginals.reshape(n_lps, n_rows)
+    return res.x.reshape(n_lps, n_arcs), np.hstack([duals, np.zeros((n_lps, 1))])
+
+
+LAWS_EXACT_SHAPES = ("proj5", "proj6", "mixed5", "mixed6")
+
+
+@functools.lru_cache(maxsize=None)
+def laws_exact_case(label):
+    """The `laws_exact` benchmark pair `label` at seed 1101, as `wsharp_exact`
+    poses it: one row of masses per law on the subset graph of their support."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench import inputs
+
+    pair = next(pair for pair in inputs.laws_exact(1101) if pair.label == label)
+    p, q = (fermiflow.exact_mixed_distribution(spec).as_dict() for spec in (pair.a, pair.b))
+    support = sorted(set(p) | set(q), key=lambda c: (len(c), c))
+    masses = np.array([[law.get(c, 0.0) for c in support] for law in (p, q)])
+    return subset_graph(support), (masses[:1], masses[1:])
+
+
+@pytest.mark.parametrize("name", [*sorted(BATCHES), *LAWS_EXACT_SHAPES])
+def test_highs_model_matches_the_linprog_reference(name):
+    # every moving row in one model: the values equal linprog's, and the flows
+    # and potentials certify themselves (primal and dual feasible, complementary)
+    graph, (p, q) = laws_exact_case(name) if name in LAWS_EXACT_SHAPES else BATCHES[name]
+    excess = np.zeros((len(p), graph.n_vertices))
+    excess[:, :p.shape[1]] = p - q
+    moving = (excess > 0).any(axis=1) & (excess < 0).any(axis=1)
+    reference, _ = linprog_min_cost_flows(graph, excess[moving])
+    flows, y = transport_module._min_cost_flows(graph, excess[moving])
+    np.testing.assert_allclose(flows @ graph.length, reference @ graph.length, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(metric_transport_values(p, q, graph)[moving],
+                               reference @ graph.length, rtol=0, atol=1e-12)
+    incidence = np.zeros((graph.n_vertices, graph.tail.size))
+    incidence[graph.tail, np.arange(graph.tail.size)] = 1.0
+    incidence[graph.head, np.arange(graph.tail.size)] = -1.0
+    np.testing.assert_allclose(flows @ incidence.T, excess[moving], rtol=0, atol=1e-9)
+    assert flows.min() >= 0.0
+    reduced = graph.length - y[:, graph.tail] + y[:, graph.head]
+    assert reduced.min() >= -1e-9
+    assert np.abs(flows * reduced).max() <= 1e-9
 
 
 def test_optimal_tree_refuses_a_basis_that_is_not_dual_feasible():
@@ -329,11 +387,11 @@ def test_repair_pivots_once_to_the_known_basis(monkeypatch):
     assert served.tolist() == [True] and values.tolist() == [1.0]
 
 
-def test_batch_repairs_the_solved_rows_tree(linprog_calls):
+def test_batch_repairs_the_solved_rows_tree(highs_calls):
     p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     q = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     np.testing.assert_array_equal(metric_transport_values(p, q, TRIANGLE), [2.0, 1.0])
-    assert len(linprog_calls) == 1
+    assert len(highs_calls) == 1
 
 
 def optimal_basis_value(graph, arcs, excess):
@@ -397,7 +455,7 @@ def test_repaired_trees_are_optimal_bases(name, repairs):
 
 
 @pytest.mark.parametrize("name", sorted(BATCHES))
-def test_refused_repairs_leave_their_rows_to_highs_rounds(name, linprog_calls, monkeypatch):
+def test_refused_repairs_leave_their_rows_to_highs_rounds(name, highs_calls, monkeypatch):
     # every tree a pivot reaches is refused, so the repair gives up, and the
     # batch takes the calls of rounds alone
     repair, repaired = transport_module._repaired_tree, []
@@ -411,12 +469,12 @@ def test_refused_repairs_leave_their_rows_to_highs_rounds(name, linprog_calls, m
     monkeypatch.setattr(transport_module, "_repaired_tree", refused)
     graph, (p, q) = BATCHES[name]
     values = metric_transport_values(p, q, graph)
-    assert len(linprog_calls) == ROUND_CALLS[name]
+    assert len(highs_calls) == ROUND_CALLS[name]
     assert repaired == [None]
     np.testing.assert_allclose(values, batch_one_per_call(name), rtol=0, atol=1e-12)
 
 
-def test_repairs_stop_at_the_first_tree_serving_only_its_own_row(repairs, linprog_calls,
+def test_repairs_stop_at_the_first_tree_serving_only_its_own_row(repairs, highs_calls,
                                                                  monkeypatch):
     # dirichlet_200's rows need bases of their own: one repair shows it
     graph, (p, q) = BATCHES["dirichlet_200"]
@@ -432,29 +490,29 @@ def test_repairs_stop_at_the_first_tree_serving_only_its_own_row(repairs, linpro
     metric_transport_values(p, q, graph)
     assert served.count(1) <= 1 and len(served) == len(repairs)
     per_lp = max(1, transport_module.LP_VARIABLES // graph.tail.size)
-    assert len(linprog_calls) <= math.ceil(len(p) / per_lp) + math.ceil(math.log2(per_lp))
+    assert len(highs_calls) <= math.ceil(len(p) / per_lp) + math.ceil(math.log2(per_lp))
 
 
-def test_disconnected_graph_solves_every_row_by_lp(linprog_calls):
+def test_disconnected_graph_solves_every_row_by_lp(highs_calls):
     # two components, so no spanning tree exists and every moving row needs its LP
     graph = FlowGraph(range(4), 4, [0, 1, 2, 3], [1, 0, 3, 2], [1.0, 2.0, 1.0, 3.0])
     p = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.2, 0.3, 0.4, 0.1]])
     q = np.array([[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0], [0.3, 0.2, 0.1, 0.4]])
     values = metric_transport_values(p, q, graph)
     np.testing.assert_allclose(values, [1.0, 2.5, 0.2 + 0.3], rtol=0, atol=1e-12)
-    assert len(linprog_calls) == 2
+    assert len(highs_calls) == 2
 
 
-def test_single_rows_take_one_lp(linprog_calls):
+def test_single_rows_take_one_lp(highs_calls):
     graph, (p, q) = BATCHES["mixed_support"]
     metric_transport_values(p[:1], q[:1], graph)
     wsharp_exact(ConfigurationDistribution(MIXED_SUPPORT, p[1]),
                  ConfigurationDistribution(MIXED_SUPPORT, q[1]))
-    assert len(linprog_calls) == 2
+    assert len(highs_calls) == 2
 
 
 @pytest.mark.parametrize("seed", [41, 300_000, 300_002])
-def test_sampled_verify_instance_solves_few_lps(seed, linprog_calls):
+def test_sampled_verify_instance_solves_few_lps(seed, highs_calls):
     # the sampled benchmark shape (6 points, 2 functions, 20,000 draws, 1,000
     # resamples) transports 1,001 pairs of rows; the first row's tree, and its
     # repairs, answer all the others
@@ -464,11 +522,11 @@ def test_sampled_verify_instance_solves_few_lps(seed, linprog_calls):
                              mode="empirical", budget=20_000, seed=seed,
                              bootstrap_resamples=1_000)
     assert report.wsharp_value > 0.0
-    assert len(linprog_calls) == 1
+    assert len(highs_calls) == 1
 
 
 @pytest.mark.parametrize("trees", [True, False])
-def test_adversarial_batch_stays_within_the_round_budget(trees, linprog_calls, monkeypatch):
+def test_adversarial_batch_stays_within_the_round_budget(trees, highs_calls, monkeypatch):
     # With or without trees, the rounds of 1, 2, 4, ... rows add at most one
     # LP per doubling to the packed count
     if not trees:
@@ -479,7 +537,7 @@ def test_adversarial_batch_stays_within_the_round_budget(trees, linprog_calls, m
     values = metric_transport_values(p, q, graph)
     per_lp = max(1, transport_module.LP_VARIABLES // graph.tail.size)
     assert per_lp > 1
-    assert len(linprog_calls) <= math.ceil(len(p) / per_lp) + math.ceil(math.log2(per_lp)) + 1
+    assert len(highs_calls) <= math.ceil(len(p) / per_lp) + math.ceil(math.log2(per_lp)) + 1
     np.testing.assert_allclose(values, one_per_call(p, q, graph), rtol=0, atol=1e-12)
     np.testing.assert_allclose(values[:len(i)], [0.5 * symmetric_difference_cost(
         graph.labels[a], graph.labels[b]) for a, b in zip(i, j)], rtol=0, atol=1e-12)
@@ -552,12 +610,10 @@ def test_wsharp_exact_past_the_old_support_cap():
 
 
 def test_variable_cap_raises_before_any_lp(monkeypatch):
-    import scipy.optimize
-
     def refuse(*args, **kwargs):
-        raise AssertionError("linprog called past the variable cap")
+        raise AssertionError("HiGHS solve entered past the variable cap")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    monkeypatch.setattr(transport_module, "_min_cost_flows", refuse)
     cap = transport_module.VARIABLE_CAP
     # 6-subsets of 30 points: the band [5, 6] has 2 * 6 * C(30, 6) arcs
     support = [tuple(range(i, i + 6)) for i in range(0, 30, 6)]
@@ -584,6 +640,44 @@ def test_metric_values_reject_unequal_totals():
     assert metric_transport_values(p, q, graph)[0] == pytest.approx(0.15 + 0.2 + 0.15, abs=1e-12)
     with pytest.raises(ValueError, match="differ"):
         metric_transport_values(p, 2 * q, graph)
+
+
+def test_metric_values_reject_non_finite_masses(highs_calls):
+    # a NaN in a row with no negative excess is never open: unchecked, it reads 0.0
+    graph = subset_graph([(0, 1), (0, 2), (1, 2)])
+    q = np.array([[0.2, 0.3, 0.5]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite mass"):
+            metric_transport_values(np.array([[0.5, bad, 0.5]]), q, graph)
+        with pytest.raises(ValueError, match="non-finite mass"):
+            metric_transport_values(q, np.array([[0.5, bad, 0.5]]), graph)
+    assert highs_calls == []
+
+
+def test_ot_cost_rejects_non_finite_masses(highs_calls):
+    # HiGHS takes the masses as raw arrays, unchecked
+    p, q = random_pair(5, 4)
+    cost = trivial_cost(p, q)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite mass"):
+            ot_cost({**p, 1: bad}, q, cost)
+        with pytest.raises(ValueError, match="non-finite mass"):
+            ot_cost(p, {**q, 2: bad}, cost)
+    assert highs_calls == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flow_graph_refuses_non_finite_lengths(bad):
+    with pytest.raises(ValueError, match="finite nonnegative length"):
+        FlowGraph((0, 1, 2), 3, [0, 1, 2], [1, 2, 0], [1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("tail, head", [([0, 1, 3], [1, 2, 0]), ([0, 1, 2], [1, -1, 0]),
+                                        ([0, 1, 2], [1, 2, 2])])
+def test_flow_graph_refuses_arc_ends_outside_its_vertices(tail, head):
+    # an end past the last vertex, a negative end, and a loop at one vertex
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        FlowGraph((0, 1, 2), 3, tail, head, np.ones(3))
 
 
 def loaded_modules(module: str, candidates) -> list:
